@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -398,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the run config JSON")
     parser.add_argument("--out", default=None, help="output directory (default: config output_dir)")
     parser.add_argument("--seed", type=int, default=None, help="override the training seed")
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen", help="generate taskset files")
     p = sub.add_parser("train", help="meta-train and persist parameters")
@@ -420,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     try:
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -7,7 +7,9 @@
 * ``gn_dense``            -- the positive-semidefinite outer-product term of
   the cross-entropy curvature, accumulated densely (the uncompressed oracle).
 * ``accumulate_gn``       -- the same term kept as a factor V with
-  V V^T ~= H, compressed after every task to a bounded orthogonal buffer.
+  V V^T ~= H. After every task the buffer plus the new columns is compressed
+  by one eigendecomposition of its Gram matrix to at most ``capacity``
+  orthogonal columns spanning the leading eigen-directions.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import linalg, model
 from .linalg import FactorMatrix
-from .metalearn import MetaParams, Task, _meta_grad, meta_output_jacobian
+from .metalearn import MetaParams, Task, _meta_grad, meta_output_jacobian, read_exact, read_struct
 
 _HESSIAN_MAGIC = b"MIHS"
 _HESSIAN_VERSION = 1
@@ -170,11 +172,13 @@ def accumulate_gn(
     capacity: int,
     drop_tol: float | None = None,
 ) -> HessianRep:
-    """Stream per-task factor columns through the bounded orthogonal buffer.
+    """Stream per-task factor columns through a buffer of at most ``capacity`` columns.
 
-    Compression runs after every task (insertion order matters, so the loop
-    is serial over the task index) and the final factor has at most
-    ``capacity`` columns.
+    After every task, ``orthogonalize_keep_largest`` compresses the buffer
+    and the task's new columns with one Gram-matrix eigendecomposition: it
+    keeps the leading eigen-directions of their V V^T, so each step is the
+    optimal truncation of what it was given. Truncation makes insertion order
+    matter, so the loop is serial over the task index.
     """
     if not taskset:
         raise ValueError("taskset must be nonempty")
@@ -312,15 +316,13 @@ def save_hessian(path, h: HessianRep) -> None:
 
 def load_hessian(path) -> HessianRep:
     with open(path, "rb") as fh:
-        magic, version = struct.unpack("<4sI", fh.read(8))
+        magic, version = read_struct(fh, "<4sI")
         if magic != _HESSIAN_MAGIC:
             raise ValueError(f"not a Hessian file: bad magic {magic!r}")
         if version != _HESSIAN_VERSION:
             raise ValueError(f"unsupported Hessian version {version}")
-        variant_code, method_code, _, q, cols, capacity, num_tasks = struct.unpack(
-            "<BBHQQQQ", fh.read(36)
-        )
-        data = np.frombuffer(fh.read(8 * q * cols), dtype="<f8").astype(float)
+        variant_code, method_code, _, q, cols, capacity, num_tasks = read_struct(fh, "<BBHQQQQ")
+        data = np.frombuffer(read_exact(fh, 8 * q * cols), dtype="<f8").astype(float)
     variant = "dense" if variant_code == 0 else "factored"
     method = "exact" if method_code == 0 else "gauss_newton"
     if variant == "dense":

@@ -28,6 +28,8 @@ from .metalearn import (
     adapt_jacobian_matvec,
     meta_grad,
     meta_train,
+    read_exact,
+    read_struct,
 )
 from . import model
 
@@ -131,7 +133,7 @@ class ScoreTable:
             fh.write("test_id,train_id,score,rank\n")
             for i, tid in enumerate(self.test_ids):
                 for j, jid in enumerate(self.train_ids):
-                    fh.write(f"{tid},{jid},{self.scores[i, j]!r},{int(self.ranks[i, j])}\n")
+                    fh.write(f"{tid},{jid},{float(self.scores[i, j])!r},{int(self.ranks[i, j])}\n")
 
 
 def rank_rows(scores: np.ndarray, train_ids: list[str]) -> np.ndarray:
@@ -230,18 +232,19 @@ def save_influence_records(path, records: list[InfluenceRecord]) -> None:
 
 def load_influence_records(path) -> list[InfluenceRecord]:
     with open(path, "rb") as fh:
-        magic, version = struct.unpack("<4sI", fh.read(8))
+        magic, version = read_struct(fh, "<4sI")
         if magic != _STORE_MAGIC:
             raise ValueError(f"not an influence store: bad magic {magic!r}")
         if version != _STORE_VERSION:
             raise ValueError(f"unsupported influence store version {version}")
-        count, q = struct.unpack("<QQ", fh.read(16))
+        count, q = read_struct(fh, "<QQ")
         ids = []
         for _ in range(count):
-            (tlen,) = struct.unpack("<I", fh.read(4))
-            tid = fh.read(tlen).decode()
-            (glen,) = struct.unpack("<I", fh.read(4))
-            gid = fh.read(glen).decode() if glen else None
+            (tlen,) = read_struct(fh, "<I")
+            tid = read_exact(fh, tlen).decode()
+            (glen,) = read_struct(fh, "<I")
+            gid = read_exact(fh, glen).decode() if glen else None
             ids.append((tid, gid))
-        mat = np.frombuffer(fh.read(8 * count * q), dtype="<f8").astype(float).reshape(count, q)
+        mat = np.frombuffer(read_exact(fh, 8 * count * q), dtype="<f8").astype(float)
+    mat = mat.reshape(count, q)
     return [InfluenceRecord(tid, mat[i].copy(), gid) for i, (tid, gid) in enumerate(ids)]

@@ -241,35 +241,31 @@ def orthogonalize_keep_largest(
 ) -> FactorMatrix:
     """Compress a factor to at most ``capacity`` mutually orthogonal columns.
 
-    The columns are rotated into the eigenbasis of their Gram matrix (which
-    preserves the outer-product sum exactly), columns with norm <= drop_tol
-    are removed, and the ``capacity`` largest-norm columns are kept. A single
-    re-orthogonalization pass keeps pairwise inner products at rounding level
-    even for small retained columns. ``drop_tol`` defaults to
-    DROP_TOL_SCALE times the largest incoming column norm.
+    One eigendecomposition of the Gram matrix C^T C = O diag(w) O^T picks the
+    retained directions: those with w > max(GRAM_EIG_FLOOR * max(w),
+    drop_tol**2), at most ``capacity`` of them, largest first. The result is
+    C O_keep: its columns are orthogonal to rounding, their squared norms are
+    the retained w, and V V^T is C C^T with the dropped eigen-directions
+    removed, the optimal truncation of C C^T to that rank.
+    ``drop_tol`` defaults to DROP_TOL_SCALE times the largest incoming column
+    norm.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     c = cols.columns
     if c.shape[1] == 0:
         return cols
-    norms_in = np.linalg.norm(c, axis=0)
-    max_in = float(norms_in.max())
-    if max_in == 0.0:
+    g = symmetrize(c.T @ c)
+    max_in_sq = float(np.diag(g).max())
+    if max_in_sq == 0.0:
         return FactorMatrix.empty(c.shape[0])
     if drop_tol is None:
-        drop_tol = DROP_TOL_SCALE * max_in
-    rotated, norms, w = _rotate_to_orthogonal(c)
-    lam_floor = GRAM_EIG_FLOOR * max(float(w[0]), 0.0)
-    keep = (norms > drop_tol) & (w > lam_floor)
-    kept = rotated[:, keep][:, :capacity].copy()
-    for i in range(1, kept.shape[1]):
-        prev = kept[:, :i]
-        coef = (prev.T @ kept[:, i]) / np.einsum("ij,ij->j", prev, prev)
-        kept[:, i] -= prev @ coef
-    if kept.shape[1]:
-        kept = kept[:, np.linalg.norm(kept, axis=0) > drop_tol]
-    return FactorMatrix(kept)
+        drop_tol = DROP_TOL_SCALE * np.sqrt(max_in_sq)
+    w, o = np.linalg.eigh(g)
+    w, o = w[::-1], o[:, ::-1]
+    floor = max(GRAM_EIG_FLOOR * float(w[0]), drop_tol * drop_tol)
+    n_keep = min(int(np.count_nonzero(w > floor)), capacity)
+    return FactorMatrix(c @ o[:, :n_keep])
 
 
 def pseudo_inverse_from_factor(v: FactorMatrix) -> np.ndarray:

@@ -14,6 +14,7 @@ same length as the model weight vector):
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -30,6 +31,29 @@ _PARAMS_VERSION = 1
 
 class TrainingDivergedError(RuntimeError):
     """Meta-training produced a non-finite loss or gradient."""
+
+
+class TruncatedFileError(OSError):
+    """A binary artifact ends before the bytes its header declares."""
+
+
+def read_exact(fh, n: int) -> bytes:
+    """Read exactly n bytes from a binary file or raise TruncatedFileError.
+
+    The length is checked against the bytes left in the file before reading,
+    so a corrupt header that declares a huge payload allocates nothing.
+    """
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        raise TruncatedFileError(
+            f"{fh.name} is truncated: expected {n} more bytes, found {remaining}"
+        )
+    return fh.read(n)
+
+
+def read_struct(fh, fmt: str) -> tuple:
+    """Read and unpack one struct of format ``fmt``, length-checked."""
+    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt)))
 
 
 @dataclass(frozen=True)
@@ -362,18 +386,18 @@ def save_params(path, mp: MetaParams) -> None:
 
 def load_params(path) -> MetaParams:
     with open(path, "rb") as fh:
-        magic, version = struct.unpack("<4sI", fh.read(8))
+        magic, version = read_struct(fh, "<4sI")
         if magic != _PARAMS_MAGIC:
             raise ValueError(f"not a MetaParams file: bad magic {magic!r}")
         if version != _PARAMS_VERSION:
             raise ValueError(f"unsupported MetaParams version {version}")
-        kind_code, inner_lr = struct.unpack("<Bd", fh.read(9))
-        (alen,) = struct.unpack("<I", fh.read(4))
-        acts = tuple(fh.read(alen).decode().split(",")) if alen else ()
-        (nw,) = struct.unpack("<I", fh.read(4))
-        widths = struct.unpack(f"<{nw}Q", fh.read(8 * nw))
-        (q,) = struct.unpack("<Q", fh.read(8))
-        omega = np.frombuffer(fh.read(8 * q), dtype="<f8").astype(float)
+        kind_code, inner_lr = read_struct(fh, "<Bd")
+        (alen,) = read_struct(fh, "<I")
+        acts = tuple(read_exact(fh, alen).decode().split(",")) if alen else ()
+        (nw,) = read_struct(fh, "<I")
+        widths = read_struct(fh, f"<{nw}Q")
+        (q,) = read_struct(fh, "<Q")
+        omega = np.frombuffer(read_exact(fh, 8 * q), dtype="<f8").astype(float)
     spec = MlpSpec(widths, acts if acts else "tanh")
     learner = Learner(LEARNER_KINDS[kind_code], spec, inner_lr)
     return MetaParams(omega, learner)

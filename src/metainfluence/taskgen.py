@@ -202,8 +202,18 @@ def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = No
         fh.write("\n")
 
 
+def _load_batch(entry: dict, part: str) -> Batch:
+    batch = Batch(np.array(entry[part]["x"]), np.array(entry[part]["y"]))
+    if not np.all(np.isfinite(batch.x)):
+        raise ValueError(f"task {entry['id']!r} has a non-finite feature in its {part} batch")
+    return batch
+
+
 def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
-    """Read a taskset file; accepts externally produced files in the same schema."""
+    """Read a taskset file; accepts externally produced files in the same schema.
+
+    Raises ValueError naming the task and batch when a feature is not finite.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     version = doc.get("version")
@@ -214,8 +224,8 @@ def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
         tasks.append(
             Task(
                 task_id=entry["id"],
-                support=Batch(np.array(entry["support"]["x"]), np.array(entry["support"]["y"])),
-                query=Batch(np.array(entry["query"]["x"]), np.array(entry["query"]["y"])),
+                support=_load_batch(entry, "support"),
+                query=_load_batch(entry, "query"),
                 group_id=entry.get("group_id"),
                 provenance=entry.get("provenance", "regular"),
             )

@@ -1,6 +1,9 @@
 import json
 import hashlib
+import shutil
 from pathlib import Path
+
+import pytest
 
 from metainfluence import cli
 
@@ -221,3 +224,60 @@ def test_scores_csv_row_count(tmp_path):
     lines = (out / "scores.csv").read_text().strip().split("\n")
     # header comment + column header + |test| * |train| rows
     assert len(lines) == 2 + 3 * 8
+
+
+def test_seed_override_decides_params(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "gen"]) == cli.EXIT_OK
+    params = []
+    for seed in (5, 5, 6):
+        assert run(["--config", cfg, "--out", out, "--seed", seed, "train"]) == cli.EXIT_OK
+        params.append((out / "params.bin").read_bytes())
+    assert params[0] == params[1]
+    assert params[0] != params[2]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Config and output directory after the gen, train and hessian stages."""
+    tmp = tmp_path_factory.mktemp("trained")
+    cfg = write_config(tmp)
+    out = tmp / "out"
+    for command in ("gen", "train", "hessian"):
+        assert run(["--config", cfg, "--out", out, command]) == cli.EXIT_OK
+    return cfg, out
+
+
+@pytest.mark.parametrize(
+    "artifact, stage", [("params.bin", "hessian"), ("hessian.bin", "influence")]
+)
+@pytest.mark.parametrize("cut", ["header", "payload"])
+def test_truncated_binary_is_io_error(trained, tmp_path, capsys, artifact, stage, cut):
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    data = (out / artifact).read_bytes()
+    keep = 12 if cut == "header" else len(data) - 100
+    (out / artifact).write_bytes(data[:keep])
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", out, stage]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert str(out / artifact) in err
+    assert "is truncated: expected" in err and "found" in err
+
+
+@pytest.mark.parametrize("method", ["exact", "gn"])
+def test_nonfinite_feature_is_usage_error(trained, tmp_path, capsys, method):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    doc = json.loads((out / "train_tasks.json").read_text())
+    task = doc["tasks"][2]
+    task["query"]["x"][1][0] = float("nan")
+    (out / "train_tasks.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"hessian": {"method": method, "capacity": 32}})
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", out, "hessian"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"task {task['id']!r} has a non-finite feature in its query batch" in err

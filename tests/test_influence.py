@@ -15,7 +15,7 @@ from metainfluence.influence import (
     save_influence_records,
     score_table,
 )
-from metainfluence.metalearn import MetaParams, adapt, meta_grad
+from metainfluence.metalearn import MetaParams, TruncatedFileError, adapt, meta_grad
 
 
 def sample_tasks(seed=7, count=4, d=6, ways=3, ks=4, kq=5, noise=0.6):
@@ -202,6 +202,25 @@ def test_store_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(got.i_meta, want.i_meta)
     save_influence_records(tmp_path / "infl2.bin", loaded)
     assert (tmp_path / "infl.bin").read_bytes() == (tmp_path / "infl2.bin").read_bytes()
+
+
+def test_store_truncated_payload_raises(tmp_path, rng):
+    path = tmp_path / "infl.bin"
+    save_influence_records(path, [InfluenceRecord("a", rng.normal(size=7), None)])
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(TruncatedFileError, match="expected 56 more bytes, found 48"):
+        load_influence_records(path)
+
+
+def test_score_csv_round_trips_scores(tmp_path, rng):
+    mp = make_params(rng)
+    train, test = sample_tasks(count=3), sample_tasks(seed=5, count=2)
+    table = score_table(mp, identity_inverse(mp.q), train, test)
+    path = tmp_path / "scores.csv"
+    table.to_csv(path)
+    rows = path.read_text().strip().split("\n")[2:]
+    parsed = np.array([float(row.split(",")[2]) for row in rows]).reshape(table.scores.shape)
+    np.testing.assert_array_equal(parsed, table.scores)
 
 
 def test_score_csv_row_count(tmp_path, rng):

@@ -190,6 +190,35 @@ def test_orthogonalize_full_capacity_preserves_sum(seed):
     )
 
 
+@pytest.mark.parametrize("capacity", [1, 4, 7])
+def test_orthogonalize_below_rank_is_optimal_truncation(capacity):
+    rng = np.random.default_rng(11)
+    cols = FactorMatrix(rng.normal(size=(12, 9)) * np.logspace(0, -2, 9))
+    out = orthogonalize_keep_largest(cols, capacity=capacity)
+    assert out.ncols == capacity
+    best = eigh_symmetric(cols.gram_sum()).reconstruct(np.arange(capacity))
+    np.testing.assert_allclose(out.gram_sum(), best, rtol=0, atol=1e-10 * np.linalg.norm(best))
+
+
+def test_orthogonalize_graded_norms_preserves_sum():
+    rng = np.random.default_rng(12)
+    cols = FactorMatrix(rng.normal(size=(15, 10)) * np.logspace(0, -6, 10))
+    out = orthogonalize_keep_largest(cols, capacity=10)
+    assert out.ncols == 10
+    want = cols.gram_sum()
+    np.testing.assert_allclose(out.gram_sum(), want, rtol=0, atol=1e-10 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("rank", [1, 3, 6])
+def test_orthogonalize_never_exceeds_numerical_rank(rank):
+    rng = np.random.default_rng(13 + rank)
+    cols = FactorMatrix(rng.normal(size=(10, rank)) @ rng.normal(size=(rank, 8)))
+    out = orthogonalize_keep_largest(cols, capacity=8)
+    assert out.ncols == rank
+    want = cols.gram_sum()
+    np.testing.assert_allclose(out.gram_sum(), want, rtol=0, atol=1e-10 * np.linalg.norm(want))
+
+
 def test_factor_pinv_single_column():
     f = FactorMatrix(np.array([[2.0], [0.0]]))
     np.testing.assert_allclose(f.gram_sum(), np.diag([4.0, 0.0]))
