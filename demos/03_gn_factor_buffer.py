@@ -4,8 +4,9 @@ The positive-semidefinite outer-product term of the cross-entropy curvature
 can be accumulated as factor columns instead of a dense matrix. Rotating the
 columns into the eigenbasis of their Gram matrix preserves the represented
 matrix exactly, so compression to a fixed buffer keeps the dominant
-directions; the pseudo-inverse then comes straight from the rotated columns,
-never touching a dense eigenproblem.
+directions. ``invert`` takes the pseudo-inverse's eigenpairs straight from the
+rotated columns, never touching a dense eigenproblem, and returns the same
+(U, lambda) form as for a dense matrix.
 
 Run:  python3 demos/03_gn_factor_buffer.py   (~30 seconds)
 """
@@ -22,8 +23,8 @@ from metainfluence import (
     eigh_symmetric,
     exact_meta_hessian,
     gn_dense,
+    invert,
     meta_train,
-    pseudo_inverse_from_factor,
     sample_taskset,
 )
 
@@ -44,16 +45,15 @@ for capacity in (8, 16, 32, 64, 1024):
     err = np.linalg.norm(factored.factor.gram_sum() - dense.matrix) / dense_norm
     print(f"{capacity:8d} {factored.factor.ncols:8d} {err:27.2e}")
 
-# the factor pseudo-inverse agrees with the spectral one on the same matrix
+# the inverse of the factor agrees with the inverse of the dense matrix
 factored = accumulate_gn(mp, tasks, capacity=1024)
-via_factor = pseudo_inverse_from_factor(factored.factor)
+eye = np.eye(spec.num_params)
+via_factor = invert(factored, "all").apply(eye)
 e = eigh_symmetric(dense.matrix)
 rank = int(np.sum(e.eigenvalues > 1e-10 * e.eigenvalues[0]))
-from metainfluence import pseudo_inverse_spectral
-
-via_spectral = pseudo_inverse_spectral(e, rank)
-agree = np.linalg.norm(via_factor - via_spectral) / np.linalg.norm(via_spectral)
-print(f"\nfactor-path vs spectral-path pseudo-inverse: rel. difference {agree:.2e}")
+via_dense = invert(dense, rank).apply(eye)
+agree = np.linalg.norm(via_factor - via_dense) / np.linalg.norm(via_dense)
+print(f"\nfactored vs dense pseudo-inverse:            rel. difference {agree:.2e}")
 
 # near a good fit, the outer-product term approximates the exact curvature
 exact = exact_meta_hessian(mp, tasks)

@@ -40,8 +40,6 @@ from .linalg import (
     eigh_symmetric,
     orthogonalize_keep_largest,
     psd_sqrt_small,
-    pseudo_inverse_from_factor,
-    pseudo_inverse_spectral,
     symmetrize,
 )
 from .metalearn import (

@@ -237,16 +237,29 @@ def _keep_from_config(cfg: RunConfig):
     return keep
 
 
+def _load_matching_hessian(path: Path, mp, tasks):
+    """Load a stored Hessian and check it was built for these params and this taskset."""
+    from . import hessian as hessian_mod
+
+    rep = hessian_mod.load_hessian(_require(path))
+    if rep.dim != mp.q:
+        raise ConfigError(f"hessian dim {rep.dim} does not match params q {mp.q}")
+    if rep.num_tasks != len(tasks):
+        raise ConfigError(
+            f"hessian {path} was built on {rep.num_tasks} tasks, "
+            f"but the training taskset has {len(tasks)}"
+        )
+    return rep
+
+
 def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_path, test_path) -> None:
     from . import hessian as hessian_mod
     from . import influence as influence_mod
     from . import metalearn, taskgen
 
     mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
-    rep = hessian_mod.load_hessian(_require(Path(hessian_path or out / "hessian.bin")))
-    if rep.dim != mp.q:
-        raise ConfigError(f"hessian dim {rep.dim} does not match params q {mp.q}")
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
+    rep = _load_matching_hessian(Path(hessian_path or out / "hessian.bin"), mp, tasks)
     test_file = Path(test_path) if test_path else out / "test_tasks.json"
     test_tasks = taskgen.load_taskset(test_file)[0] if test_file.exists() else tasks
     inv = hessian_mod.invert(rep, _keep_from_config(cfg))
@@ -286,7 +299,7 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> None:
     def _inverse():
         nonlocal inv
         if inv is None:
-            rep = hessian_mod.load_hessian(_require(out / "hessian.bin"))
+            rep = _load_matching_hessian(out / "hessian.bin", mp, tasks)
             inv = hessian_mod.invert(rep, _keep_from_config(cfg))
         return inv
 

@@ -1,4 +1,4 @@
-"""Curvature of the meta-objective, three ways, plus pruned pseudo-inverses.
+"""Curvature of the meta-objective, three ways, plus its pruned pseudo-inverse.
 
 * ``exact_meta_hessian``  -- central finite differences of the exact
   meta-gradient, column by column. The meta-gradient itself is analytic, so
@@ -10,6 +10,9 @@
   V V^T ~= H. After every task the buffer plus the new columns is compressed
   by one eigendecomposition of its Gram matrix to at most ``capacity``
   orthogonal columns spanning the leading eigen-directions.
+
+``invert`` prunes and inverts either representation through the same
+eigenpairs and returns them as a ``SpectralInverse`` (U, lambda).
 """
 
 from __future__ import annotations
@@ -66,22 +69,46 @@ class HessianRep:
             return self.matrix
         return self.factor.gram_sum()
 
+    def eigen(self) -> linalg.EigenDecomposition:
+        """Eigenpairs, descending: all q of a dense matrix, the nonzero ones of a factor."""
+        if self.variant == "dense":
+            return linalg.eigh_symmetric(self.matrix)
+        return linalg.factor_eigen(self.factor)
+
 
 @dataclass
 class SpectralInverse:
-    """Pruned pseudo-inverse H^+ together with the projector H^+ H."""
+    """Pruned pseudo-inverse H^+ = U diag(1/lambda) U^T, held as its retained eigenpairs.
 
-    pinv: np.ndarray
-    projector: np.ndarray
-    retained: int
+    ``vectors`` (q x k) are orthonormal eigenvectors of H and ``values`` (k)
+    their eigenvalues, negatives included when the pruning rule keeps them.
+    H^+ H = U U^T is the projector onto the retained directions. No q x q
+    matrix is stored or formed: ``apply`` and ``project`` cost O(q k) per
+    vector.
+    """
+
+    vectors: np.ndarray
+    values: np.ndarray
     discarded_negative: int
     keep: int | float | str
-    eigenvalues: np.ndarray | None = None
     clamped: bool = False
 
     @property
+    def retained(self) -> int:
+        return int(self.values.size)
+
+    @property
     def dim(self) -> int:
-        return int(self.pinv.shape[0])
+        return int(self.vectors.shape[0])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H^+ x = U ((U^T x) / lambda) for a q-vector or a q x n stack of columns."""
+        coef = self.vectors.T @ x
+        return self.vectors @ (coef.T / self.values).T
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """H^+ H x = U (U^T x) for a q-vector or a q x n stack of columns."""
+        return self.vectors @ (self.vectors.T @ x)
 
 
 def exact_meta_hessian(
@@ -217,64 +244,38 @@ def gn_dense(mp: MetaParams, taskset: list[Task]) -> HessianRep:
 def invert(h: HessianRep, keep: int | float | str) -> SpectralInverse:
     """Pruned pseudo-inverse of a Hessian representation.
 
-    Dense reps go through the full eigendecomposition; factored reps rotate
-    the buffer columns into orthogonal directions and invert the ``keep``
-    largest ones, never touching a q x q eigenproblem. A count larger than
-    the available directions is clamped and flagged.
+    One path serves both variants: ``h.eigen()`` gives the eigenpairs (a full
+    eigendecomposition of a dense matrix, or the nonzero directions of a
+    factor from its small Gram matrix, never a q x q eigenproblem) and
+    ``retained_indices`` picks those that ``keep`` retains. Retained
+    negatives are inverted with their sign. A retained eigenvalue below
+    INVERT_FLOOR times the spectrum scale raises IllConditionedError. A count
+    larger than the available directions is clamped and flagged.
     """
-    if h.variant == "dense":
-        e = linalg.eigh_symmetric(h.matrix)
-        clamped = isinstance(keep, (int, np.integer)) and not isinstance(keep, bool) and keep > e.dim
-        idx = linalg.retained_indices(e.eigenvalues, keep)
-        pinv = linalg.pseudo_inverse_spectral(e, keep)
-        projector = linalg.projector_from_eigen(e, idx)
-        neg_total = int(np.sum(e.eigenvalues < 0.0))
-        neg_kept = int(np.sum(e.eigenvalues[idx] < 0.0))
-        return SpectralInverse(
-            pinv=pinv,
-            projector=projector,
-            retained=int(idx.size),
-            discarded_negative=neg_total - neg_kept,
-            keep=keep,
-            eigenvalues=e.eigenvalues,
-            clamped=bool(clamped),
+    e = h.eigen()
+    lam = e.eigenvalues
+    idx = linalg.retained_indices(lam, keep)
+    kept = lam[idx]
+    scale = float(np.abs(lam).max(initial=0.0))
+    small = np.abs(kept) < linalg.INVERT_FLOOR * scale
+    if small.any():
+        worst = float(np.abs(kept[small]).min())
+        raise linalg.IllConditionedError(
+            f"retained eigenvalue {worst:g} is below {linalg.INVERT_FLOOR:g} * {scale:g}; "
+            "ill-conditioned inversion requested"
         )
-    cols = h.factor.columns
-    q = h.factor.rows
-    if cols.shape[1] == 0:
-        zeros = np.zeros((q, q))
-        return SpectralInverse(zeros, zeros.copy(), 0, 0, keep, np.zeros(0), False)
-    rotated, norms, lam = linalg._rotate_to_orthogonal(cols)
-    floor = linalg.FACTOR_ZERO_SCALE * float(norms.max())
-    live = norms > floor
-    rotated, norms, lam = rotated[:, live], norms[live], lam[live]
-    clamped = isinstance(keep, (int, np.integer)) and not isinstance(keep, bool) and keep > norms.size
-    idx = linalg.retained_indices(norms**2, keep)
-    kept = rotated[:, idx]
-    kn = norms[idx]
-    scaled = kept / (kn * kn)
-    pinv = linalg.symmetrize(scaled @ scaled.T)
-    unit = kept / kn
-    projector = linalg.symmetrize(unit @ unit.T)
     return SpectralInverse(
-        pinv=pinv,
-        projector=projector,
-        retained=int(idx.size),
-        discarded_negative=0,
+        vectors=e.eigenvectors[:, idx],
+        values=kept,
+        discarded_negative=int(np.sum(lam < 0.0)) - int(np.sum(kept < 0.0)),
         keep=keep,
-        eigenvalues=norms**2,
-        clamped=bool(clamped),
+        clamped=bool(isinstance(keep, (int, np.integer)) and keep > lam.size),
     )
 
 
 def spectrum_summary(h: HessianRep) -> dict:
     """Eigenvalue digest used by reports: extremes and non-positive count."""
-    if h.variant == "dense":
-        e = linalg.eigh_symmetric(h.matrix)
-        lam = e.eigenvalues
-    else:
-        _, norms, _ = linalg._rotate_to_orthogonal(h.factor.columns)
-        lam = np.sort(norms**2)[::-1] if norms.size else np.zeros(0)
+    lam = h.eigen().eigenvalues
     return {
         "dim": h.dim,
         "method": h.method,

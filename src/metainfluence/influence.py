@@ -53,7 +53,7 @@ def influence_meta(inv: SpectralInverse, mp: MetaParams, train_task: Task) -> In
     g = meta_grad(mp, train_task)
     if g.shape[0] != inv.dim:
         raise ValueError(f"meta-gradient length {g.shape[0]} != inverse dim {inv.dim}")
-    return InfluenceRecord(train_task.task_id, -(inv.pinv @ g), train_task.group_id)
+    return InfluenceRecord(train_task.task_id, -inv.apply(g), train_task.group_id)
 
 
 def influence_group(records: list[InfluenceRecord], group_id: str) -> InfluenceRecord:

@@ -23,8 +23,8 @@ DROP_TOL_SCALE = 1e-9
 # Gram eigenvalues at or below this relative level are indistinguishable from
 # rounding noise of the Gram matrix itself and are always dropped.
 GRAM_EIG_FLOOR = 1e-13
-# pseudo_inverse_from_factor treats rotated columns with norm <= this scale
-# times the largest norm as zero.
+# factor_eigen treats rotated factor columns with norm <= this scale times the
+# largest norm as zero.
 FACTOR_ZERO_SCALE = 1e-10
 
 
@@ -50,10 +50,12 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenpairs of a symmetric matrix.
+    """Eigenpairs of a symmetric q x q matrix.
 
-    Eigenvalues are sorted descending in signed order (negative eigenvalues
-    last); column i of ``eigenvectors`` pairs with ``eigenvalues[i]``.
+    ``eigh_symmetric`` gives all q of them, ``factor_eigen`` only the nonzero
+    ones of a low-rank V V^T. Eigenvalues are sorted descending in signed
+    order (negative eigenvalues last); column i of the q-row ``eigenvectors``
+    pairs with ``eigenvalues[i]``.
     """
 
     eigenvalues: np.ndarray
@@ -61,7 +63,7 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
+        return int(self.eigenvectors.shape[0])
 
     def reconstruct(self, indices: np.ndarray | None = None) -> np.ndarray:
         """Rebuild Q_I Lambda_I Q_I^T over the given eigenpair indices (all by default)."""
@@ -140,38 +142,6 @@ def retained_indices(eigenvalues: np.ndarray, keep: int | float | str) -> np.nda
     raise TypeError(f"unsupported keep specifier {keep!r}")
 
 
-def pseudo_inverse_spectral(e: EigenDecomposition, keep: int | float | str) -> np.ndarray:
-    """Spectral pseudo-inverse sum_retained q_i q_i^T / lam_i.
-
-    Eigenvalues not retained (including negatives excluded by the rule)
-    contribute zero. Retained negatives are inverted with their sign.
-    Raises IllConditionedError when a retained eigenvalue is within
-    INVERT_FLOOR of numerical zero relative to the spectrum scale.
-    """
-    idx = retained_indices(e.eigenvalues, keep)
-    if idx.size == 0:
-        return np.zeros((e.dim, e.dim))
-    lam = e.eigenvalues[idx]
-    scale = float(np.abs(e.eigenvalues).max())
-    small = np.abs(lam) < INVERT_FLOOR * scale
-    if small.any():
-        worst = float(np.abs(lam[small]).min())
-        raise IllConditionedError(
-            f"retained eigenvalue {worst:g} is below {INVERT_FLOOR:g} * {scale:g}; "
-            "ill-conditioned inversion requested"
-        )
-    q = e.eigenvectors[:, idx]
-    return symmetrize((q / lam) @ q.T)
-
-
-def projector_from_eigen(e: EigenDecomposition, indices: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of the given eigenvectors."""
-    if indices.size == 0:
-        return np.zeros((e.dim, e.dim))
-    q = e.eigenvectors[:, indices]
-    return symmetrize(q @ q.T)
-
-
 def psd_sqrt_small(a: np.ndarray, neg_tol: float = 1e-10, zero_tol: float = 1e-12) -> np.ndarray:
     """Symmetric factor C with C C^T = a for a small PSD matrix.
 
@@ -221,21 +191,6 @@ class FactorMatrix:
         return FactorMatrix(np.concatenate([self.columns, other.columns], axis=1))
 
 
-def _rotate_to_orthogonal(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotate columns into the eigenbasis of their Gram matrix.
-
-    Returns (rotated, norms, gram_eigenvalues) with norms descending. The
-    rotation W = C O (O orthogonal) leaves W W^T = C C^T unchanged, which is
-    what lets compression preserve the represented matrix.
-    """
-    g = symmetrize(cols.T @ cols)
-    w, o = np.linalg.eigh(g)
-    w = w[::-1]
-    rotated = cols @ o[:, ::-1]
-    norms = np.linalg.norm(rotated, axis=0)
-    return rotated, norms, w
-
-
 def orthogonalize_keep_largest(
     cols: FactorMatrix, capacity: int, drop_tol: float | None = None
 ) -> FactorMatrix:
@@ -268,25 +223,20 @@ def orthogonalize_keep_largest(
     return FactorMatrix(c @ o[:, :n_keep])
 
 
-def pseudo_inverse_from_factor(v: FactorMatrix) -> np.ndarray:
-    """Pseudo-inverse of V V^T without forming the dense matrix first.
+def factor_eigen(v: FactorMatrix) -> EigenDecomposition:
+    """Nonzero eigenpairs of V V^T from one eigendecomposition of V^T V.
 
-    Diagonalizes V^T V = O Lambda O^T; the columns w_i of V O are orthogonal
-    with |w_i|^2 equal to the nonzero eigenvalues of V V^T, so
-    (V V^T)^+ = sum_{|w_i| > eps} w_i w_i^T / |w_i|^4 with
-    eps = FACTOR_ZERO_SCALE * max |w_i|. Feasible when the column count is
-    small compared to the row count.
+    With V^T V = O diag(w) O^T the columns of V O are orthogonal, their
+    squared norms are the nonzero eigenvalues of V V^T and, normalized, they
+    are its eigenvectors; no q x q matrix is formed. Columns with norm at or
+    below FACTOR_ZERO_SCALE times the largest are numerically zero and are
+    dropped. Eigenvalues are descending.
     """
     c = v.columns
-    q = c.shape[0]
-    if c.shape[1] == 0:
-        return np.zeros((q, q))
-    rotated, norms, _ = _rotate_to_orthogonal(c)
-    eps = FACTOR_ZERO_SCALE * float(norms.max())
-    sel = norms > eps
-    if not sel.any():
-        return np.zeros((q, q))
-    kept = rotated[:, sel]
-    kn = norms[sel]
-    scaled = kept / (kn * kn)
-    return symmetrize(scaled @ scaled.T)
+    _, o = np.linalg.eigh(symmetrize(c.T @ c))
+    rotated = c @ o
+    norms = np.linalg.norm(rotated, axis=0)
+    order = np.argsort(-norms, kind="stable")
+    order = order[norms[order] > FACTOR_ZERO_SCALE * float(norms.max(initial=0.0))]
+    norms = norms[order]
+    return EigenDecomposition(norms * norms, rotated[:, order] / norms)

@@ -174,7 +174,7 @@ def test_criterion_2_oracle_fidelity(convex_toy):
     for j in range(8):
         shift = infl.loo_retrain_oracle(warm, tasks, cfg, j, eps, base_omega=mp.omega)
         shifts.append(shift)
-        projected = inv.projector @ records[j].i_meta
+        projected = inv.project(records[j].i_meta)
         cos = projected @ shift / (np.linalg.norm(projected) * np.linalg.norm(shift))
         assert cos >= 0.9
 
@@ -191,7 +191,7 @@ def test_criterion_2_oracle_fidelity(convex_toy):
     # prediction error does not blow up as epsilon shrinks (no 1/eps term);
     # the epsilon-independent convergence bias dominates, so the two errors
     # stay within a modest factor (see decisions ledger on the O(eps) ratio)
-    proj0 = inv.projector @ records[0].i_meta
+    proj0 = inv.project(records[0].i_meta)
     shift_coarse = infl.loo_retrain_oracle(warm, tasks, cfg, 0, 1e-2, base_omega=mp.omega)
     err_coarse = np.linalg.norm(shift_coarse - proj0)
     err_fine = np.linalg.norm(shifts[0] - proj0)
@@ -216,7 +216,7 @@ def test_criterion_3_pseudo_inverse_identities():
         if np.abs(e.eigenvalues[idx]).min() < 1e-9 * scale:
             k = int(np.sum(np.abs(e.eigenvalues) > 1e-6 * scale))
             idx = linalg.retained_indices(e.eigenvalues, k)
-        pinv = linalg.pseudo_inverse_spectral(e, k)
+        pinv = hessian.invert(hessian.HessianRep("dense", matrix=a), k).apply(np.eye(n))
         pruned = e.reconstruct(idx)
         tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
         assert np.linalg.norm(pruned @ pinv @ pruned - pruned) <= tol
@@ -231,10 +231,12 @@ def test_criterion_3_pseudo_inverse_identities():
         q = int(rng.integers(4, 17))
         r = int(rng.integers(1, 9))
         f = linalg.FactorMatrix(rng.normal(size=(q, r)))
-        via_factor = linalg.pseudo_inverse_from_factor(f)
+        factored = hessian.HessianRep("factored", factor=f)
+        via_factor = hessian.invert(factored, "all").apply(np.eye(q))
         e = linalg.eigh_symmetric(f.gram_sum())
         rank = int(np.sum(e.eigenvalues > 1e-10 * max(e.eigenvalues[0], 1e-300)))
-        via_spectral = linalg.pseudo_inverse_spectral(e, rank)
+        dense = hessian.HessianRep("dense", matrix=f.gram_sum())
+        via_spectral = hessian.invert(dense, rank).apply(np.eye(q))
         assert np.linalg.norm(via_factor - via_spectral) <= 1e-7 * max(
             1.0, float(np.linalg.norm(via_spectral))
         )

@@ -281,3 +281,25 @@ def test_nonfinite_feature_is_usage_error(trained, tmp_path, capsys, method):
     assert run(["--config", cfg, "--out", out, "hessian"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"task {task['id']!r} has a non-finite feature in its query batch" in err
+
+
+def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
+    cfg8, out8 = trained
+    train5 = dict(BASE_CONFIG["tasksets"]["train"], count=3)
+    cfg5 = write_config(tmp_path, {"tasksets": {"train": train5}}, name="five.json")
+    out5 = tmp_path / "out5"
+    for command in ("gen", "train", "hessian"):
+        assert run(["--config", cfg5, "--out", out5, command]) == cli.EXIT_OK
+    for cfg, out, foreign, built, has in ((cfg5, out5, out8, 8, 5), (cfg8, out8, out5, 5, 8)):
+        capsys.readouterr()
+        args = ["--config", cfg, "--out", out, "influence", "--hessian", foreign / "hessian.bin"]
+        assert run(args) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"built on {built} tasks, but the training taskset has {has}" in err
+    # experiment reads hessian.bin from its own directory; plant the foreign one there
+    crossed = tmp_path / "crossed"
+    shutil.copytree(out5, crossed)
+    shutil.copy(out8 / "hessian.bin", crossed / "hessian.bin")
+    capsys.readouterr()
+    assert run(["--config", cfg5, "--out", crossed, "experiment"]) == cli.EXIT_USAGE
+    assert "built on 8 tasks, but the training taskset has 5" in capsys.readouterr().err

@@ -12,9 +12,7 @@ from metainfluence.hessian import SpectralInverse
 
 
 def identity_inverse(q):
-    return SpectralInverse(
-        pinv=np.eye(q), projector=np.eye(q), retained=q, discarded_negative=0, keep=q
-    )
+    return SpectralInverse(vectors=np.eye(q), values=np.ones(q), discarded_negative=0, keep=q)
 
 
 def brute_force_binomial_p(successes, trials):
@@ -163,11 +161,7 @@ def test_all_equal_scores_is_not_proper_order(rng):
     mixed = regular + noise
     tests = sample_tasks(count=2, seed=77)
     zero_inv = SpectralInverse(
-        pinv=np.zeros((mp.q, mp.q)),
-        projector=np.zeros((mp.q, mp.q)),
-        retained=0,
-        discarded_negative=0,
-        keep=0,
+        vectors=np.zeros((mp.q, 0)), values=np.zeros(0), discarded_negative=0, keep=0
     )
     report = exp.run_distribution_distinction(mp, zero_inv, mixed, tests)
     assert report.counts["proper_order_mean"] == 0

@@ -159,10 +159,10 @@ def test_accumulate_gn_rank_bound(rng):
 def test_invert_dense_counts_and_values():
     h = HessianRep(variant="dense", matrix=np.diag([4.0, 1.0, -3.0]), num_tasks=1)
     inv = invert(h, 2)
-    np.testing.assert_allclose(inv.pinv, np.diag([0.25, 1.0, 0.0]))
+    np.testing.assert_allclose(inv.apply(np.eye(3)), np.diag([0.25, 1.0, 0.0]))
     assert inv.retained == 2
     assert inv.discarded_negative == 1
-    np.testing.assert_allclose(inv.projector, np.diag([1.0, 1.0, 0.0]))
+    np.testing.assert_allclose(inv.project(np.eye(3)), np.diag([1.0, 1.0, 0.0]))
 
 
 def test_invert_full_keep_is_plain_inverse(rng):
@@ -170,8 +170,10 @@ def test_invert_full_keep_is_plain_inverse(rng):
     spd = linalg.symmetrize(a @ a.T + 6 * np.eye(6))
     h = HessianRep(variant="dense", matrix=spd, num_tasks=1)
     inv = invert(h, 6)
-    np.testing.assert_allclose(inv.pinv, np.linalg.inv(spd), atol=1e-8 * np.linalg.norm(np.linalg.inv(spd)))
-    np.testing.assert_allclose(inv.projector, np.eye(6), atol=1e-10)
+    np.testing.assert_allclose(
+        inv.apply(np.eye(6)), np.linalg.inv(spd), atol=1e-8 * np.linalg.norm(np.linalg.inv(spd))
+    )
+    np.testing.assert_allclose(inv.project(np.eye(6)), np.eye(6), atol=1e-10)
     assert inv.discarded_negative == 0
 
 
@@ -187,7 +189,7 @@ def test_invert_annihilates_discarded_directions(rng):
     inv = invert(h, 4)
     e = linalg.eigh_symmetric(a)
     for j in range(4, 8):
-        assert np.linalg.norm(inv.pinv @ e.eigenvectors[:, j]) <= 1e-8
+        assert np.linalg.norm(inv.apply(e.eigenvectors[:, j])) <= 1e-8
 
 
 def test_invert_factored_matches_dense_path(rng):
@@ -196,9 +198,10 @@ def test_invert_factored_matches_dense_path(rng):
     h_d = HessianRep(variant="dense", matrix=cols.gram_sum(), num_tasks=1, method="gauss_newton")
     inv_f = invert(h_f, 5)
     inv_d = invert(h_d, 5)
-    scale = np.linalg.norm(inv_d.pinv)
-    np.testing.assert_allclose(inv_f.pinv, inv_d.pinv, atol=1e-7 * scale)
-    np.testing.assert_allclose(inv_f.projector, inv_d.projector, atol=1e-7)
+    eye = np.eye(9)
+    scale = np.linalg.norm(inv_d.apply(eye))
+    np.testing.assert_allclose(inv_f.apply(eye), inv_d.apply(eye), atol=1e-7 * scale)
+    np.testing.assert_allclose(inv_f.project(eye), inv_d.project(eye), atol=1e-7)
 
 
 def test_invert_factored_keep_subset(rng):
@@ -207,7 +210,35 @@ def test_invert_factored_keep_subset(rng):
     inv = invert(h_f, 2)
     assert inv.retained == 2
     # projector has rank 2
-    assert int(round(np.trace(inv.projector))) == 2
+    assert int(round(np.trace(inv.project(np.eye(9))))) == 2
+
+
+def test_invert_factored_refuses_ill_conditioned_count():
+    # orthogonal columns: eigenvalues 1 and 1e-14, both above the factor's zero floor
+    f = linalg.FactorMatrix(np.diag([1.0, 1e-7]))
+    h = HessianRep(variant="factored", factor=f, num_tasks=1)
+    with pytest.raises(linalg.IllConditionedError):
+        invert(h, 2)
+    assert invert(h, 1).retained == 1
+
+
+def test_invert_factored_clamps_to_live_directions(rng):
+    a, b = rng.normal(size=(2, 7))
+    f = linalg.FactorMatrix(np.stack([a, b, a], axis=1))
+    h = HessianRep(variant="factored", factor=f, num_tasks=1)
+    inv = invert(h, 3)
+    assert inv.clamped and inv.retained == 2
+    assert not invert(h, 2).clamped
+
+
+def test_spectrum_summary_factored_matches_dense(rng):
+    cols = linalg.FactorMatrix(rng.normal(size=(9, 4)))
+    s = spectrum_summary(HessianRep(variant="factored", factor=cols, num_tasks=1))
+    lam = linalg.eigh_symmetric(cols.gram_sum()).eigenvalues[: cols.ncols]
+    assert s["num_eigenvalues"] == cols.ncols
+    assert s["num_negative"] == 0 and s["num_nonpositive"] == 0
+    assert s["lambda_max"] == pytest.approx(lam[0], rel=1e-10)
+    assert s["lambda_min"] == pytest.approx(lam[-1], rel=1e-10)
 
 
 def test_spectrum_summary_dense():

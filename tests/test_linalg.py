@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metainfluence import linalg
+from metainfluence.hessian import HessianRep, invert
 from metainfluence.linalg import (
     FactorMatrix,
     IllConditionedError,
@@ -9,8 +10,6 @@ from metainfluence.linalg import (
     eigh_symmetric,
     orthogonalize_keep_largest,
     psd_sqrt_small,
-    pseudo_inverse_from_factor,
-    pseudo_inverse_spectral,
     symmetrize,
 )
 
@@ -18,6 +17,18 @@ from metainfluence.linalg import (
 def random_symmetric(rng, n, scale=1.0):
     a = rng.normal(0, scale, size=(n, n))
     return symmetrize(a)
+
+
+def dense_pinv(a, keep):
+    """H^+ of a dense matrix, materialized from its pruned inverse."""
+    inv = invert(HessianRep(variant="dense", matrix=a, num_tasks=1), keep)
+    return inv.apply(np.eye(inv.dim))
+
+
+def factor_pinv(f):
+    """(V V^T)^+ over every non-negligible direction, materialized from the factored inverse."""
+    inv = invert(HessianRep(variant="factored", factor=f, num_tasks=1), "all")
+    return inv.apply(np.eye(inv.dim))
 
 
 def test_eigh_identity():
@@ -52,47 +63,40 @@ def test_eigh_rejects_nonfinite_and_asymmetric():
 
 
 def test_pseudo_inverse_rank1_diagonal():
-    e = eigh_symmetric(np.diag([2.0, 0.0]))
-    np.testing.assert_allclose(pseudo_inverse_spectral(e, 1), np.diag([0.5, 0.0]))
+    np.testing.assert_allclose(dense_pinv(np.diag([2.0, 0.0]), 1), np.diag([0.5, 0.0]))
 
 
 def test_pseudo_inverse_drops_negative_when_excluded():
-    e = eigh_symmetric(np.diag([4.0, 1.0, -3.0]))
-    np.testing.assert_allclose(pseudo_inverse_spectral(e, 2), np.diag([0.25, 1.0, 0.0]))
+    pinv = dense_pinv(np.diag([4.0, 1.0, -3.0]), 2)
+    np.testing.assert_allclose(pinv, np.diag([0.25, 1.0, 0.0]))
 
 
 def test_pseudo_inverse_keeps_retained_negative():
-    e = eigh_symmetric(np.diag([4.0, -2.0]))
-    np.testing.assert_allclose(pseudo_inverse_spectral(e, "all"), np.diag([0.25, -0.5]))
+    np.testing.assert_allclose(dense_pinv(np.diag([4.0, -2.0]), "all"), np.diag([0.25, -0.5]))
 
 
 def test_pseudo_inverse_positive_rule():
-    e = eigh_symmetric(np.diag([4.0, 1.0, 0.0, -3.0]))
     np.testing.assert_allclose(
-        pseudo_inverse_spectral(e, "positive"), np.diag([0.25, 1.0, 0.0, 0.0])
+        dense_pinv(np.diag([4.0, 1.0, 0.0, -3.0]), "positive"), np.diag([0.25, 1.0, 0.0, 0.0])
     )
 
 
 def test_pseudo_inverse_threshold_rule():
-    e = eigh_symmetric(np.diag([8.0, 1.0, 0.5]))
     # tau = 0.1 -> retain |lam| >= 0.8
-    np.testing.assert_allclose(
-        pseudo_inverse_spectral(e, 0.1), np.diag([0.125, 1.0, 0.0])
-    )
+    pinv = dense_pinv(np.diag([8.0, 1.0, 0.5]), 0.1)
+    np.testing.assert_allclose(pinv, np.diag([0.125, 1.0, 0.0]))
 
 
 def test_pseudo_inverse_ill_conditioned_error():
-    e = eigh_symmetric(np.diag([1.0, 1e-15]))
     with pytest.raises(IllConditionedError):
-        pseudo_inverse_spectral(e, 2)
+        dense_pinv(np.diag([1.0, 1e-15]), 2)
 
 
 def test_moore_penrose_on_psd_rank4():
     rng = np.random.default_rng(7)
     b = rng.normal(size=(6, 4))
     a = symmetrize(b @ b.T)  # PSD rank 4
-    e = eigh_symmetric(a)
-    pinv = pseudo_inverse_spectral(e, 4)
+    pinv = dense_pinv(a, 4)
     np.testing.assert_allclose(a @ pinv @ a, a, atol=1e-8 * np.linalg.norm(a))
     np.testing.assert_allclose(pinv @ a @ pinv, pinv, atol=1e-8 * np.linalg.norm(pinv))
     np.testing.assert_allclose(a @ pinv, (a @ pinv).T, atol=1e-9)
@@ -110,7 +114,7 @@ def test_moore_penrose_mixed_spectrum(seed):
     scale = np.abs(e.eigenvalues).max()
     if np.abs(e.eigenvalues[idx]).min() < 1e-10 * scale:
         pytest.skip("random spectrum too close to singular for this draw")
-    pinv = pseudo_inverse_spectral(e, k)
+    pinv = dense_pinv(a, k)
     pruned = e.reconstruct(idx)
     tol = 1e-8 * max(1.0, np.linalg.norm(a))
     np.testing.assert_allclose(pruned @ pinv @ pruned, pruned, atol=tol)
@@ -222,14 +226,14 @@ def test_orthogonalize_never_exceeds_numerical_rank(rank):
 def test_factor_pinv_single_column():
     f = FactorMatrix(np.array([[2.0], [0.0]]))
     np.testing.assert_allclose(f.gram_sum(), np.diag([4.0, 0.0]))
-    np.testing.assert_allclose(pseudo_inverse_from_factor(f), np.diag([0.25, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(factor_pinv(f), np.diag([0.25, 0.0]), atol=1e-12)
 
 
 def test_factor_pinv_duplicate_columns():
     u = np.array([1.0, 2.0, -1.0])
     f = FactorMatrix(np.stack([u, u], axis=1))
     expected = np.outer(u, u) / (2.0 * np.linalg.norm(u) ** 4)
-    np.testing.assert_allclose(pseudo_inverse_from_factor(f), expected, atol=1e-12)
+    np.testing.assert_allclose(factor_pinv(f), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -238,10 +242,10 @@ def test_factor_pinv_matches_spectral(seed):
     q = int(rng.integers(6, 17))
     r = int(rng.integers(1, 9))
     f = FactorMatrix(rng.normal(size=(q, r)))
-    via_factor = pseudo_inverse_from_factor(f)
+    via_factor = factor_pinv(f)
     e = eigh_symmetric(f.gram_sum())
     rank = int(np.sum(e.eigenvalues > 1e-10 * e.eigenvalues[0]))
-    via_spectral = pseudo_inverse_spectral(e, rank)
+    via_spectral = dense_pinv(f.gram_sum(), rank)
     scale = np.linalg.norm(via_spectral)
     np.testing.assert_allclose(via_factor, via_spectral, atol=1e-7 * scale)
 
