@@ -29,6 +29,7 @@ from .influence import (
     influence_group,
     influence_meta,
     influence_perf,
+    influence_records,
     load_influence_records,
     loo_retrain_oracle,
     save_influence_records,
@@ -53,6 +54,7 @@ from .metalearn import (
     load_params,
     meta_accuracy,
     meta_grad,
+    meta_grads,
     meta_loss,
     meta_train,
     save_params,

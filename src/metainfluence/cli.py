@@ -263,7 +263,7 @@ def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_
     test_file = Path(test_path) if test_path else out / "test_tasks.json"
     test_tasks = taskgen.load_taskset(test_file)[0] if test_file.exists() else tasks
     inv = hessian_mod.invert(rep, _keep_from_config(cfg))
-    records = [influence_mod.influence_meta(inv, mp, t) for t in tasks]
+    records = influence_mod.influence_records(inv, mp, tasks)
     influence_mod.save_influence_records(out / "influence.bin", records)
     table = influence_mod.score_table(mp, inv, tasks, test_tasks, records=records)
     table.to_csv(out / "scores.csv")

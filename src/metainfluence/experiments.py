@@ -19,7 +19,7 @@ from .influence import (
     HELPFUL_POSITIVE,
     InfluenceRecord,
     influence_group,
-    influence_meta,
+    influence_records,
     rank_rows,
     score_pairs,
     score_table,
@@ -221,7 +221,7 @@ def run_degradation(
     Tasks whose rank never changes are excluded from the rank statistics and
     counted.
     """
-    records = [influence_meta(inv, mp, t) for t in train_tasks]
+    records = influence_records(inv, mp, train_tasks)
     alpha_sweep = _degradation_sweep(
         mp, records, train_tasks, alphas, lambda a: DegradeParams(a, ratio_fixed), seed, parts
     )
@@ -293,7 +293,7 @@ def run_distribution_distinction(
     the counts feed an exact two-sided binomial test against chance. Rows are
     ordered by ascending test loss.
     """
-    records = [influence_meta(inv, mp, t) for t in train_tasks]
+    records = influence_records(inv, mp, train_tasks)
     if any(t.group_id is not None for t in train_tasks):
         entities, provenance_of = _group_records(records, train_tasks)
         provenance = [provenance_of[r.task_id] for r in entities]
@@ -402,16 +402,12 @@ def run_exact_vs_gn(
     exact_scores: dict[int, np.ndarray] = {}
     for k in sorted(set(keep_grid)):
         inv = hessian_mod.invert(exact, int(k))
-        exact_scores[k] = score_pairs(
-            mp, [influence_meta(inv, mp, t) for t in train_tasks], train_tasks
-        )
+        exact_scores[k] = score_pairs(mp, influence_records(inv, mp, train_tasks), train_tasks)
     gn_scores: dict[int, np.ndarray] = {}
     for cap in sorted(set(capacity_grid)):
         rep = hessian_mod.accumulate_gn(mp, train_tasks, capacity=int(cap))
         inv = hessian_mod.invert(rep, "all")
-        gn_scores[cap] = score_pairs(
-            mp, [influence_meta(inv, mp, t) for t in train_tasks], train_tasks
-        )
+        gn_scores[cap] = score_pairs(mp, influence_records(inv, mp, train_tasks), train_tasks)
 
     n_tests = len(train_tasks)
     cells = []

@@ -20,6 +20,7 @@ import numpy as np
 
 from .hessian import SpectralInverse
 from .metalearn import (
+    STACK_CHUNK,
     AdaptResult,
     MetaParams,
     MetaTrainConfig,
@@ -27,6 +28,7 @@ from .metalearn import (
     adapt,
     adapt_jacobian_matvec,
     meta_grad,
+    meta_grads,
     meta_train,
     read_exact,
     read_struct,
@@ -48,12 +50,23 @@ class InfluenceRecord:
     group_id: str | None = None
 
 
+def influence_records(
+    inv: SpectralInverse, mp: MetaParams, train_tasks: list[Task]
+) -> list[InfluenceRecord]:
+    """-H^+ times each task's meta-gradient at the current meta-parameters.
+
+    The meta-gradients are stacked as q x m columns and pass through one
+    ``inv.apply``.
+    """
+    if mp.q != inv.dim:
+        raise ValueError(f"meta-gradient length {mp.q} != inverse dim {inv.dim}")
+    i_meta = np.ascontiguousarray(-inv.apply(meta_grads(mp, train_tasks).T).T)
+    return [InfluenceRecord(t.task_id, i_meta[i], t.group_id) for i, t in enumerate(train_tasks)]
+
+
 def influence_meta(inv: SpectralInverse, mp: MetaParams, train_task: Task) -> InfluenceRecord:
-    """-H^+ times the task's meta-gradient at the current meta-parameters."""
-    g = meta_grad(mp, train_task)
-    if g.shape[0] != inv.dim:
-        raise ValueError(f"meta-gradient length {g.shape[0]} != inverse dim {inv.dim}")
-    return InfluenceRecord(train_task.task_id, -inv.apply(g), train_task.group_id)
+    """-H^+ times one task's meta-gradient at the current meta-parameters."""
+    return influence_records(inv, mp, [train_task])[0]
 
 
 def influence_group(records: list[InfluenceRecord], group_id: str) -> InfluenceRecord:
@@ -158,14 +171,15 @@ def score_pairs(
     Relies on the adaptation Jacobian being symmetric (MAML) or the identity
     (protonet), which folds the loss-gradient/adaptation chain into the test
     task's meta-gradient; tests verify agreement with the composed form.
+    Test meta-gradients are computed STACK_CHUNK tasks at a time.
     """
     if not records:
         raise ValueError("need at least one influence record")
     stack = np.stack([r.i_meta for r in records], axis=1)
     scores = np.empty((len(test_tasks), len(records)))
-    for i, task in enumerate(test_tasks):
-        u = meta_grad(mp, task)
-        scores[i] = sign_convention * (u @ stack)
+    for c in range(0, len(test_tasks), STACK_CHUNK):
+        chunk = test_tasks[c : c + STACK_CHUNK]
+        scores[c : c + len(chunk)] = sign_convention * (meta_grads(mp, chunk) @ stack)
     return scores
 
 
@@ -179,7 +193,7 @@ def score_table(
 ) -> ScoreTable:
     """Full influence score table; records are computed when not supplied."""
     if records is None:
-        records = [influence_meta(inv, mp, t) for t in train_tasks]
+        records = influence_records(inv, mp, train_tasks)
     train_ids = [r.task_id for r in records]
     scores = score_pairs(mp, records, test_tasks, sign_convention)
     ranks = rank_rows(scores, train_ids)

@@ -25,6 +25,10 @@ from .model import Batch, MlpSpec
 
 LEARNER_KINDS = ("maml", "protonet")
 
+# Tasks per stacked MAML kernel call. The stacked intermediates take about
+# 130 KB per task at q=1221; chunks of 32 keep them small next to the inputs.
+STACK_CHUNK = 32
+
 _PARAMS_MAGIC = b"MIMP"
 _PARAMS_VERSION = 1
 
@@ -126,14 +130,27 @@ def _proto_centroids(spec: MlpSpec, feats: np.ndarray, y: np.ndarray, n_ways: in
     return cents / counts[:, None]
 
 
-def _proto_logits(spec: MlpSpec, omega: np.ndarray, task: Task):
-    """Negative squared distances to support centroids, plus intermediates."""
+def _proto_logits(spec: MlpSpec, omega: np.ndarray, task: Task) -> tuple[np.ndarray, np.ndarray]:
+    """Negative squared distances to support centroids (n, k), and the differences (n, k, e)."""
     f_s = model.forward(spec, omega, task.support.x)
     f_q = model.forward(spec, omega, task.query.x)
     cents = _proto_centroids(spec, f_s, task.support.y, task.n_ways)
     diff = f_q[:, None, :] - cents[None, :, :]
-    logits = -np.einsum("nke,nke->nk", diff, diff)
-    return logits, f_s, f_q, cents, diff
+    return -np.einsum("nke,nke->nk", diff, diff), diff
+
+
+def _proto_terms(spec: MlpSpec, omega: np.ndarray, task: Task):
+    """Everything the protonet meta-gradient and logit Jacobian need, built once.
+
+    Returns the logits (n, k), the centroid differences (n, k, e), the query
+    embedding Jacobian j_q (n, e, q) and the class-mean support embedding
+    Jacobian jbar (k, e, q).
+    """
+    logits, diff = _proto_logits(spec, omega, task)
+    j_q = model.output_jacobian(spec, omega, task.query)
+    j_s = model.output_jacobian(spec, omega, task.support)
+    jbar = np.stack([j_s[task.support.y == k].mean(axis=0) for k in range(task.n_ways)])
+    return logits, diff, j_q, jbar
 
 
 def adapt(mp: MetaParams, task: Task, want_jacobian: bool = False) -> AdaptResult:
@@ -174,52 +191,95 @@ def task_logits(mp: MetaParams, task: Task) -> np.ndarray:
     return model.forward(mp.learner.spec, theta, task.query.x)
 
 
+def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(logits.argmax(axis=1) == y))
+
+
 def meta_loss(mp: MetaParams, task: Task) -> float:
     """Query loss after adaptation (the outer-loop objective for one task)."""
     return model.cross_entropy(task_logits(mp, task), task.query.y)
 
 
 def meta_accuracy(mp: MetaParams, task: Task) -> float:
-    logits = task_logits(mp, task)
-    return float(np.mean(logits.argmax(axis=1) == task.query.y))
+    return _accuracy(task_logits(mp, task), task.query.y)
 
 
-def _proto_meta_grad(spec: MlpSpec, omega: np.ndarray, task: Task) -> np.ndarray:
-    logits, f_s, f_q, cents, diff = _proto_logits(spec, omega, task)
+def _proto_loss_and_grad(spec: MlpSpec, omega: np.ndarray, task: Task) -> tuple[float, np.ndarray]:
+    logits, diff, j_q, jbar = _proto_terms(spec, omega, task)
     nq = task.query.n
-    n_ways = task.n_ways
-    s = model.softmax(logits)
-    coeff = s.copy()
+    coeff = model.softmax(logits)
     coeff[np.arange(nq), task.query.y] -= 1.0
     coeff /= nq
-
-    j_q = model.output_jacobian(spec, omega, task.query)
-    j_s = model.output_jacobian(spec, omega, task.support)
-    jbar = np.empty((n_ways, f_s.shape[1], omega.size))
-    for k in range(n_ways):
-        jbar[k] = j_s[task.support.y == k].mean(axis=0)
-
     term_q = np.einsum("nk,nke,nep->p", coeff, diff, j_q)
     term_s = np.einsum("nk,nke,kep->p", coeff, diff, jbar)
-    return -2.0 * (term_q - term_s)
+    return model.cross_entropy(logits, task.query.y), -2.0 * (term_q - term_s)
+
+
+def _maml_meta_grad(
+    learner: Learner, omega: np.ndarray, support: Batch, query: Batch, with_loss: bool = False
+):
+    """The MAML meta-gradient kernel: g_q - lr * H_support(omega) g_q.
+
+    g_q is the query-loss gradient at theta_hat = omega - lr * grad_support(omega).
+    The batches hold one task, or a stack of m same-shape tasks that gives
+    one row per task, (m, q). With ``with_loss`` it returns (query loss, meta-gradient).
+    """
+    spec, lr = learner.spec, learner.inner_lr
+    if lr == 0.0:
+        return (model.loss_and_grad if with_loss else model.grad)(spec, omega, query)
+    theta = omega - lr * model.grad(spec, omega, support)
+    if with_loss:
+        loss_q, g_q = model.loss_and_grad(spec, theta, query)
+    else:
+        g_q = model.grad(spec, theta, query)
+    g = g_q - lr * model.hvp(spec, omega, support, g_q)
+    return (loss_q, g) if with_loss else g
 
 
 def _meta_grad(learner: Learner, omega: np.ndarray, task: Task) -> np.ndarray:
-    spec = learner.spec
     if learner.kind == "protonet":
-        return _proto_meta_grad(spec, omega, task)
-    lr = learner.inner_lr
-    if lr == 0.0:
-        return model.grad(spec, omega, task.query)
-    g_sup = model.grad(spec, omega, task.support)
-    theta = omega - lr * g_sup
-    g_q = model.grad(spec, theta, task.query)
-    return g_q - lr * model.hvp(spec, omega, task.support, g_q)
+        return _proto_loss_and_grad(learner.spec, omega, task)[1]
+    return _maml_meta_grad(learner, omega, task.support, task.query)
 
 
 def meta_grad(mp: MetaParams, task: Task) -> np.ndarray:
     """Exact gradient of the adapted query loss with respect to the meta-parameters."""
     return _meta_grad(mp.learner, mp.omega, task)
+
+
+def _shape_groups(tasks: list[Task]) -> list[list[int]]:
+    """Positions of the tasks sharing each (support, query) shape, in first-seen order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault((task.support.x.shape, task.query.x.shape), []).append(i)
+    return list(groups.values())
+
+
+def _stack(tasks: list[Task]) -> tuple[Batch, Batch]:
+    """Support and query batches of same-shape tasks, stacked on a leading task axis."""
+    return (
+        Batch(np.stack([t.support.x for t in tasks]), np.stack([t.support.y for t in tasks])),
+        Batch(np.stack([t.query.x for t in tasks]), np.stack([t.query.y for t in tasks])),
+    )
+
+
+def meta_grads(mp: MetaParams, tasks: list[Task]) -> np.ndarray:
+    """Meta-gradients of many tasks, one row per task: (len(tasks), q).
+
+    MAML tasks of one (support, query) shape go through the stacked kernel
+    STACK_CHUNK at a time; protonet runs task by task.
+    """
+    learner, omega = mp.learner, mp.omega
+    out = np.empty((len(tasks), mp.q))
+    if learner.kind == "protonet":
+        for i, task in enumerate(tasks):
+            out[i] = _meta_grad(learner, omega, task)
+        return out
+    for group in _shape_groups(tasks):
+        for c in range(0, len(group), STACK_CHUNK):
+            rows = group[c : c + STACK_CHUNK]
+            out[rows] = _maml_meta_grad(learner, omega, *_stack([tasks[i] for i in rows]))
+    return out
 
 
 def meta_output_jacobian(mp: MetaParams, task: Task) -> tuple[np.ndarray, np.ndarray]:
@@ -231,13 +291,7 @@ def meta_output_jacobian(mp: MetaParams, task: Task) -> tuple[np.ndarray, np.nda
     """
     spec = mp.learner.spec
     if mp.learner.kind == "protonet":
-        logits, f_s, f_q, cents, diff = _proto_logits(spec, mp.omega, task)
-        j_q = model.output_jacobian(spec, mp.omega, task.query)
-        j_s = model.output_jacobian(spec, mp.omega, task.support)
-        n_ways = task.n_ways
-        jbar = np.empty((n_ways, f_s.shape[1], mp.q))
-        for k in range(n_ways):
-            jbar[k] = j_s[task.support.y == k].mean(axis=0)
+        logits, diff, j_q, jbar = _proto_terms(spec, mp.omega, task)
         jac = -2.0 * (
             np.einsum("nke,nep->nkp", diff, j_q) - np.einsum("nke,kep->nkp", diff, jbar)
         )
@@ -308,19 +362,13 @@ def meta_train(
     m = np.zeros_like(omega)
     v = np.zeros_like(omega)
     log = TrainLog()
+    sampled = _sampled_losses_and_grads(learner, taskset)
 
     for step in range(1, cfg.steps + 1):
         idx = rng.integers(0, m_tasks, size=cfg.meta_batch)
-        g = np.zeros_like(omega)
-        batch_loss = 0.0
-        for i in idx:
-            task = taskset[i]
-            wi = weights[i]
-            li, gi = _meta_loss_and_grad(learner, omega, task)
-            batch_loss += wi * li
-            g += wi * gi
-        g /= cfg.meta_batch
-        batch_loss /= cfg.meta_batch
+        losses, grads = sampled(omega, idx)
+        g = (weights[idx] @ grads) / cfg.meta_batch
+        batch_loss = float(weights[idx] @ losses) / cfg.meta_batch
         if cfg.weight_decay:
             g += cfg.weight_decay * omega
             batch_loss += 0.5 * cfg.weight_decay * float(omega @ omega)
@@ -337,35 +385,62 @@ def meta_train(
         )
 
     mp = MetaParams(omega, learner)
-    losses = [meta_loss(mp, t) for t in taskset]
-    accs = [meta_accuracy(mp, t) for t in taskset]
-    log.final_loss = float(np.mean(losses))
-    log.final_accuracy = float(np.mean(accs))
+    scored = [(task_logits(mp, t), t.query.y) for t in taskset]
+    log.final_loss = float(np.mean([model.cross_entropy(z, y) for z, y in scored]))
+    log.final_accuracy = float(np.mean([_accuracy(z, y) for z, y in scored]))
     return mp, log
 
 
-def _meta_loss_and_grad(learner: Learner, omega: np.ndarray, task: Task) -> tuple[float, np.ndarray]:
-    spec = learner.spec
+def _sampled_losses_and_grads(learner: Learner, taskset: list[Task]):
+    """A function (omega, idx) -> (query losses, meta-gradients) of the tasks at positions idx.
+
+    For MAML the taskset is stacked once per shape group, and each call runs
+    the kernel on the rows that idx selects, STACK_CHUNK at a time. Protonet
+    runs task by task.
+    """
+    q = learner.spec.num_params
     if learner.kind == "protonet":
-        logits = _proto_logits(spec, omega, task)[0]
-        return model.cross_entropy(logits, task.query.y), _proto_meta_grad(spec, omega, task)
-    lr = learner.inner_lr
-    if lr == 0.0:
-        return model.loss_and_grad(spec, omega, task.query)
-    g_sup = model.grad(spec, omega, task.support)
-    theta = omega - lr * g_sup
-    loss_q, g_q = model.loss_and_grad(spec, theta, task.query)
-    return loss_q, g_q - lr * model.hvp(spec, omega, task.support, g_q)
+
+        def per_task(omega, idx):
+            losses, grads = np.empty(len(idx)), np.empty((len(idx), q))
+            for r, i in enumerate(idx):
+                losses[r], grads[r] = _proto_loss_and_grad(learner.spec, omega, taskset[i])
+            return losses, grads
+
+        return per_task
+
+    groups = _shape_groups(taskset)
+    stacks = [_stack([taskset[i] for i in group]) for group in groups]
+    group_of = np.empty(len(taskset), dtype=np.int64)
+    local_of = np.empty(len(taskset), dtype=np.int64)
+    for k, group in enumerate(groups):
+        group_of[group] = k
+        local_of[group] = np.arange(len(group))
+
+    def stacked(omega, idx):
+        losses, grads = np.empty(len(idx)), np.empty((len(idx), q))
+        for k, (support, query) in enumerate(stacks):
+            rows = np.flatnonzero(group_of[idx] == k)
+            for c in range(0, rows.size, STACK_CHUNK):
+                r = rows[c : c + STACK_CHUNK]
+                sel = local_of[idx[r]]
+                losses[r], grads[r] = _maml_meta_grad(
+                    learner,
+                    omega,
+                    Batch(support.x[sel], support.y[sel]),
+                    Batch(query.x[sel], query.y[sel]),
+                    with_loss=True,
+                )
+        return losses, grads
+
+    return stacked
 
 
 def total_meta_gradient_norm(mp: MetaParams, taskset: list[Task]) -> float:
     """Norm of the taskset-mean meta-gradient; near zero at a trained optimum."""
     if not taskset:
         raise ValueError("taskset must be nonempty")
-    g = np.zeros(mp.q)
-    for task in taskset:
-        g += meta_grad(mp, task)
-    return float(np.linalg.norm(g / len(taskset)))
+    return float(np.linalg.norm(meta_grads(mp, taskset).mean(axis=0)))
 
 
 def save_params(path, mp: MetaParams) -> None:

@@ -5,6 +5,10 @@ is fixed so stored vectors are portable: for each layer in order, the weight
 matrix W (out x in, row-major) followed by the bias b (out). Losses are mean
 softmax cross-entropy over the batch, so every derivative here carries the
 1/n prefactor.
+
+``grad``, ``loss_and_grad`` and ``hvp`` also take a stack of same-shape
+batches on a leading task axis and return one row per task; every
+contraction is a broadcasting ``matmul`` over the leading axes.
 """
 
 from __future__ import annotations
@@ -93,7 +97,12 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs (n x d) with integer class labels (n)."""
+    """Inputs (n x d) with integer class labels (n), or a stack of m such batches.
+
+    A stacked batch has inputs (m, n, d) and labels (m, n); every task in the
+    stack has the same sample count n. The derivative primitives then return
+    one row per task.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -101,11 +110,11 @@ class Batch:
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=np.int64)
-        if x.ndim != 2:
-            raise ValueError(f"inputs must be 2-D, got shape {x.shape}")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValueError("labels must be 1-D and match the input count")
-        if x.shape[0] < 1:
+        if x.ndim not in (2, 3):
+            raise ValueError(f"inputs must be (n, d) or stacked (m, n, d), got shape {x.shape}")
+        if y.shape != x.shape[:-1]:
+            raise ValueError(f"labels of shape {y.shape} do not match inputs of shape {x.shape}")
+        if x.shape[-2] < 1:
             raise ValueError("batch must contain at least one sample")
         if y.size and y.min() < 0:
             raise ValueError("labels must be non-negative")
@@ -114,27 +123,33 @@ class Batch:
 
     @property
     def n(self) -> int:
-        return int(self.x.shape[0])
+        """Samples per task."""
+        return int(self.x.shape[-2])
+
+    @property
+    def stacked(self) -> bool:
+        return self.x.ndim == 3
+
+
+def _flat(spec: MlpSpec, w: np.ndarray) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if w.shape != (spec.num_params,):
+        raise ValueError(f"expected weight vector of length {spec.num_params}, got {w.shape}")
+    return w
 
 
 def unpack(spec: MlpSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views (W, b) per layer of a flat weight vector."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (spec.num_params,):
-        raise ValueError(f"expected weight vector of length {spec.num_params}, got {w.shape}")
-    layers = []
-    for w_sl, b_sl, d_out, d_in in spec.layer_slices():
-        layers.append((w[w_sl].reshape(d_out, d_in), w[b_sl]))
-    return layers
+    return _layers(spec, _flat(spec, w))
 
 
-def _unpack_directions(spec: MlpSpec, v: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer views of direction matrix v (p x k): (out x in x k, out x k)."""
-    k = v.shape[1]
-    out = []
-    for w_sl, b_sl, d_out, d_in in spec.layer_slices():
-        out.append((v[w_sl].reshape(d_out, d_in, k), v[b_sl]))
-    return out
+def _layers(spec: MlpSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer views of flat vectors w (..., p): W (..., out, in) and b (..., out)."""
+    lead = w.shape[:-1]
+    return [
+        (w[..., w_sl].reshape(lead + (d_out, d_in)), w[..., b_sl])
+        for w_sl, b_sl, d_out, d_in in spec.layer_slices()
+    ]
 
 
 def _act(kind: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,29 +160,28 @@ def _act(kind: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(z, 0.0), (z > 0.0).astype(float)
 
 
-def _act_second(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _act_second(kind: str, a: np.ndarray, da: np.ndarray) -> np.ndarray:
+    """Activation second derivative from the value a and first derivative da."""
     if kind == "tanh":
-        return -2.0 * a * (1.0 - a * a)
-    return np.zeros_like(z)
+        return -2.0 * a * da
+    return np.zeros_like(a)
 
 
 def _forward_cache(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
-    """Logits plus per-layer pre-activations, activations and derivatives."""
-    layers = unpack(spec, w)
-    acts: list[np.ndarray] = [np.asarray(x, dtype=float)]
-    zs: list[np.ndarray] = []
+    """Logits plus per-layer activations (inputs first), their derivatives and (W, b) views.
+
+    ``x`` is (n, d) or (m, n, d); ``w`` is (p,) or, for stacked inputs, (m, p).
+    """
+    layers = _layers(spec, w)
+    acts: list[np.ndarray] = [x]
     dacts: list[np.ndarray] = []
-    a = acts[0]
     for i, (W, b) in enumerate(layers):
-        z = a @ W.T + b
-        zs.append(z)
+        z = acts[-1] @ W.swapaxes(-1, -2) + b[..., None, :]
         if i < spec.num_layers - 1:
             a, da = _act(spec.activation[i], z)
             acts.append(a)
             dacts.append(da)
-        else:
-            a = z
-    return zs[-1], zs, acts, dacts, layers
+    return z, acts, dacts, layers
 
 
 def forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -175,7 +189,7 @@ def forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"expected inputs (n, {spec.input_dim}), got {x.shape}")
-    logits, *_ = _forward_cache(spec, w, x)
+    logits, *_ = _forward_cache(spec, _flat(spec, w), x)
     return logits
 
 
@@ -185,126 +199,160 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
-    """Mean softmax cross-entropy, log-sum-exp stabilized."""
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(len(y)), y]))
+def cross_entropy(logits: np.ndarray, y: np.ndarray):
+    """Mean softmax cross-entropy, log-sum-exp stabilized.
+
+    A float for logits (n, c); one value per task, shape (m,), for stacked
+    logits (m, n, c).
+    """
+    m = logits.max(axis=-1)
+    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+    picked = np.take_along_axis(logits, y[..., None], axis=-1)[..., 0]
+    ce = np.mean(lse - picked, axis=-1)
+    return float(ce) if ce.ndim == 0 else ce
 
 
-def _check_batch(spec: MlpSpec, batch: Batch) -> None:
-    if batch.x.shape[1] != spec.input_dim:
-        raise ValueError(f"batch input dim {batch.x.shape[1]} != spec {spec.input_dim}")
+def _softmax_and_delta(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax and the logit gradient (softmax - onehot) / n of the mean cross-entropy."""
+    s = softmax(logits)
+    onehot = y[..., None] == np.arange(logits.shape[-1])
+    return s, (s - onehot) / y.shape[-1]
+
+
+def _checked(spec: MlpSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
+    """Validate the batch against the spec; return the weights as a float array.
+
+    Weights are one vector (p,) shared by every task, or (m, p) with one
+    vector per task of a stacked batch.
+    """
+    if batch.x.shape[-1] != spec.input_dim:
+        raise ValueError(f"batch input dim {batch.x.shape[-1]} != spec {spec.input_dim}")
     if batch.y.size and int(batch.y.max()) >= spec.num_classes:
         raise ValueError(f"label {int(batch.y.max())} out of range for {spec.num_classes} classes")
+    w = np.asarray(w, dtype=float)
+    p = spec.num_params
+    if w.shape != (p,) and w.shape != batch.x.shape[:-2] + (p,):
+        raise ValueError(
+            f"expected weights of shape ({p},) or {batch.x.shape[:-2] + (p,)}, got {w.shape}"
+        )
+    return w
 
 
-def loss(spec: MlpSpec, w: np.ndarray, batch: Batch) -> float:
-    _check_batch(spec, batch)
+def loss(spec: MlpSpec, w: np.ndarray, batch: Batch):
+    """Mean cross-entropy: a float, or one value per task of a stacked batch."""
+    w = _checked(spec, w, batch)
     logits, *_ = _forward_cache(spec, w, batch.x)
     return cross_entropy(logits, batch.y)
 
 
-def loss_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
-    """Loss and its gradient in one forward/backward pass."""
-    _check_batch(spec, batch)
-    logits, zs, acts, dacts, layers = _forward_cache(spec, w, batch.x)
-    n = batch.n
-    s = softmax(logits)
-    delta = s.copy()
-    delta[np.arange(n), batch.y] -= 1.0
-    delta /= n
-
-    g = np.empty(spec.num_params)
+def _logits_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """One forward/backward pass: logits and the loss gradient, (p,) or (m, p)."""
+    w = _checked(spec, w, batch)
+    logits, acts, dacts, layers = _forward_cache(spec, w, batch.x)
+    _, delta = _softmax_and_delta(logits, batch.y)
+    lead = logits.shape[:-2]
+    g = np.empty(lead + (spec.num_params,))
     slices = spec.layer_slices()
     for l in range(spec.num_layers - 1, -1, -1):
-        w_sl, b_sl, d_out, d_in = slices[l]
-        a_prev = acts[l]
-        g[w_sl] = (delta.T @ a_prev).ravel()
-        g[b_sl] = delta.sum(axis=0)
+        w_sl, b_sl, _, _ = slices[l]
+        g[..., w_sl] = (delta.swapaxes(-1, -2) @ acts[l]).reshape(lead + (-1,))
+        g[..., b_sl] = delta.sum(axis=-2)
         if l > 0:
             delta = (delta @ layers[l][0]) * dacts[l - 1]
+    return logits, g
+
+
+def loss_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch):
+    """Loss and its gradient in one forward/backward pass (per task when stacked)."""
+    logits, g = _logits_and_grad(spec, w, batch)
     return cross_entropy(logits, batch.y), g
 
 
 def grad(spec: MlpSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
-    """Gradient of the mean cross-entropy with respect to the weight vector."""
-    return loss_and_grad(spec, w, batch)[1]
+    """Gradient of the mean cross-entropy with respect to the weight vector.
+
+    (p,) for one batch; (m, p), one row per task, for a stacked batch.
+    """
+    return _logits_and_grad(spec, w, batch)[1]
 
 
 def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray:
     """Exact Hessian-vector product(s) of the mean cross-entropy.
 
-    ``v`` may be a single direction (p,) or a stack of directions (p, k);
-    the result has the same shape. Uses forward-over-reverse propagation, so
-    no second-order tensor is ever materialized.
+    For one batch, ``v`` may be a single direction (p,) or a stack of
+    directions (p, k); the result has the same shape. For a stacked batch,
+    ``v`` is (m, p), one direction per task, and row i of the result is task
+    i's Hessian times v[i]. Uses forward-over-reverse propagation, so no
+    second-order tensor is ever materialized.
     """
-    _check_batch(spec, batch)
+    w = _checked(spec, w, batch)
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    if single:
-        v = v[:, None]
-    if v.shape[0] != spec.num_params:
-        raise ValueError(f"direction length {v.shape[0]} != {spec.num_params}")
+    p = spec.num_params
+    # directions as rows (..., k, p): the direction axis sits before the sample axis
+    if batch.stacked:
+        if v.shape != (batch.x.shape[0], p):
+            raise ValueError(
+                f"stacked batch needs directions ({batch.x.shape[0]}, {p}), got {v.shape}"
+            )
+        dirs = v[:, None, :]
+    elif v.ndim in (1, 2) and v.shape[0] == p:
+        dirs = v[None, :] if v.ndim == 1 else v.T
+    else:
+        raise ValueError(f"direction length {v.shape[0] if v.ndim else v.shape} != {p}")
 
-    logits, zs, acts, dacts, layers = _forward_cache(spec, w, batch.x)
-    dirs = _unpack_directions(spec, v)
-    n = batch.n
+    logits, acts, dacts, layers = _forward_cache(spec, w, batch.x)
+    s, delta = _softmax_and_delta(logits, batch.y)
+    # insert the direction axis before the sample axis of every cached array,
+    # so each product below is a matmul that broadcasts over directions
+    acts = [a[..., None, :, :] for a in acts]
+    dacts = [da[..., None, :, :] for da in dacts]
+    weights = [W[..., None, :, :] for W, _ in layers]
+    s, delta = s[..., None, :, :], delta[..., None, :, :]
+    v_layers = _layers(spec, dirs)
     n_layers = spec.num_layers
 
-    # forward sweep of directional derivatives r_z, r_a
+    # forward sweep of directional derivatives r_z, r_a, each (..., k, n, width)
     r_acts: list[np.ndarray | None] = [None]  # inputs are constants
     r_zs: list[np.ndarray] = []
-    a = acts[0]
-    ra = None
     for l in range(n_layers):
-        W, _ = layers[l]
-        vw, vb = dirs[l]
-        rz = np.einsum("ni,oik->nok", a, vw) + vb[None, :, :]
-        if ra is not None:
-            rz += np.einsum("nik,oi->nok", ra, W)
+        vW, vb = v_layers[l]
+        rz = acts[l] @ vW.swapaxes(-1, -2) + vb[..., None, :]
+        if r_acts[l] is not None:
+            rz += r_acts[l] @ weights[l].swapaxes(-1, -2)
         r_zs.append(rz)
         if l < n_layers - 1:
-            a = acts[l + 1]
-            ra = dacts[l][:, :, None] * rz
-            r_acts.append(ra)
+            r_acts.append(dacts[l] * rz)
 
-    s = softmax(logits)
-    delta = s.copy()
-    delta[np.arange(n), batch.y] -= 1.0
-    delta /= n
     rz_last = r_zs[-1]
-    s3 = s[:, :, None]
-    r_delta = (s3 * (rz_last - (s3 * rz_last).sum(axis=1, keepdims=True))) / n
+    r_delta = (s * (rz_last - (s * rz_last).sum(axis=-1, keepdims=True))) / batch.n
 
-    out = np.empty_like(v)
+    out = np.empty(dirs.shape)
     slices = spec.layer_slices()
     for l in range(n_layers - 1, -1, -1):
-        w_sl, b_sl, d_out, d_in = slices[l]
-        a_prev = acts[l]
-        ra_prev = r_acts[l]
-        hw = np.einsum("nok,ni->oik", r_delta, a_prev)
-        if ra_prev is not None:
-            hw += np.einsum("no,nik->oik", delta, ra_prev)
-        out[w_sl] = hw.reshape(d_out * d_in, -1)
-        out[b_sl] = r_delta.sum(axis=0)
+        w_sl, b_sl, _, _ = slices[l]
+        hw = r_delta.swapaxes(-1, -2) @ acts[l]
+        if r_acts[l] is not None:
+            hw += delta.swapaxes(-1, -2) @ r_acts[l]
+        out[..., w_sl] = hw.reshape(hw.shape[:-2] + (-1,))
+        out[..., b_sl] = r_delta.sum(axis=-2)
         if l > 0:
-            W = layers[l][0]
-            vw = dirs[l][0]
-            u = delta @ W
-            ru = np.einsum("nok,oi->nik", r_delta, W) + np.einsum("no,oik->nik", delta, vw)
-            kind = spec.activation[l - 1]
+            u = delta @ weights[l]
+            ru = r_delta @ weights[l] + delta @ v_layers[l][0]
             da = dacts[l - 1]
-            dda = _act_second(kind, zs[l - 1], acts[l])
-            r_delta = ru * da[:, :, None] + (u * dda)[:, :, None] * r_zs[l - 1]
+            dda = _act_second(spec.activation[l - 1], acts[l], da)
+            r_delta = ru * da + (u * dda) * r_zs[l - 1]
             delta = u * da
-    return out[:, 0] if single else out
+    if batch.stacked:
+        return out[:, 0]
+    return out[0] if v.ndim == 1 else out.T
 
 
 def output_jacobian(spec: MlpSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
-    """Jacobian of every logit with respect to the weights, shape (n, c, p)."""
-    _check_batch(spec, batch)
-    _, zs, acts, dacts, layers = _forward_cache(spec, w, batch.x)
+    """Jacobian of every logit with respect to the weights, shape (n, c, p), for one batch."""
+    if batch.stacked:
+        raise ValueError("output_jacobian takes one task's batch, not a stack")
+    w = _checked(spec, w, batch)
+    _, acts, dacts, layers = _forward_cache(spec, w, batch.x)
     n = batch.n
     c = spec.num_classes
     p = spec.num_params

@@ -47,6 +47,22 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def hvp_calls(monkeypatch):
+    """A list that gains one entry per call of ``model.hvp`` made through the module."""
+    from metainfluence import model
+
+    calls = []
+    original = model.hvp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "hvp", counted)
+    return calls
+
+
 def pytest_configure(config):
     config.addinivalue_line("markers", "acceptance: full acceptance-criteria runs (minutes)")
 

@@ -10,9 +10,11 @@ from metainfluence.influence import (
     influence_group,
     influence_meta,
     influence_perf,
+    influence_records,
     load_influence_records,
     rank_rows,
     save_influence_records,
+    score_pairs,
     score_table,
 )
 from metainfluence.metalearn import MetaParams, TruncatedFileError, adapt, meta_grad
@@ -152,6 +154,29 @@ def test_score_pairs_match_composed_chain(kind, inner_lr, rng):
         for j, rec in enumerate(records):
             composed = -influence_perf(mp, tt, rec, adapt_result=res)
             assert table.scores[i, j] == pytest.approx(composed, rel=1e-9, abs=1e-12)
+
+
+def test_influence_records_match_per_task_records(rng):
+    mp = make_params(rng, inner_lr=0.05)
+    tasks = sample_tasks(count=5)
+    inv = invert(exact_meta_hessian(mp, tasks), "positive")
+    batched = influence_records(inv, mp, tasks)
+    assert [r.task_id for r in batched] == [t.task_id for t in tasks]
+    for rec, t in zip(batched, tasks):
+        want = -inv.apply(meta_grad(mp, t))
+        np.testing.assert_allclose(rec.i_meta, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+
+def test_score_pairs_runs_one_kernel_call_per_chunk(rng, hvp_calls):
+    mp = make_params(rng, inner_lr=0.05)
+    records = [InfluenceRecord(f"r{j}", rng.normal(size=mp.q)) for j in range(3)]
+    n_test = 2 * metalearn.STACK_CHUNK + 5
+    test_tasks = sample_tasks(seed=13, count=n_test)
+    scores = score_pairs(mp, records, test_tasks)
+    assert len(hvp_calls) == -(-n_test // metalearn.STACK_CHUNK)
+    stack = np.stack([r.i_meta for r in records], axis=1)
+    loop = np.array([-(meta_grad(mp, t) @ stack) for t in test_tasks])
+    np.testing.assert_allclose(scores, loop, rtol=1e-10, atol=1e-14)
 
 
 def test_score_table_single_train_task_rank_zero(rng):

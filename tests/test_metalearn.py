@@ -13,6 +13,7 @@ from metainfluence.metalearn import (
     adapt_jacobian_matvec,
     load_params,
     meta_grad,
+    meta_grads,
     meta_loss,
     meta_train,
     save_params,
@@ -236,6 +237,80 @@ def test_total_meta_gradient_norm_shrinks_over_training():
     mp, _ = meta_train(mp0, tasks, MetaTrainConfig(steps=300, meta_batch=6, lr=0.02, seed=9))
     after = total_meta_gradient_norm(mp, tasks)
     assert after < 0.5 * before
+
+
+def ragged_tasks():
+    """Two query sizes, interleaved, so shape groups are not contiguous."""
+    five, three = sample_tasks(count=4, kq=5), sample_tasks(seed=8, count=3, kq=3)
+    return [five[0], three[0], five[1], five[2], three[1], five[3], three[2]]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("inner_lr", [0.0, 0.05])
+def test_meta_grads_match_per_task_loop(activation, inner_lr, rng):
+    spec = MlpSpec((6, 5, 3), activation)
+    omega = spec.init_weights(rng) + 0.2 * rng.normal(size=spec.num_params)
+    mp = MetaParams(omega, Learner("maml", spec, inner_lr))
+    for tasks in (sample_tasks(count=70), ragged_tasks()):
+        stacked = meta_grads(mp, tasks)
+        loop = np.array([meta_grad(mp, t) for t in tasks])
+        assert stacked.shape == loop.shape
+        assert rel_err(stacked, loop) <= 1e-12
+
+
+def test_meta_grads_protonet_is_per_task(rng):
+    mp = make_params(rng, kind="protonet")
+    tasks = sample_tasks(count=3)
+    np.testing.assert_array_equal(meta_grads(mp, tasks), [meta_grad(mp, t) for t in tasks])
+
+
+def reference_meta_train(mp0, tasks, cfg, upweight):
+    """Adam with one meta_grad call per sampled task, summed in order."""
+    weights = np.ones(len(tasks))
+    weights[upweight[0]] += upweight[1] * len(tasks)
+    rng = np.random.default_rng(cfg.seed)
+    omega = mp0.omega.copy()
+    m = np.zeros_like(omega)
+    v = np.zeros_like(omega)
+    for step in range(1, cfg.steps + 1):
+        g = np.zeros_like(omega)
+        for i in rng.integers(0, len(tasks), size=cfg.meta_batch):
+            g += weights[i] * meta_grad(MetaParams(omega, mp0.learner), tasks[i])
+        g = g / cfg.meta_batch + cfg.weight_decay * omega
+        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+        mhat = m / (1.0 - cfg.beta1**step)
+        vhat = v / (1.0 - cfg.beta2**step)
+        omega = omega - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    return omega
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_meta_train_upweight_matches_per_task_loop(ragged, rng):
+    mp0 = make_params(rng)
+    tasks = ragged_tasks() if ragged else sample_tasks(count=5)
+    # meta_batch above STACK_CHUNK, so a step runs more than one chunk
+    cfg = MetaTrainConfig(
+        steps=5, meta_batch=metalearn.STACK_CHUNK + 8, lr=0.02, seed=3, weight_decay=1e-3
+    )
+    mp, _ = meta_train(mp0, tasks, cfg, upweight=(2, 0.3))
+    want = reference_meta_train(mp0, tasks, cfg, (2, 0.3))
+    assert rel_err(mp.omega, want) <= 1e-10
+
+
+def test_meta_train_runs_one_kernel_call_per_step(rng, hvp_calls):
+    mp0 = make_params(rng)
+    cfg = MetaTrainConfig(steps=7, meta_batch=metalearn.STACK_CHUNK, seed=1)
+    meta_train(mp0, sample_tasks(count=6), cfg)
+    assert len(hvp_calls) == cfg.steps
+
+
+def test_meta_train_final_log_matches_per_task_values(rng):
+    mp0 = make_params(rng)
+    tasks = sample_tasks(count=4)
+    mp, log = meta_train(mp0, tasks, MetaTrainConfig(steps=3, meta_batch=4, seed=2))
+    assert log.final_loss == pytest.approx(np.mean([meta_loss(mp, t) for t in tasks]), rel=1e-12)
+    assert log.final_accuracy == np.mean([metalearn.meta_accuracy(mp, t) for t in tasks])
 
 
 def test_meta_train_upweight_zero_eps_matches_base(rng):

@@ -139,6 +139,48 @@ def test_hvp_multi_direction_matches_single():
         np.testing.assert_allclose(multi[:, k], model.hvp(spec, w, batch, vs[:, k]), atol=1e-12)
 
 
+def stacked_batches(rng, spec, m=4, n=6):
+    x = rng.normal(size=(m, n, spec.input_dim))
+    y = rng.integers(0, spec.num_classes, (m, n))
+    return Batch(x, y), [Batch(x[i], y[i]) for i in range(m)]
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_stacked_primitives_match_per_task_rows(activation):
+    rng = np.random.default_rng(41)
+    spec, w = random_net(rng, widths=(5, 7, 6, 4), activation=activation)
+    stacked, singles = stacked_batches(rng, spec)
+    m = len(singles)
+    per_task_w = w + 0.1 * rng.normal(size=(m, spec.num_params))
+    v = rng.normal(size=(m, spec.num_params))
+    g_shared = model.grad(spec, w, stacked)
+    losses, g_own = model.loss_and_grad(spec, per_task_w, stacked)
+    h_shared = model.hvp(spec, w, stacked, v)
+    h_own = model.hvp(spec, per_task_w, stacked, v)
+    assert g_shared.shape == g_own.shape == h_shared.shape == (m, spec.num_params)
+    assert losses.shape == (m,)
+    for i, b in enumerate(singles):
+        np.testing.assert_allclose(g_shared[i], model.grad(spec, w, b), rtol=1e-12, atol=1e-15)
+        loss_i, g_i = model.loss_and_grad(spec, per_task_w[i], b)
+        assert losses[i] == pytest.approx(loss_i, rel=1e-12)
+        np.testing.assert_allclose(g_own[i], g_i, rtol=1e-12, atol=1e-15)
+        scale = np.abs(h_own[i]).max()
+        assert np.abs(h_shared[i] - model.hvp(spec, w, b, v[i])).max() <= 1e-12 * scale
+        assert np.abs(h_own[i] - model.hvp(spec, per_task_w[i], b, v[i])).max() <= 1e-12 * scale
+
+
+def test_stacked_shape_errors():
+    rng = np.random.default_rng(42)
+    spec, w = random_net(rng)
+    stacked, _ = stacked_batches(rng, spec, m=3)
+    with pytest.raises(ValueError):
+        model.hvp(spec, w, stacked, rng.normal(size=spec.num_params))
+    with pytest.raises(ValueError):
+        model.grad(spec, np.zeros((2, spec.num_params)), stacked)
+    with pytest.raises(ValueError):
+        model.output_jacobian(spec, w, stacked)
+
+
 def test_output_jacobian_bias_columns():
     rng = np.random.default_rng(5)
     spec, w = random_net(rng)
@@ -204,6 +246,12 @@ def test_batch_validation():
         Batch(np.zeros((2, 3)), np.array([0, -1]))
     with pytest.raises(ValueError):
         Batch(np.zeros(3), np.zeros(3, dtype=int))
+    # stacked: labels must be (m, n) for inputs (m, n, d)
+    with pytest.raises(ValueError):
+        Batch(np.zeros((2, 4, 3)), np.zeros(8, dtype=int))
+    with pytest.raises(ValueError):
+        Batch(np.zeros((2, 4, 3)), np.zeros((2, 3), dtype=int))
+    assert Batch(np.zeros((2, 4, 3)), np.zeros((2, 4), dtype=int)).n == 4
 
 
 def test_label_out_of_range_rejected():
