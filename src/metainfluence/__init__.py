@@ -44,7 +44,6 @@ from .linalg import (
     symmetrize,
 )
 from .metalearn import (
-    AdaptResult,
     Learner,
     MetaParams,
     MetaTrainConfig,

@@ -21,7 +21,6 @@ import numpy as np
 from .hessian import SpectralInverse
 from .metalearn import (
     STACK_CHUNK,
-    AdaptResult,
     MetaParams,
     MetaTrainConfig,
     Task,
@@ -80,38 +79,20 @@ def influence_group(records: list[InfluenceRecord], group_id: str) -> InfluenceR
     return InfluenceRecord(task_id=group_id, i_meta=total, group_id=group_id)
 
 
-def influence_adapt(
-    mp: MetaParams,
-    test_task: Task,
-    rec: InfluenceRecord,
-    adapt_result: AdaptResult | None = None,
-) -> np.ndarray:
-    """Induced shift of the test task's adapted weights.
-
-    Uses the materialized adaptation Jacobian when one is supplied, otherwise
-    the matrix-free product (identical result).
-    """
-    if adapt_result is not None and adapt_result.jacobian is not None:
-        return adapt_result.jacobian @ rec.i_meta
+def influence_adapt(mp: MetaParams, test_task: Task, rec: InfluenceRecord) -> np.ndarray:
+    """Induced shift of the test task's adapted weights: (d theta_hat / d omega) @ i_meta."""
     return adapt_jacobian_matvec(mp, test_task, rec.i_meta)
 
 
-def influence_perf(
-    mp: MetaParams,
-    test_task: Task,
-    rec: InfluenceRecord,
-    adapt_result: AdaptResult | None = None,
-) -> float:
+def influence_perf(mp: MetaParams, test_task: Task, rec: InfluenceRecord) -> float:
     """Induced change rate of the test task's query loss (positive = loss rises)."""
-    shift = influence_adapt(mp, test_task, rec, adapt_result)
-    spec = mp.learner.spec
+    shift = influence_adapt(mp, test_task, rec)
     if mp.learner.kind == "protonet":
         # theta passes through adaptation, so the loss derivative w.r.t. the
         # weights is the full meta-gradient (query features and centroids).
         g_test = meta_grad(mp, test_task)
     else:
-        theta = adapt(mp, test_task).theta_hat if adapt_result is None else adapt_result.theta_hat
-        g_test = model.grad(spec, theta, test_task.query)
+        g_test = model.grad(mp.learner.spec, adapt(mp, test_task), test_task.query)
     return float(g_test @ shift)
 
 

@@ -9,6 +9,11 @@ same length as the model weight vector):
 * ``protonet`` -- weights pass through unchanged; class centroids are the
                   mean support embeddings and query logits are negative
                   squared Euclidean distances to them.
+
+Each learner has one meta-gradient kernel, ``(learner, omega, support,
+query, with_loss)``, that takes one task's batches or a stack of same-shape
+tasks on a leading task axis. ``meta_grad``, ``meta_grads``, ``meta_train``
+and the curvature and scoring code above them all go through it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .model import Batch, MlpSpec
 
 LEARNER_KINDS = ("maml", "protonet")
 
-# Tasks per stacked MAML kernel call. The stacked intermediates take about
+# Tasks per stacked kernel call. The stacked MAML intermediates take about
 # 130 KB per task at q=1221; chunks of 32 keep them small next to the inputs.
 STACK_CHUNK = 32
 
@@ -110,65 +115,33 @@ class MetaParams:
         return int(self.omega.size)
 
 
-@dataclass
-class AdaptResult:
-    theta_hat: np.ndarray
-    jacobian: np.ndarray | None = None
+def _proto_logits(f: np.ndarray, y_s: np.ndarray, n_ways: int):
+    """Protonet logits from the embeddings f of support + query, of one task or a stack.
 
-
-def _class_counts(y: np.ndarray, n_ways: int) -> np.ndarray:
-    return np.bincount(y, minlength=n_ways)
-
-
-def _proto_centroids(spec: MlpSpec, feats: np.ndarray, y: np.ndarray, n_ways: int) -> np.ndarray:
-    counts = _class_counts(y, n_ways)
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"support set has no samples for class {missing}")
-    cents = np.zeros((n_ways, feats.shape[1]))
-    np.add.at(cents, y, feats)
-    return cents / counts[:, None]
-
-
-def _proto_logits(spec: MlpSpec, omega: np.ndarray, task: Task) -> tuple[np.ndarray, np.ndarray]:
-    """Negative squared distances to support centroids (n, k), and the differences (n, k, e)."""
-    f_s = model.forward(spec, omega, task.support.x)
-    f_q = model.forward(spec, omega, task.query.x)
-    cents = _proto_centroids(spec, f_s, task.support.y, task.n_ways)
-    diff = f_q[:, None, :] - cents[None, :, :]
-    return -np.einsum("nke,nke->nk", diff, diff), diff
-
-
-def _proto_terms(spec: MlpSpec, omega: np.ndarray, task: Task):
-    """Everything the protonet meta-gradient and logit Jacobian need, built once.
-
-    Returns the logits (n, k), the centroid differences (n, k, e), the query
-    embedding Jacobian j_q (n, e, q) and the class-mean support embedding
-    Jacobian jbar (k, e, q).
+    f holds the n_s support embeddings f_s, then the query embeddings f_q.
+    The centroids are avg^T f_s with avg = onehot / counts, (..., n_s, k),
+    and the logits (..., n_q, k) are -|f_q - c_k|^2. Returns the logits, the
+    differences f_q - c_k (..., n_q, k, e) and avg.
     """
-    logits, diff = _proto_logits(spec, omega, task)
-    j_q = model.output_jacobian(spec, omega, task.query)
-    j_s = model.output_jacobian(spec, omega, task.support)
-    jbar = np.stack([j_s[task.support.y == k].mean(axis=0) for k in range(task.n_ways)])
-    return logits, diff, j_q, jbar
+    n_s = y_s.shape[-1]
+    f_s, f_q = f[..., :n_s, :], f[..., n_s:, :]
+    onehot = y_s[..., None] == np.arange(n_ways)
+    counts = onehot.sum(axis=-2, keepdims=True)
+    if (counts == 0).any():
+        missing = int(np.argwhere(counts == 0)[0, -1])
+        raise ValueError(f"support set has no samples for class {missing}")
+    avg = onehot / counts
+    diff = f_q[..., :, None, :] - (avg.swapaxes(-1, -2) @ f_s)[..., None, :, :]
+    return -np.square(diff).sum(axis=-1), diff, avg
 
 
-def adapt(mp: MetaParams, task: Task, want_jacobian: bool = False) -> AdaptResult:
-    """Run the learner's adaptation; optionally materialize d theta_hat / d omega."""
-    spec = mp.learner.spec
+def adapt(mp: MetaParams, task: Task) -> np.ndarray:
+    """Run the learner's adaptation and return the adapted weights theta_hat."""
     if mp.learner.kind == "protonet":
-        # weights pass through; centroid construction validates the support set
-        feats = model.forward(spec, mp.omega, task.support.x)
-        _proto_centroids(spec, feats, task.support.y, task.n_ways)
-        jac = np.eye(mp.q) if want_jacobian else None
-        return AdaptResult(mp.omega.copy(), jac)
-    lr = mp.learner.inner_lr
-    g = model.grad(spec, mp.omega, task.support)
-    theta = mp.omega - lr * g
-    jac = None
-    if want_jacobian:
-        jac = np.eye(mp.q) - lr * model.hvp(spec, mp.omega, task.support, np.eye(mp.q))
-    return AdaptResult(theta, jac)
+        # weights pass through; building the centroids validates the support set
+        task_logits(mp, task)
+        return mp.omega.copy()
+    return mp.omega - mp.learner.inner_lr * model.grad(mp.learner.spec, mp.omega, task.support)
 
 
 def adapt_jacobian_matvec(mp: MetaParams, task: Task, v: np.ndarray) -> np.ndarray:
@@ -185,10 +158,11 @@ def adapt_jacobian_matvec(mp: MetaParams, task: Task, v: np.ndarray) -> np.ndarr
 
 def task_logits(mp: MetaParams, task: Task) -> np.ndarray:
     """Query logits after adaptation."""
+    spec = mp.learner.spec
     if mp.learner.kind == "protonet":
-        return _proto_logits(mp.learner.spec, mp.omega, task)[0]
-    theta = adapt(mp, task).theta_hat
-    return model.forward(mp.learner.spec, theta, task.query.x)
+        f = model.forward(spec, mp.omega, np.concatenate([task.support.x, task.query.x]))
+        return _proto_logits(f, task.support.y, task.n_ways)[0]
+    return model.forward(spec, adapt(mp, task), task.query.x)
 
 
 def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -202,17 +176,6 @@ def meta_loss(mp: MetaParams, task: Task) -> float:
 
 def meta_accuracy(mp: MetaParams, task: Task) -> float:
     return _accuracy(task_logits(mp, task), task.query.y)
-
-
-def _proto_loss_and_grad(spec: MlpSpec, omega: np.ndarray, task: Task) -> tuple[float, np.ndarray]:
-    logits, diff, j_q, jbar = _proto_terms(spec, omega, task)
-    nq = task.query.n
-    coeff = model.softmax(logits)
-    coeff[np.arange(nq), task.query.y] -= 1.0
-    coeff /= nq
-    term_q = np.einsum("nk,nke,nep->p", coeff, diff, j_q)
-    term_s = np.einsum("nk,nke,kep->p", coeff, diff, jbar)
-    return model.cross_entropy(logits, task.query.y), -2.0 * (term_q - term_s)
 
 
 def _maml_meta_grad(
@@ -236,10 +199,33 @@ def _maml_meta_grad(
     return (loss_q, g) if with_loss else g
 
 
+def _proto_meta_grad(
+    learner: Learner, omega: np.ndarray, support: Batch, query: Batch, with_loss: bool = False
+):
+    """The protonet meta-gradient kernel: one forward and one reverse sweep over support + query.
+
+    The query loss reaches the embeddings through the logits
+    -|f_q - c_k|^2; with coeff = (softmax - onehot) / n_q its cotangents are
+    d f_q = -2 sum_k coeff diff and d f_s = avg @ (2 sum_n coeff diff). The
+    batches hold one task, or a stack of same-shape tasks with one class
+    count, which gives one row per task, (m, q). With ``with_loss`` it
+    returns (query loss, meta-gradient).
+    """
+    n_ways = int(max(support.y.max(), query.y.max())) + 1
+    f, pullback = model.vjp(learner.spec, omega, np.concatenate([support.x, query.x], axis=-2))
+    logits, diff, avg = _proto_logits(f, support.y, n_ways)
+    _, coeff = model._softmax_and_delta(logits, query.y)
+    weighted = coeff[..., None] * diff
+    d_f_s = avg @ (2.0 * weighted.sum(axis=-3))
+    g = pullback(np.concatenate([d_f_s, -2.0 * weighted.sum(axis=-2)], axis=-2))
+    return (model.cross_entropy(logits, query.y), g) if with_loss else g
+
+
+_KERNELS = {"maml": _maml_meta_grad, "protonet": _proto_meta_grad}
+
+
 def _meta_grad(learner: Learner, omega: np.ndarray, task: Task) -> np.ndarray:
-    if learner.kind == "protonet":
-        return _proto_loss_and_grad(learner.spec, omega, task)[1]
-    return _maml_meta_grad(learner, omega, task.support, task.query)
+    return _KERNELS[learner.kind](learner, omega, task.support, task.query)
 
 
 def meta_grad(mp: MetaParams, task: Task) -> np.ndarray:
@@ -248,10 +234,13 @@ def meta_grad(mp: MetaParams, task: Task) -> np.ndarray:
 
 
 def _shape_groups(tasks: list[Task]) -> list[list[int]]:
-    """Positions of the tasks sharing each (support, query) shape, in first-seen order."""
+    """Positions of the tasks sharing each (support, query) shape and class count.
+
+    Groups and the positions in them are in first-seen order.
+    """
     groups: dict[tuple, list[int]] = {}
     for i, task in enumerate(tasks):
-        groups.setdefault((task.support.x.shape, task.query.x.shape), []).append(i)
+        groups.setdefault((task.support.x.shape, task.query.x.shape, task.n_ways), []).append(i)
     return list(groups.values())
 
 
@@ -266,19 +255,15 @@ def _stack(tasks: list[Task]) -> tuple[Batch, Batch]:
 def meta_grads(mp: MetaParams, tasks: list[Task]) -> np.ndarray:
     """Meta-gradients of many tasks, one row per task: (len(tasks), q).
 
-    MAML tasks of one (support, query) shape go through the stacked kernel
-    STACK_CHUNK at a time; protonet runs task by task.
+    Tasks of one (support, query) shape and class count go through the
+    learner's stacked kernel STACK_CHUNK at a time.
     """
-    learner, omega = mp.learner, mp.omega
+    kernel = _KERNELS[mp.learner.kind]
     out = np.empty((len(tasks), mp.q))
-    if learner.kind == "protonet":
-        for i, task in enumerate(tasks):
-            out[i] = _meta_grad(learner, omega, task)
-        return out
     for group in _shape_groups(tasks):
         for c in range(0, len(group), STACK_CHUNK):
             rows = group[c : c + STACK_CHUNK]
-            out[rows] = _maml_meta_grad(learner, omega, *_stack([tasks[i] for i in rows]))
+            out[rows] = kernel(mp.learner, mp.omega, *_stack([tasks[i] for i in rows]))
     return out
 
 
@@ -287,18 +272,22 @@ def meta_output_jacobian(mp: MetaParams, task: Task) -> tuple[np.ndarray, np.nda
 
     For MAML this chains the adapted-weight logit Jacobian through the
     adaptation Jacobian; for protonet the logits are centroid distances, so
-    both query and support embeddings contribute.
+    both query and support embeddings contribute, the support ones through
+    their class means.
     """
     spec = mp.learner.spec
     if mp.learner.kind == "protonet":
-        logits, diff, j_q, jbar = _proto_terms(spec, mp.omega, task)
-        jac = -2.0 * (
-            np.einsum("nke,nep->nkp", diff, j_q) - np.einsum("nke,kep->nkp", diff, jbar)
-        )
+        x = np.concatenate([task.support.x, task.query.x])
+        f = model.forward(spec, mp.omega, x)
+        j = model.output_jacobian(spec, mp.omega, x)
+        n_s, (_, e, q) = task.support.n, j.shape
+        logits, diff, avg = _proto_logits(f, task.support.y, task.n_ways)
+        jbar = (avg.T @ j[:n_s].reshape(n_s, e * q)).reshape(-1, e, q)
+        jac = -2.0 * (diff @ j[n_s:] - (diff.swapaxes(0, 1) @ jbar).swapaxes(0, 1))
         return logits, jac
-    theta = adapt(mp, task).theta_hat
+    theta = adapt(mp, task)
     logits = model.forward(spec, theta, task.query.x)
-    j_out = model.output_jacobian(spec, theta, task.query)
+    j_out = model.output_jacobian(spec, theta, task.query.x)
     n, c, p = j_out.shape
     flat = j_out.reshape(n * c, p).T
     chained = adapt_jacobian_matvec(mp, task, flat)
@@ -394,21 +383,11 @@ def meta_train(
 def _sampled_losses_and_grads(learner: Learner, taskset: list[Task]):
     """A function (omega, idx) -> (query losses, meta-gradients) of the tasks at positions idx.
 
-    For MAML the taskset is stacked once per shape group, and each call runs
-    the kernel on the rows that idx selects, STACK_CHUNK at a time. Protonet
-    runs task by task.
+    The taskset is stacked once per shape group, and each call runs the
+    learner's kernel on the rows that idx selects, STACK_CHUNK at a time.
     """
+    kernel = _KERNELS[learner.kind]
     q = learner.spec.num_params
-    if learner.kind == "protonet":
-
-        def per_task(omega, idx):
-            losses, grads = np.empty(len(idx)), np.empty((len(idx), q))
-            for r, i in enumerate(idx):
-                losses[r], grads[r] = _proto_loss_and_grad(learner.spec, omega, taskset[i])
-            return losses, grads
-
-        return per_task
-
     groups = _shape_groups(taskset)
     stacks = [_stack([taskset[i] for i in group]) for group in groups]
     group_of = np.empty(len(taskset), dtype=np.int64)
@@ -424,7 +403,7 @@ def _sampled_losses_and_grads(learner: Learner, taskset: list[Task]):
             for c in range(0, rows.size, STACK_CHUNK):
                 r = rows[c : c + STACK_CHUNK]
                 sel = local_of[idx[r]]
-                losses[r], grads[r] = _maml_meta_grad(
+                losses[r], grads[r] = kernel(
                     learner,
                     omega,
                     Batch(support.x[sel], support.y[sel]),

@@ -8,7 +8,9 @@ softmax cross-entropy over the batch, so every derivative here carries the
 
 ``grad``, ``loss_and_grad`` and ``hvp`` also take a stack of same-shape
 batches on a leading task axis and return one row per task; every
-contraction is a broadcasting ``matmul`` over the leading axes.
+contraction is a broadcasting ``matmul`` over the leading axes. ``vjp``
+returns the logits with a pullback for any output cotangent; it, ``grad``,
+``loss_and_grad`` and ``output_jacobian`` share one reverse sweep.
 """
 
 from __future__ import annotations
@@ -219,38 +221,43 @@ def _softmax_and_delta(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, n
     return s, (s - onehot) / y.shape[-1]
 
 
-def _checked(spec: MlpSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
-    """Validate the batch against the spec; return the weights as a float array.
+def _checked(
+    spec: MlpSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray | None = None
+) -> np.ndarray:
+    """Validate inputs, and labels if given, against the spec; return the weights as floats.
 
-    Weights are one vector (p,) shared by every task, or (m, p) with one
-    vector per task of a stacked batch.
+    Inputs are (n, d) or a stack (m, n, d). Weights are one vector (p,)
+    shared by every task, or (m, p) with one vector per task of a stack.
     """
-    if batch.x.shape[-1] != spec.input_dim:
-        raise ValueError(f"batch input dim {batch.x.shape[-1]} != spec {spec.input_dim}")
-    if batch.y.size and int(batch.y.max()) >= spec.num_classes:
-        raise ValueError(f"label {int(batch.y.max())} out of range for {spec.num_classes} classes")
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
+        raise ValueError(
+            f"expected inputs (n, {spec.input_dim}) or (m, n, {spec.input_dim}), got {x.shape}"
+        )
+    if y is not None and y.size and int(y.max()) >= spec.num_classes:
+        raise ValueError(f"label {int(y.max())} out of range for {spec.num_classes} classes")
     w = np.asarray(w, dtype=float)
     p = spec.num_params
-    if w.shape != (p,) and w.shape != batch.x.shape[:-2] + (p,):
+    if w.shape != (p,) and w.shape != x.shape[:-2] + (p,):
         raise ValueError(
-            f"expected weights of shape ({p},) or {batch.x.shape[:-2] + (p,)}, got {w.shape}"
+            f"expected weights of shape ({p},) or {x.shape[:-2] + (p,)}, got {w.shape}"
         )
     return w
 
 
 def loss(spec: MlpSpec, w: np.ndarray, batch: Batch):
     """Mean cross-entropy: a float, or one value per task of a stacked batch."""
-    w = _checked(spec, w, batch)
+    w = _checked(spec, w, batch.x, batch.y)
     logits, *_ = _forward_cache(spec, w, batch.x)
     return cross_entropy(logits, batch.y)
 
 
-def _logits_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-    """One forward/backward pass: logits and the loss gradient, (p,) or (m, p)."""
-    w = _checked(spec, w, batch)
-    logits, acts, dacts, layers = _forward_cache(spec, w, batch.x)
-    _, delta = _softmax_and_delta(logits, batch.y)
-    lead = logits.shape[:-2]
+def _backward(spec: MlpSpec, acts, dacts, layers, delta: np.ndarray) -> np.ndarray:
+    """Reverse sweep from the output cotangent ``delta`` (..., n, c) of a cached forward pass.
+
+    Returns the weight gradient of <delta, logits> summed over the sample
+    axis: (p,) for one batch, (..., p), one row per leading index, otherwise.
+    """
+    lead = delta.shape[:-2]
     g = np.empty(lead + (spec.num_params,))
     slices = spec.layer_slices()
     for l in range(spec.num_layers - 1, -1, -1):
@@ -259,7 +266,29 @@ def _logits_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch) -> tuple[np.nda
         g[..., b_sl] = delta.sum(axis=-2)
         if l > 0:
             delta = (delta @ layers[l][0]) * dacts[l - 1]
-    return logits, g
+    return g
+
+
+def vjp(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
+    """Logits of inputs x and their pullback, from one forward pass.
+
+    ``x`` is (n, d) or a stack (m, n, d); ``w`` is (p,) or (m, p). The
+    pullback maps a cotangent of the logits' shape to the weight gradient
+    of <cotangent, logits> with one reverse sweep: (p,) for one batch,
+    (m, p), one row per task, for a stack.
+    """
+    x = np.asarray(x, dtype=float)
+    w = _checked(spec, w, x)
+    logits, acts, dacts, layers = _forward_cache(spec, w, x)
+    return logits, lambda delta: _backward(spec, acts, dacts, layers, delta)
+
+
+def _logits_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """One forward/backward pass: logits and the loss gradient, (p,) or (m, p)."""
+    w = _checked(spec, w, batch.x, batch.y)
+    logits, acts, dacts, layers = _forward_cache(spec, w, batch.x)
+    _, delta = _softmax_and_delta(logits, batch.y)
+    return logits, _backward(spec, acts, dacts, layers, delta)
 
 
 def loss_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch):
@@ -285,7 +314,7 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
     i's Hessian times v[i]. Uses forward-over-reverse propagation, so no
     second-order tensor is ever materialized.
     """
-    w = _checked(spec, w, batch)
+    w = _checked(spec, w, batch.x, batch.y)
     v = np.asarray(v, dtype=float)
     p = spec.num_params
     # directions as rows (..., k, p): the direction axis sits before the sample axis
@@ -347,28 +376,20 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
     return out[0] if v.ndim == 1 else out.T
 
 
-def output_jacobian(spec: MlpSpec, w: np.ndarray, batch: Batch) -> np.ndarray:
-    """Jacobian of every logit with respect to the weights, shape (n, c, p), for one batch."""
-    if batch.stacked:
-        raise ValueError("output_jacobian takes one task's batch, not a stack")
-    w = _checked(spec, w, batch)
-    _, acts, dacts, layers = _forward_cache(spec, w, batch.x)
-    n = batch.n
-    c = spec.num_classes
-    p = spec.num_params
-    jac = np.empty((n, c, p))
-
-    d = np.zeros((n, c, c))
-    d[:, np.arange(c), np.arange(c)] = 1.0
-    slices = spec.layer_slices()
-    for l in range(spec.num_layers - 1, -1, -1):
-        w_sl, b_sl, d_out, d_in = slices[l]
-        a_prev = acts[l]
-        jac[:, :, w_sl] = np.einsum("nko,ni->nkoi", d, a_prev).reshape(n, c, d_out * d_in)
-        jac[:, :, b_sl] = d
-        if l > 0:
-            d = np.einsum("nko,oi->nki", d, layers[l][0]) * dacts[l - 1][:, None, :]
-    return jac
+def output_jacobian(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Jacobian of every logit with respect to the weights, shape (n, c, p), for inputs (n, d)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"output_jacobian takes one task's inputs (n, d), not shape {x.shape}")
+    w = _checked(spec, w, x)
+    _, acts, dacts, layers = _forward_cache(spec, w, x)
+    # every (sample, logit) pair is its own one-sample batch with a unit
+    # cotangent, so the reverse sweep returns one gradient row per pair
+    n, c = x.shape[0], spec.num_classes
+    unit = np.broadcast_to(np.eye(c)[:, None, :], (n, c, 1, c))
+    acts = [a[:, None, None, :] for a in acts]
+    dacts = [da[:, None, None, :] for da in dacts]
+    return _backward(spec, acts, dacts, layers, unit)
 
 
 def accuracy(spec: MlpSpec, w: np.ndarray, batch: Batch) -> float:

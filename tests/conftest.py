@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metainfluence import model
 from metainfluence.metalearn import Learner, MetaParams
 from metainfluence.model import Batch, MlpSpec
 
@@ -35,6 +36,14 @@ def random_net(rng, widths=(5, 7, 4), activation="tanh", jitter=0.3):
     return spec, w
 
 
+def adaptation_jacobian(mp, task):
+    """d theta_hat / d omega as a q x q matrix: I for protonet, I - lr * H_support for MAML."""
+    eye = np.eye(mp.q)
+    if mp.learner.kind == "protonet":
+        return eye
+    return eye - mp.learner.inner_lr * model.hvp(mp.learner.spec, mp.omega, task.support, eye)
+
+
 def make_params(rng, widths=(6, 5, 3), kind="maml", inner_lr=0.05, jitter=0.2):
     spec = MlpSpec(widths)
     learner = Learner(kind, spec, inner_lr)
@@ -48,19 +57,26 @@ def rng():
 
 
 @pytest.fixture
-def hvp_calls(monkeypatch):
-    """A list that gains one entry per call of ``model.hvp`` made through the module."""
-    from metainfluence import model
+def model_calls(monkeypatch):
+    """Call counters for ``model`` functions.
 
-    calls = []
-    original = model.hvp
+    ``model_calls("hvp")`` replaces ``model.hvp`` with a counting wrapper and
+    returns a list that gains one entry per call made through the module,
+    including calls between functions inside ``model``.
+    """
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def count(name):
+        calls = []
+        original = getattr(model, name)
 
-    monkeypatch.setattr(model, "hvp", counted)
-    return calls
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counted)
+        return calls
+
+    return count
 
 
 def pytest_configure(config):

@@ -77,7 +77,7 @@ def test_criterion_1_derivatives_match_finite_differences():
 
     for _ in range(20):
         spec, w, batch = _random_instance(rng)
-        jac = model.output_jacobian(spec, w, batch)
+        jac = model.output_jacobian(spec, w, batch.x)
         fd = np.empty_like(jac)
         for j in range(w.size):
             h = 1e-4 * (1 + abs(w[j]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_params
+from conftest import adaptation_jacobian, make_params
 from metainfluence import hessian, metalearn, taskgen
 from metainfluence.hessian import SpectralInverse, exact_meta_hessian, invert
 from metainfluence.influence import (
@@ -109,16 +109,15 @@ def test_influence_adapt_matches_jacobian_and_fd(rng):
     mp = make_params(rng, inner_lr=0.05)
     task = sample_tasks()[1]
     rec = InfluenceRecord("r", rng.normal(size=mp.q))
-    res = adapt(mp, task, want_jacobian=True)
-    via_jac = influence_adapt(mp, task, rec, adapt_result=res)
+    via_jac = adaptation_jacobian(mp, task) @ rec.i_meta
     via_matvec = influence_adapt(mp, task, rec)
     np.testing.assert_allclose(via_jac, via_matvec, atol=1e-10)
 
     # directional FD of the adaptation map along i_meta
     direction = rec.i_meta / np.linalg.norm(rec.i_meta)
     h = 1e-5
-    theta_p = adapt(MetaParams(mp.omega + h * direction, mp.learner), task).theta_hat
-    theta_m = adapt(MetaParams(mp.omega - h * direction, mp.learner), task).theta_hat
+    theta_p = adapt(MetaParams(mp.omega + h * direction, mp.learner), task)
+    theta_m = adapt(MetaParams(mp.omega - h * direction, mp.learner), task)
     fd = (theta_p - theta_m) / (2 * h) * np.linalg.norm(rec.i_meta)
     np.testing.assert_allclose(via_jac, fd, atol=1e-4 * max(1.0, np.linalg.norm(fd)))
 
@@ -142,7 +141,11 @@ def test_influence_perf_linear_in_record(rng):
 
 @pytest.mark.parametrize("kind,inner_lr", [("maml", 0.05), ("protonet", 0.0)])
 def test_score_pairs_match_composed_chain(kind, inner_lr, rng):
-    """The fast score path equals sign * influence_perf built from the chain."""
+    """The fast score path equals sign * influence_perf built from the chain.
+
+    The chain's weight shift equals the materialized adaptation Jacobian
+    applied to the record.
+    """
     mp = make_params(rng, kind=kind, inner_lr=inner_lr)
     train_tasks = sample_tasks(count=3)
     test_tasks = sample_tasks(seed=99, count=2)
@@ -150,9 +153,10 @@ def test_score_pairs_match_composed_chain(kind, inner_lr, rng):
     table = score_table(mp, inv, train_tasks, test_tasks)
     records = [influence_meta(inv, mp, t) for t in train_tasks]
     for i, tt in enumerate(test_tasks):
-        res = adapt(mp, tt, want_jacobian=True)
+        jac = adaptation_jacobian(mp, tt)
         for j, rec in enumerate(records):
-            composed = -influence_perf(mp, tt, rec, adapt_result=res)
+            np.testing.assert_allclose(influence_adapt(mp, tt, rec), jac @ rec.i_meta, atol=1e-10)
+            composed = -influence_perf(mp, tt, rec)
             assert table.scores[i, j] == pytest.approx(composed, rel=1e-9, abs=1e-12)
 
 
@@ -167,7 +171,8 @@ def test_influence_records_match_per_task_records(rng):
         np.testing.assert_allclose(rec.i_meta, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
 
-def test_score_pairs_runs_one_kernel_call_per_chunk(rng, hvp_calls):
+def test_score_pairs_runs_one_kernel_call_per_chunk(rng, model_calls):
+    hvp_calls = model_calls("hvp")
     mp = make_params(rng, inner_lr=0.05)
     records = [InfluenceRecord(f"r{j}", rng.normal(size=mp.q)) for j in range(3)]
     n_test = 2 * metalearn.STACK_CHUNK + 5
@@ -177,6 +182,16 @@ def test_score_pairs_runs_one_kernel_call_per_chunk(rng, hvp_calls):
     stack = np.stack([r.i_meta for r in records], axis=1)
     loop = np.array([-(meta_grad(mp, t) @ stack) for t in test_tasks])
     np.testing.assert_allclose(scores, loop, rtol=1e-10, atol=1e-14)
+
+
+def test_protonet_score_pairs_runs_one_backward_sweep_per_chunk(rng, model_calls):
+    jacobian_calls, sweeps = model_calls("output_jacobian"), model_calls("_backward")
+    mp = make_params(rng, kind="protonet")
+    records = [InfluenceRecord(f"r{j}", rng.normal(size=mp.q)) for j in range(3)]
+    n_test = 2 * metalearn.STACK_CHUNK + 5
+    score_pairs(mp, records, sample_tasks(seed=13, count=n_test))
+    assert len(jacobian_calls) == 0
+    assert len(sweeps) == -(-n_test // metalearn.STACK_CHUNK)
 
 
 def test_score_table_single_train_task_rank_zero(rng):

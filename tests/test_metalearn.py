@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, make_params, rel_err
-from metainfluence import metalearn, model, taskgen
+from conftest import adaptation_jacobian, fd_gradient, make_params, rel_err
+from metainfluence import hessian, metalearn, model, taskgen
 from metainfluence.metalearn import (
     Learner,
     MetaParams,
@@ -37,9 +37,9 @@ def test_task_dim_mismatch_rejected():
 def test_adapt_zero_inner_lr_is_identity(rng):
     mp = make_params(rng, widths=(6, 5, 3), inner_lr=0.0)
     task = sample_tasks()[0]
-    res = adapt(mp, task, want_jacobian=True)
-    np.testing.assert_array_equal(res.theta_hat, mp.omega)
-    np.testing.assert_array_equal(res.jacobian, np.eye(mp.q))
+    np.testing.assert_array_equal(adapt(mp, task), mp.omega)
+    np.testing.assert_array_equal(adaptation_jacobian(mp, task), np.eye(mp.q))
+    np.testing.assert_array_equal(adapt_jacobian_matvec(mp, task, np.eye(mp.q)), np.eye(mp.q))
 
 
 def test_adapt_stationary_point_fixed():
@@ -49,9 +49,8 @@ def test_adapt_stationary_point_fixed():
     task = Task("t", Batch(x, np.array([0, 1])), Batch(x, np.array([0, 1])))
     learner = Learner("maml", spec, 0.5)
     mp = MetaParams(np.zeros(spec.num_params), learner)
-    res = adapt(mp, task)
     g = model.grad(spec, mp.omega, task.support)
-    np.testing.assert_allclose(res.theta_hat, mp.omega - 0.5 * g, atol=1e-15)
+    np.testing.assert_allclose(adapt(mp, task), mp.omega - 0.5 * g, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -59,15 +58,14 @@ def test_adapt_matches_fd_gradient_step(seed):
     rng = np.random.default_rng(seed)
     mp = make_params(rng, widths=(6, 5, 3), inner_lr=0.07)
     task = sample_tasks(seed=seed)[0]
-    res = adapt(mp, task)
     fd = fd_gradient(lambda w: model.loss(mp.learner.spec, w, task.support), mp.omega)
-    assert rel_err(res.theta_hat, mp.omega - 0.07 * fd) < 1e-5
+    assert rel_err(adapt(mp, task), mp.omega - 0.07 * fd) < 1e-5
 
 
 def test_adapt_jacobian_symmetric_and_matvec(rng):
     mp = make_params(rng, widths=(6, 5, 3), inner_lr=0.05)
     task = sample_tasks()[1]
-    jac = adapt(mp, task, want_jacobian=True).jacobian
+    jac = adaptation_jacobian(mp, task)
     assert np.abs(jac - jac.T).max() <= 1e-9
     v = rng.normal(size=mp.q)
     np.testing.assert_allclose(jac @ v, adapt_jacobian_matvec(mp, task, v), atol=1e-10)
@@ -76,9 +74,8 @@ def test_adapt_jacobian_symmetric_and_matvec(rng):
 def test_protonet_adapt_passthrough_and_empty_class(rng):
     mp = make_params(rng, widths=(6, 5, 3), kind="protonet")
     task = sample_tasks()[0]
-    res = adapt(mp, task, want_jacobian=True)
-    np.testing.assert_array_equal(res.theta_hat, mp.omega)
-    np.testing.assert_array_equal(res.jacobian, np.eye(mp.q))
+    np.testing.assert_array_equal(adapt(mp, task), mp.omega)
+    np.testing.assert_array_equal(adapt_jacobian_matvec(mp, task, np.eye(mp.q)), np.eye(mp.q))
     # remove class 0 from support
     keep = task.support.y != 0
     broken = Task(
@@ -101,7 +98,7 @@ def test_meta_loss_uniform_is_log_c(rng):
 def test_meta_loss_composes_adapt_and_loss(rng):
     mp = make_params(rng, widths=(6, 5, 3), inner_lr=0.05)
     task = sample_tasks()[2]
-    theta = adapt(mp, task).theta_hat
+    theta = adapt(mp, task)
     assert meta_loss(mp, task) == pytest.approx(model.loss(mp.learner.spec, theta, task.query))
 
 
@@ -264,6 +261,41 @@ def test_meta_grads_protonet_is_per_task(rng):
     np.testing.assert_array_equal(meta_grads(mp, tasks), [meta_grad(mp, t) for t in tasks])
 
 
+def same_shape_mixed_ways():
+    """3-way and 2-way tasks with 12 support and 12 query samples each, interleaved."""
+    three = sample_tasks(count=3, ks=4, kq=4)
+    two = sample_tasks(seed=9, count=3, ways=2, ks=6, kq=6)
+    return [three[0], two[0], three[1], two[1], two[2], three[2]]
+
+
+def proto_reference_meta_grad(mp, task):
+    """(softmax - onehot) / n contracted with the logit meta-Jacobian."""
+    logits, jac = metalearn.meta_output_jacobian(mp, task)
+    coeff = model.softmax(logits) - (task.query.y[:, None] == np.arange(logits.shape[1]))
+    return np.tensordot(coeff / task.query.n, jac, axes=2)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_protonet_meta_grads_match_output_jacobian_contraction(activation, rng):
+    spec = MlpSpec((6, 5, 3), activation)
+    omega = spec.init_weights(rng) + 0.2 * rng.normal(size=spec.num_params)
+    mp = MetaParams(omega, Learner("protonet", spec, 0.0))
+    for tasks in (sample_tasks(count=40), ragged_tasks(), same_shape_mixed_ways()):
+        want = np.array([proto_reference_meta_grad(mp, t) for t in tasks])
+        assert rel_err(meta_grads(mp, tasks), want) <= 1e-12
+
+
+def test_protonet_more_ways_than_embedding_width(rng):
+    mp = make_params(rng, widths=(6, 5, 3), kind="protonet")
+    tasks = sample_tasks(count=2, ways=5, ks=2, kq=2)
+    task = tasks[0]
+    assert task.n_ways > mp.learner.spec.num_classes
+    fd = fd_gradient(lambda w: meta_loss(MetaParams(w, mp.learner), task), mp.omega)
+    assert rel_err(meta_grad(mp, task), fd) < 1e-4
+    rep = hessian.accumulate_gn(mp, tasks, capacity=8)
+    assert np.all(np.isfinite(rep.factor.columns))
+
+
 def reference_meta_train(mp0, tasks, cfg, upweight):
     """Adam with one meta_grad call per sampled task, summed in order."""
     weights = np.ones(len(tasks))
@@ -287,22 +319,33 @@ def reference_meta_train(mp0, tasks, cfg, upweight):
 
 @pytest.mark.parametrize("ragged", [False, True])
 def test_meta_train_upweight_matches_per_task_loop(ragged, rng):
-    mp0 = make_params(rng)
     tasks = ragged_tasks() if ragged else sample_tasks(count=5)
     # meta_batch above STACK_CHUNK, so a step runs more than one chunk
     cfg = MetaTrainConfig(
         steps=5, meta_batch=metalearn.STACK_CHUNK + 8, lr=0.02, seed=3, weight_decay=1e-3
     )
-    mp, _ = meta_train(mp0, tasks, cfg, upweight=(2, 0.3))
-    want = reference_meta_train(mp0, tasks, cfg, (2, 0.3))
-    assert rel_err(mp.omega, want) <= 1e-10
+    for kind in ("maml", "protonet"):
+        mp0 = make_params(rng, kind=kind)
+        mp, _ = meta_train(mp0, tasks, cfg, upweight=(2, 0.3))
+        want = reference_meta_train(mp0, tasks, cfg, (2, 0.3))
+        assert rel_err(mp.omega, want) <= 1e-10
 
 
-def test_meta_train_runs_one_kernel_call_per_step(rng, hvp_calls):
+def test_meta_train_runs_one_kernel_call_per_step(rng, model_calls):
+    hvp_calls = model_calls("hvp")
     mp0 = make_params(rng)
     cfg = MetaTrainConfig(steps=7, meta_batch=metalearn.STACK_CHUNK, seed=1)
     meta_train(mp0, sample_tasks(count=6), cfg)
     assert len(hvp_calls) == cfg.steps
+
+
+def test_protonet_meta_train_runs_one_backward_sweep_per_step(rng, model_calls):
+    jacobian_calls, sweeps = model_calls("output_jacobian"), model_calls("_backward")
+    mp0 = make_params(rng, kind="protonet")
+    cfg = MetaTrainConfig(steps=7, meta_batch=metalearn.STACK_CHUNK, seed=1)
+    meta_train(mp0, sample_tasks(count=6), cfg)
+    assert len(jacobian_calls) == 0
+    assert len(sweeps) == cfg.steps
 
 
 def test_meta_train_final_log_matches_per_task_values(rng):

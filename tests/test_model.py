@@ -178,14 +178,14 @@ def test_stacked_shape_errors():
     with pytest.raises(ValueError):
         model.grad(spec, np.zeros((2, spec.num_params)), stacked)
     with pytest.raises(ValueError):
-        model.output_jacobian(spec, w, stacked)
+        model.output_jacobian(spec, w, stacked.x)
 
 
 def test_output_jacobian_bias_columns():
     rng = np.random.default_rng(5)
     spec, w = random_net(rng)
     batch = random_batch(rng, 4, spec)
-    jac = model.output_jacobian(spec, w, batch)
+    jac = model.output_jacobian(spec, w, batch.x)
     _, b_sl, d_out, _ = spec.layer_slices()[-1]
     np.testing.assert_allclose(
         jac[:, :, b_sl], np.broadcast_to(np.eye(d_out), (batch.n, d_out, d_out)), atol=1e-12
@@ -197,7 +197,7 @@ def test_output_jacobian_zero_input_first_layer_weights():
     rng = np.random.default_rng(6)
     w = spec.init_weights(rng)
     batch = Batch(np.zeros((2, 3)), np.array([0, 1]))
-    jac = model.output_jacobian(spec, w, batch)
+    jac = model.output_jacobian(spec, w, batch.x)
     w_sl = spec.layer_slices()[0][0]
     np.testing.assert_allclose(jac[:, :, w_sl], 0.0, atol=1e-15)
 
@@ -207,7 +207,7 @@ def test_output_jacobian_matches_fd(seed):
     rng = np.random.default_rng(20 + seed)
     spec, w = random_net(rng, widths=(4, 5, 3))
     batch = random_batch(rng, 4, spec)
-    jac = model.output_jacobian(spec, w, batch)
+    jac = model.output_jacobian(spec, w, batch.x)
     fd = np.empty_like(jac)
     for j in range(spec.num_params):
         h = 1e-4 * (1 + abs(w[j]))
