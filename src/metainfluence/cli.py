@@ -26,6 +26,30 @@ class ConfigError(ValueError):
     pass
 
 
+def _section(parent: dict, key: str) -> dict:
+    """The object under ``key`` (empty when absent); any other JSON value is a ConfigError."""
+    value = parent.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config entry {key!r} must be an object, not {type(value).__name__}")
+    return value
+
+
+def _setting(section: dict, key: str, default, convert):
+    """``convert`` of the value under ``key``, or of ``default``; a rejected value is a ConfigError."""
+    try:
+        return convert(section.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value {key!r}: {exc}") from exc
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
 @dataclass
 class RunConfig:
     model: dict
@@ -38,22 +62,19 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        for key in ("model", "learner", "tasksets", "train", "hessian"):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
+        sections = ("model", "learner", "tasksets", "train", "hessian", "experiments")
+        for key in sections[:-1]:
             if key not in doc:
                 raise ConfigError(f"config is missing required section {key!r}")
-        known = {"model", "learner", "tasksets", "train", "hessian", "experiments", "output_dir"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {*sections, "output_dir"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        return RunConfig(
-            model=doc["model"],
-            learner=doc["learner"],
-            tasksets=doc["tasksets"],
-            train=doc["train"],
-            hessian=doc["hessian"],
-            experiments=doc.get("experiments", {}),
-            output_dir=doc.get("output_dir", "out"),
-        )
+        output_dir = doc.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError("output_dir must be a string")
+        return RunConfig(**{key: _section(doc, key) for key in sections}, output_dir=output_dir)
 
 
 def load_config(path: str) -> RunConfig:
@@ -74,7 +95,7 @@ def _spec_from_config(cfg: RunConfig):
     try:
         acts = mdl.get("activation", "tanh")
         return MlpSpec(tuple(mdl["layer_widths"]), tuple(acts) if isinstance(acts, list) else acts)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
@@ -87,7 +108,7 @@ def _learner_from_config(cfg: RunConfig):
             spec=_spec_from_config(cfg),
             inner_lr=float(cfg.learner.get("inner_lr", 0.01)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad learner section: {exc}") from exc
 
 
@@ -108,7 +129,7 @@ def _taskset_spec(section: dict, default_kind: str):
             center_pool_size=int(pool) if pool is not None else None,
             pool_seed=int(section.get("pool_seed", 0)),
         ), int(section["count"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad taskset section: {exc}") from exc
 
 
@@ -127,7 +148,7 @@ def _train_config(cfg: RunConfig):
             weight_decay=float(t.get("weight_decay", 0.0)),
             seed=int(t.get("seed", 0)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad train section: {exc}") from exc
 
 
@@ -149,31 +170,23 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     sections = cfg.tasksets
     if "train" not in sections:
         raise ConfigError("tasksets section needs a 'train' entry")
-    spec, count = _taskset_spec(sections["train"], "clustered")
+    train = _section(sections, "train")
+    spec, count = _taskset_spec(train, "clustered")
     tasks = taskgen.sample_taskset(spec, count, id_prefix="train")
     if "noise" in sections:
-        noise_section = dict(sections["train"], **sections["noise"], kind="noise")
-        nspec, ncount = _taskset_spec(noise_section, "noise")
+        nspec, ncount = _taskset_spec({**train, **_section(sections, "noise"), "kind": "noise"}, "noise")
         noise = taskgen.sample_taskset(nspec, ncount, id_prefix="noise")
-        tasks = taskgen.mix_tasksets(tasks, noise, int(sections.get("mix_seed", 0)))
+        tasks = taskgen.mix_tasksets(tasks, noise, _setting(sections, "mix_seed", 0, int))
     if "augment" in sections:
-        aug = sections["augment"]
-        augmented = []
-        for t in tasks:
-            augmented.extend(
-                taskgen.augment_group(
-                    t,
-                    int(aug.get("count", 1)),
-                    float(aug.get("transform_scale", 1.0)),
-                    int(aug.get("seed", 0)),
-                )
-            )
-        tasks = augmented
+        aug = _section(sections, "augment")
+        count_aug = _setting(aug, "count", 1, int)
+        scale = _setting(aug, "transform_scale", 1.0, float)
+        seed = _setting(aug, "seed", 0, int)
+        tasks = [v for t in tasks for v in taskgen.augment_group(t, count_aug, scale, seed)]
     taskgen.save_taskset(out / "train_tasks.json", tasks, spec)
     print(f"wrote {len(tasks)} training tasks to {out / 'train_tasks.json'}")
     if "test" in sections:
-        test_section = dict(sections["train"], **sections["test"])
-        tspec, tcount = _taskset_spec(test_section, "clustered")
+        tspec, tcount = _taskset_spec({**train, **_section(sections, "test")}, "clustered")
         test_tasks = taskgen.sample_taskset(tspec, tcount, id_prefix="test")
         taskgen.save_taskset(out / "test_tasks.json", test_tasks, tspec)
         print(f"wrote {tcount} test tasks to {out / 'test_tasks.json'}")
@@ -188,8 +201,8 @@ def cmd_train(cfg: RunConfig, out: Path, taskset_path: str | None) -> None:
     train_cfg = _train_config(cfg)
     import numpy as np
 
-    init_seed = int(cfg.train.get("init_seed", train_cfg.seed + 1))
-    init_scale = float(cfg.train.get("init_scale", 1.0))
+    init_seed = _setting(cfg.train, "init_seed", train_cfg.seed + 1, int)
+    init_scale = _setting(cfg.train, "init_scale", 1.0, float)
     omega0 = learner.spec.init_weights(np.random.default_rng(init_seed), init_scale)
     mp0 = MetaParams(omega0, learner)
     mp, log = metalearn.meta_train(mp0, tasks, train_cfg)
@@ -211,12 +224,12 @@ def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
     method = cfg.hessian.get("method", "exact")
     if method == "exact":
-        dense_cap = int(cfg.hessian.get("dense_cap", hessian_mod.DENSE_CAP_DEFAULT))
+        dense_cap = _setting(cfg.hessian, "dense_cap", hessian_mod.DENSE_CAP_DEFAULT, int)
         if mp.q > dense_cap:
             raise ConfigError(f"q={mp.q} exceeds dense cap {dense_cap} for method=exact")
         rep = hessian_mod.exact_meta_hessian(mp, tasks, dense_cap=dense_cap)
     elif method == "gn":
-        capacity = int(cfg.hessian.get("capacity", 1024))
+        capacity = _setting(cfg.hessian, "capacity", 1024, int)
         rep = hessian_mod.accumulate_gn(mp, tasks, capacity=capacity)
     else:
         raise ConfigError(f"unknown hessian method {method!r}")
@@ -232,8 +245,8 @@ def _keep_from_config(cfg: RunConfig):
     keep = cfg.hessian.get("keep", "positive")
     if isinstance(keep, str) and keep not in ("positive", "all"):
         raise ConfigError(f"unknown keep rule {keep!r}")
-    if isinstance(keep, bool):
-        raise ConfigError("keep must be a count, threshold, or rule name")
+    if isinstance(keep, bool) or not isinstance(keep, (str, int, float)):
+        raise ConfigError(f"keep must be a count, threshold, or rule name, not {keep!r}")
     return keep
 
 
@@ -279,6 +292,8 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> None:
     from . import metalearn, taskgen
 
     requested = cfg.experiments.get("run", [])
+    if not isinstance(requested, list):
+        raise ConfigError("experiments.run must be a list of experiment names")
     if not requested:
         exp.write_report(
             out / "report.json",
@@ -307,16 +322,16 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> None:
         if name == "self_rank":
             reports[name] = exp.run_self_rank(mp, _inverse(), tasks).to_dict()
         elif name == "degradation":
-            d = cfg.experiments.get("degradation", {})
+            d = _section(cfg.experiments, "degradation")
             reports[name] = exp.run_degradation(
                 mp,
                 _inverse(),
                 tasks,
-                alphas=d.get("alphas", [0.0, 0.25, 0.5, 0.75, 1.0]),
-                ratios=d.get("ratios", [0.0, 0.25, 0.5, 0.75, 1.0]),
-                seed=int(d.get("seed", 0)),
-                alpha_fixed=float(d.get("alpha_fixed", 1.0)),
-                ratio_fixed=float(d.get("ratio_fixed", 1.0)),
+                alphas=_setting(d, "alphas", [0.0, 0.25, 0.5, 0.75, 1.0], _floats),
+                ratios=_setting(d, "ratios", [0.0, 0.25, 0.5, 0.75, 1.0], _floats),
+                seed=_setting(d, "seed", 0, int),
+                alpha_fixed=_setting(d, "alpha_fixed", 1.0, float),
+                ratio_fixed=_setting(d, "ratio_fixed", 1.0, float),
                 parts=d.get("parts", "both"),
             ).to_dict()
         elif name == "distribution_distinction":
@@ -324,12 +339,12 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> None:
             test_tasks = taskgen.load_taskset(_require(test_file))[0]
             reports[name] = exp.run_distribution_distinction(mp, _inverse(), tasks, test_tasks).to_dict()
         elif name == "exact_vs_gn":
-            g = cfg.experiments.get("exact_vs_gn", {})
+            g = _section(cfg.experiments, "exact_vs_gn")
             reports[name] = exp.run_exact_vs_gn(
                 mp,
                 tasks,
-                keep_grid=[int(k) for k in g.get("keep_grid", [8, 16, 32])],
-                capacity_grid=[int(c) for c in g.get("capacity_grid", [8, 16, 32])],
+                keep_grid=_setting(g, "keep_grid", [8, 16, 32], _ints),
+                capacity_grid=_setting(g, "capacity_grid", [8, 16, 32], _ints),
             ).to_dict()
         else:
             raise ConfigError(f"unknown experiment {name!r}")
@@ -436,14 +451,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.train = dict(cfg.train, seed=args.seed)
         out = _out_dir(cfg, args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         if args.command == "gen":
             cmd_gen(cfg, out)
         elif args.command == "train":
@@ -456,19 +463,13 @@ def main(argv: list[str] | None = None) -> int:
             cmd_experiment(cfg, out)
         elif args.command == "report":
             cmd_report(out, args.report, args.csv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FloatingPointError, ArithmeticError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

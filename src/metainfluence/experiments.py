@@ -99,12 +99,11 @@ def write_report(path, doc: dict) -> None:
 class SelfRankReport:
     rows: list[dict]
     summary: dict
-    sign_convention: float = HELPFUL_POSITIVE
 
     def to_dict(self) -> dict:
         return _report(
             "self_rank",
-            {"sign_convention": self.sign_convention, "num_train_tasks": len(self.rows)},
+            {"sign_convention": HELPFUL_POSITIVE, "num_train_tasks": len(self.rows)},
             {"per_test": self.rows, "summary": self.summary},
         )
 
@@ -357,7 +356,6 @@ class ExactVsGnReport:
     keep_grid: list[int]
     capacity_grid: list[int]
     cells: list[dict]
-    rows_max_adjacent_fraction: float
     config: dict = field(default_factory=dict)
 
     def mean_grid(self) -> np.ndarray:
@@ -368,6 +366,15 @@ class ExactVsGnReport:
             j = self.keep_grid.index(cell["keep"])
             grid[i, j] = np.nan if cell["mean_corr"] is None else cell["mean_corr"]
         return grid
+
+    @property
+    def rows_max_adjacent_fraction(self) -> float:
+        """Share of capacity rows whose best keep count sits within one grid step of the diagonal."""
+        adjacent = 0
+        for i, row in enumerate(self.mean_grid()):
+            if not np.all(np.isnan(row)) and abs(int(np.nanargmax(row)) - i) <= 1:
+                adjacent += 1
+        return adjacent / len(self.capacity_grid) if self.capacity_grid else 0.0
 
     def to_dict(self) -> dict:
         return _report(
@@ -389,16 +396,17 @@ def run_exact_vs_gn(
     train_tasks: list[Task],
     keep_grid: list[int],
     capacity_grid: list[int],
-    dense_cap: int = hessian_mod.DENSE_CAP_DEFAULT,
 ) -> ExactVsGnReport:
     """Correlate exact-curvature scores with factored approximation scores.
 
     The exact path prunes to each keep count; the approximate path rebuilds
     the factor buffer at each capacity. Training tasks double as test tasks.
     Each cell holds the mean and std over tests of the per-test Pearson
-    correlation between the two score vectors.
+    correlation between the two score vectors. Neither grid may repeat a value.
     """
-    exact = hessian_mod.exact_meta_hessian(mp, train_tasks, dense_cap=dense_cap)
+    if len(set(keep_grid)) < len(keep_grid) or len(set(capacity_grid)) < len(capacity_grid):
+        raise ValueError("keep_grid and capacity_grid must not repeat a value")
+    exact = hessian_mod.exact_meta_hessian(mp, train_tasks)
     exact_scores: dict[int, np.ndarray] = {}
     for k in sorted(set(keep_grid)):
         inv = hessian_mod.invert(exact, int(k))
@@ -411,9 +419,8 @@ def run_exact_vs_gn(
 
     n_tests = len(train_tasks)
     cells = []
-    means = np.full((len(capacity_grid), len(keep_grid)), np.nan)
-    for i, cap in enumerate(capacity_grid):
-        for j, k in enumerate(keep_grid):
+    for cap in capacity_grid:
+        for k in keep_grid:
             corrs = []
             undefined = 0
             for t in range(n_tests):
@@ -423,8 +430,6 @@ def run_exact_vs_gn(
                 else:
                     corrs.append(r)
             mean, std = _mean_std(corrs)
-            if mean is not None:
-                means[i, j] = mean
             cells.append(
                 {
                     "capacity": int(cap),
@@ -434,19 +439,9 @@ def run_exact_vs_gn(
                     "undefined": undefined,
                 }
             )
-    adjacent = 0
-    for i in range(len(capacity_grid)):
-        row = means[i]
-        if np.all(np.isnan(row)):
-            continue
-        j_star = int(np.nanargmax(row))
-        if abs(j_star - i) <= 1:
-            adjacent += 1
-    frac = adjacent / len(capacity_grid) if capacity_grid else 0.0
     return ExactVsGnReport(
         keep_grid=[int(k) for k in keep_grid],
         capacity_grid=[int(c) for c in capacity_grid],
         cells=cells,
-        rows_max_adjacent_fraction=float(frac),
         config={"num_tasks": len(train_tasks), "sign_convention": HELPFUL_POSITIVE},
     )

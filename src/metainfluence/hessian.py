@@ -24,10 +24,14 @@ import numpy as np
 
 from . import linalg, model
 from .linalg import FactorMatrix
-from .metalearn import MetaParams, Task, _meta_grad, meta_output_jacobian, read_exact, read_struct
+from .metalearn import MetaParams, Task, _meta_grad, meta_output_jacobian
+from .metalearn import code_name, read_exact, read_header, read_struct
 
 _HESSIAN_MAGIC = b"MIHS"
 _HESSIAN_VERSION = 1
+# a variant's or method's stored code is its position here
+_VARIANTS = ("dense", "factored")
+_METHODS = ("exact", "gauss_newton")
 
 DENSE_CAP_DEFAULT = 2000
 FD_STEP_SCALE = 1e-4
@@ -62,12 +66,6 @@ class HessianRep:
         if self.variant == "dense":
             return int(self.matrix.shape[0])
         return self.factor.rows
-
-    def dense_matrix(self) -> np.ndarray:
-        """The represented matrix, materialized."""
-        if self.variant == "dense":
-            return self.matrix
-        return self.factor.gram_sum()
 
     def eigen(self) -> linalg.EigenDecomposition:
         """Eigenpairs, descending: all q of a dense matrix, the nonzero ones of a factor."""
@@ -112,15 +110,12 @@ class SpectralInverse:
 
 
 def exact_meta_hessian(
-    mp: MetaParams,
-    taskset: list[Task],
-    dense_cap: int = DENSE_CAP_DEFAULT,
-    step_scale: float = FD_STEP_SCALE,
+    mp: MetaParams, taskset: list[Task], dense_cap: int = DENSE_CAP_DEFAULT
 ) -> HessianRep:
     """Task-mean curvature of the adapted query loss at the current omega.
 
     Column j is the central difference of the mean meta-gradient along
-    coordinate j with step ``step_scale * (1 + |omega_j|)``. The result is
+    coordinate j with step ``FD_STEP_SCALE * (1 + |omega_j|)``. The result is
     symmetrized after checking the raw asymmetry stays below FD_ASYM_TOL
     relative.
     """
@@ -135,7 +130,7 @@ def exact_meta_hessian(
     h_mat = np.empty((q, q))
     m = len(taskset)
     for j in range(q):
-        h = step_scale * (1.0 + abs(float(omega[j])))
+        h = FD_STEP_SCALE * (1.0 + abs(float(omega[j])))
         work[j] = omega[j] + h
         g_plus = _mean_meta_grad_checked(learner, work, taskset, j)
         work[j] = omega[j] - h
@@ -193,12 +188,7 @@ def gn_columns_for_task(mp: MetaParams, task: Task, num_tasks: int = 1) -> Facto
     return FactorMatrix(np.concatenate(blocks, axis=1))
 
 
-def accumulate_gn(
-    mp: MetaParams,
-    taskset: list[Task],
-    capacity: int,
-    drop_tol: float | None = None,
-) -> HessianRep:
+def accumulate_gn(mp: MetaParams, taskset: list[Task], capacity: int) -> HessianRep:
     """Stream per-task factor columns through a buffer of at most ``capacity`` columns.
 
     After every task, ``orthogonalize_keep_largest`` compresses the buffer
@@ -213,7 +203,7 @@ def accumulate_gn(
     m = len(taskset)
     for task in taskset:
         cols = gn_columns_for_task(mp, task, num_tasks=m)
-        buffer = linalg.orthogonalize_keep_largest(buffer.concat(cols), capacity, drop_tol)
+        buffer = linalg.orthogonalize_keep_largest(buffer.concat(cols), capacity)
     return HessianRep(
         variant="factored",
         factor=buffer,
@@ -290,8 +280,8 @@ def spectrum_summary(h: HessianRep) -> dict:
 
 def save_hessian(path, h: HessianRep) -> None:
     """Binary layout: magic, version, variant, method, q, columns, capacity, tasks, then f64 payload."""
-    variant_code = 0 if h.variant == "dense" else 1
-    method_code = 0 if h.method == "exact" else 1
+    variant_code = _VARIANTS.index(h.variant)
+    method_code = _METHODS.index(h.method)
     if h.variant == "dense":
         payload = np.ascontiguousarray(h.matrix, dtype="<f8")
         cols = h.dim
@@ -317,15 +307,11 @@ def save_hessian(path, h: HessianRep) -> None:
 
 def load_hessian(path) -> HessianRep:
     with open(path, "rb") as fh:
-        magic, version = read_struct(fh, "<4sI")
-        if magic != _HESSIAN_MAGIC:
-            raise ValueError(f"not a Hessian file: bad magic {magic!r}")
-        if version != _HESSIAN_VERSION:
-            raise ValueError(f"unsupported Hessian version {version}")
+        read_header(fh, _HESSIAN_MAGIC, _HESSIAN_VERSION, "a Hessian file")
         variant_code, method_code, _, q, cols, capacity, num_tasks = read_struct(fh, "<BBHQQQQ")
+        variant = code_name(fh, _VARIANTS, variant_code, "Hessian variant")
+        method = code_name(fh, _METHODS, method_code, "Hessian method")
         data = np.frombuffer(read_exact(fh, 8 * q * cols), dtype="<f8").astype(float)
-    variant = "dense" if variant_code == 0 else "factored"
-    method = "exact" if method_code == 0 else "gauss_newton"
     if variant == "dense":
         return HessianRep(
             variant="dense",

@@ -30,6 +30,7 @@ from .metalearn import (
     meta_grads,
     meta_train,
     read_exact,
+    read_header,
     read_struct,
 )
 from . import model
@@ -109,7 +110,6 @@ class ScoreTable:
     train_ids: list[str]
     scores: np.ndarray
     ranks: np.ndarray
-    sign_convention: float = HELPFUL_POSITIVE
 
     def rank_of(self, test_id: str, train_id: str) -> int:
         i = self.test_ids.index(test_id)
@@ -123,7 +123,7 @@ class ScoreTable:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(f"# sign_convention={self.sign_convention:g} (positive = helpful)\n")
+            fh.write(f"# sign_convention={HELPFUL_POSITIVE:g} (positive = helpful)\n")
             fh.write("test_id,train_id,score,rank\n")
             for i, tid in enumerate(self.test_ids):
                 for j, jid in enumerate(self.train_ids):
@@ -141,12 +141,7 @@ def rank_rows(scores: np.ndarray, train_ids: list[str]) -> np.ndarray:
     return ranks
 
 
-def score_pairs(
-    mp: MetaParams,
-    records: list[InfluenceRecord],
-    test_tasks: list[Task],
-    sign_convention: float = HELPFUL_POSITIVE,
-) -> np.ndarray:
+def score_pairs(mp: MetaParams, records: list[InfluenceRecord], test_tasks: list[Task]) -> np.ndarray:
     """Score matrix (tests x records) from stored records.
 
     Relies on the adaptation Jacobian being symmetric (MAML) or the identity
@@ -160,7 +155,7 @@ def score_pairs(
     scores = np.empty((len(test_tasks), len(records)))
     for c in range(0, len(test_tasks), STACK_CHUNK):
         chunk = test_tasks[c : c + STACK_CHUNK]
-        scores[c : c + len(chunk)] = sign_convention * (meta_grads(mp, chunk) @ stack)
+        scores[c : c + len(chunk)] = HELPFUL_POSITIVE * (meta_grads(mp, chunk) @ stack)
     return scores
 
 
@@ -169,21 +164,19 @@ def score_table(
     inv: SpectralInverse,
     train_tasks: list[Task],
     test_tasks: list[Task],
-    sign_convention: float = HELPFUL_POSITIVE,
     records: list[InfluenceRecord] | None = None,
 ) -> ScoreTable:
     """Full influence score table; records are computed when not supplied."""
     if records is None:
         records = influence_records(inv, mp, train_tasks)
     train_ids = [r.task_id for r in records]
-    scores = score_pairs(mp, records, test_tasks, sign_convention)
+    scores = score_pairs(mp, records, test_tasks)
     ranks = rank_rows(scores, train_ids)
     return ScoreTable(
         test_ids=[t.task_id for t in test_tasks],
         train_ids=train_ids,
         scores=scores,
         ranks=ranks,
-        sign_convention=sign_convention,
     )
 
 
@@ -227,11 +220,7 @@ def save_influence_records(path, records: list[InfluenceRecord]) -> None:
 
 def load_influence_records(path) -> list[InfluenceRecord]:
     with open(path, "rb") as fh:
-        magic, version = read_struct(fh, "<4sI")
-        if magic != _STORE_MAGIC:
-            raise ValueError(f"not an influence store: bad magic {magic!r}")
-        if version != _STORE_VERSION:
-            raise ValueError(f"unsupported influence store version {version}")
+        read_header(fh, _STORE_MAGIC, _STORE_VERSION, "an influence store")
         count, q = read_struct(fh, "<QQ")
         ids = []
         for _ in range(count):

@@ -18,11 +18,15 @@ import numpy as np
 POSITIVE_FLOOR = 1e-12
 # Inverting a retained eigenvalue below this relative magnitude is refused.
 INVERT_FLOOR = 1e-12
-# Default column drop tolerance, relative to the largest incoming column norm.
+# Column drop tolerance, relative to the largest incoming column norm.
 DROP_TOL_SCALE = 1e-9
 # Gram eigenvalues at or below this relative level are indistinguishable from
 # rounding noise of the Gram matrix itself and are always dropped.
 GRAM_EIG_FLOOR = 1e-13
+# psd_sqrt_small refuses an eigenvalue below -PSD_NEG_TOL and zeroes those
+# below PSD_ZERO_TOL.
+PSD_NEG_TOL = 1e-10
+PSD_ZERO_TOL = 1e-12
 # factor_eigen treats rotated factor columns with norm <= this scale times the
 # largest norm as zero.
 FACTOR_ZERO_SCALE = 1e-10
@@ -142,18 +146,18 @@ def retained_indices(eigenvalues: np.ndarray, keep: int | float | str) -> np.nda
     raise TypeError(f"unsupported keep specifier {keep!r}")
 
 
-def psd_sqrt_small(a: np.ndarray, neg_tol: float = 1e-10, zero_tol: float = 1e-12) -> np.ndarray:
+def psd_sqrt_small(a: np.ndarray) -> np.ndarray:
     """Symmetric factor C with C C^T = a for a small PSD matrix.
 
-    Eigendirections with eigenvalue below ``zero_tol`` produce zero columns;
-    an eigenvalue below ``-neg_tol`` raises NotPositiveSemidefiniteError.
+    Eigendirections with eigenvalue below PSD_ZERO_TOL produce zero columns;
+    an eigenvalue below -PSD_NEG_TOL raises NotPositiveSemidefiniteError.
     Intended for class-count-sized matrices such as diag(s) - s s^T.
     """
     a = symmetrize(a)
     w, q = np.linalg.eigh(a)
-    if w.size and float(w[0]) < -neg_tol:
-        raise NotPositiveSemidefiniteError(f"eigenvalue {float(w[0]):g} below -{neg_tol:g}")
-    w = np.where(w < zero_tol, 0.0, w)
+    if w.size and float(w[0]) < -PSD_NEG_TOL:
+        raise NotPositiveSemidefiniteError(f"eigenvalue {float(w[0]):g} below -{PSD_NEG_TOL:g}")
+    w = np.where(w < PSD_ZERO_TOL, 0.0, w)
     return q * np.sqrt(w)
 
 
@@ -191,19 +195,16 @@ class FactorMatrix:
         return FactorMatrix(np.concatenate([self.columns, other.columns], axis=1))
 
 
-def orthogonalize_keep_largest(
-    cols: FactorMatrix, capacity: int, drop_tol: float | None = None
-) -> FactorMatrix:
+def orthogonalize_keep_largest(cols: FactorMatrix, capacity: int) -> FactorMatrix:
     """Compress a factor to at most ``capacity`` mutually orthogonal columns.
 
     One eigendecomposition of the Gram matrix C^T C = O diag(w) O^T picks the
     retained directions: those with w > max(GRAM_EIG_FLOOR * max(w),
-    drop_tol**2), at most ``capacity`` of them, largest first. The result is
+    drop_tol**2), at most ``capacity`` of them, largest first, where drop_tol
+    is DROP_TOL_SCALE times the largest incoming column norm. The result is
     C O_keep: its columns are orthogonal to rounding, their squared norms are
     the retained w, and V V^T is C C^T with the dropped eigen-directions
     removed, the optimal truncation of C C^T to that rank.
-    ``drop_tol`` defaults to DROP_TOL_SCALE times the largest incoming column
-    norm.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
@@ -214,8 +215,7 @@ def orthogonalize_keep_largest(
     max_in_sq = float(np.diag(g).max())
     if max_in_sq == 0.0:
         return FactorMatrix.empty(c.shape[0])
-    if drop_tol is None:
-        drop_tol = DROP_TOL_SCALE * np.sqrt(max_in_sq)
+    drop_tol = DROP_TOL_SCALE * np.sqrt(max_in_sq)
     w, o = np.linalg.eigh(g)
     w, o = w[::-1], o[:, ::-1]
     floor = max(GRAM_EIG_FLOOR * float(w[0]), drop_tol * drop_tol)

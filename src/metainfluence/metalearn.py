@@ -65,6 +65,22 @@ def read_struct(fh, fmt: str) -> tuple:
     return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt)))
 
 
+def read_header(fh, magic: bytes, version: int, what: str) -> None:
+    """Read a binary artifact's magic and version and check both against ``what``'s."""
+    got_magic, got_version = read_struct(fh, "<4sI")
+    if got_magic != magic:
+        raise ValueError(f"{fh.name} is not {what}: bad magic {got_magic!r}")
+    if got_version != version:
+        raise ValueError(f"{fh.name}: unsupported version {got_version} of {what}")
+
+
+def code_name(fh, names: tuple[str, ...], code: int, what: str) -> str:
+    """The name a stored enum code stands for; an unknown code raises ValueError."""
+    if code >= len(names):
+        raise ValueError(f"{fh.name}: unknown {what} code {code}")
+    return names[code]
+
+
 @dataclass(frozen=True)
 class Learner:
     kind: str
@@ -252,19 +268,29 @@ def _stack(tasks: list[Task]) -> tuple[Batch, Batch]:
     )
 
 
-def meta_grads(mp: MetaParams, tasks: list[Task]) -> np.ndarray:
-    """Meta-gradients of many tasks, one row per task: (len(tasks), q).
+def _stacked_rows(learner: Learner, omega: np.ndarray, tasks: list[Task], with_loss: bool = False):
+    """Meta-gradients of many tasks, one row per task, and with ``with_loss`` their query losses.
 
     Tasks of one (support, query) shape and class count go through the
-    learner's stacked kernel STACK_CHUNK at a time.
+    learner's stacked kernel STACK_CHUNK at a time. Returns the (len(tasks), q)
+    rows, or (losses, rows) with ``with_loss``.
     """
-    kernel = _KERNELS[mp.learner.kind]
-    out = np.empty((len(tasks), mp.q))
+    kernel = _KERNELS[learner.kind]
+    losses, grads = np.empty(len(tasks)), np.empty((len(tasks), learner.spec.num_params))
     for group in _shape_groups(tasks):
         for c in range(0, len(group), STACK_CHUNK):
             rows = group[c : c + STACK_CHUNK]
-            out[rows] = kernel(mp.learner, mp.omega, *_stack([tasks[i] for i in rows]))
-    return out
+            out = kernel(learner, omega, *_stack([tasks[i] for i in rows]), with_loss=with_loss)
+            if with_loss:
+                losses[rows], grads[rows] = out
+            else:
+                grads[rows] = out
+    return (losses, grads) if with_loss else grads
+
+
+def meta_grads(mp: MetaParams, tasks: list[Task]) -> np.ndarray:
+    """Meta-gradients of many tasks, one row per task: (len(tasks), q)."""
+    return _stacked_rows(mp.learner, mp.omega, tasks)
 
 
 def meta_output_jacobian(mp: MetaParams, task: Task) -> tuple[np.ndarray, np.ndarray]:
@@ -351,11 +377,10 @@ def meta_train(
     m = np.zeros_like(omega)
     v = np.zeros_like(omega)
     log = TrainLog()
-    sampled = _sampled_losses_and_grads(learner, taskset)
 
     for step in range(1, cfg.steps + 1):
         idx = rng.integers(0, m_tasks, size=cfg.meta_batch)
-        losses, grads = sampled(omega, idx)
+        losses, grads = _stacked_rows(learner, omega, [taskset[i] for i in idx], with_loss=True)
         g = (weights[idx] @ grads) / cfg.meta_batch
         batch_loss = float(weights[idx] @ losses) / cfg.meta_batch
         if cfg.weight_decay:
@@ -378,41 +403,6 @@ def meta_train(
     log.final_loss = float(np.mean([model.cross_entropy(z, y) for z, y in scored]))
     log.final_accuracy = float(np.mean([_accuracy(z, y) for z, y in scored]))
     return mp, log
-
-
-def _sampled_losses_and_grads(learner: Learner, taskset: list[Task]):
-    """A function (omega, idx) -> (query losses, meta-gradients) of the tasks at positions idx.
-
-    The taskset is stacked once per shape group, and each call runs the
-    learner's kernel on the rows that idx selects, STACK_CHUNK at a time.
-    """
-    kernel = _KERNELS[learner.kind]
-    q = learner.spec.num_params
-    groups = _shape_groups(taskset)
-    stacks = [_stack([taskset[i] for i in group]) for group in groups]
-    group_of = np.empty(len(taskset), dtype=np.int64)
-    local_of = np.empty(len(taskset), dtype=np.int64)
-    for k, group in enumerate(groups):
-        group_of[group] = k
-        local_of[group] = np.arange(len(group))
-
-    def stacked(omega, idx):
-        losses, grads = np.empty(len(idx)), np.empty((len(idx), q))
-        for k, (support, query) in enumerate(stacks):
-            rows = np.flatnonzero(group_of[idx] == k)
-            for c in range(0, rows.size, STACK_CHUNK):
-                r = rows[c : c + STACK_CHUNK]
-                sel = local_of[idx[r]]
-                losses[r], grads[r] = kernel(
-                    learner,
-                    omega,
-                    Batch(support.x[sel], support.y[sel]),
-                    Batch(query.x[sel], query.y[sel]),
-                    with_loss=True,
-                )
-        return losses, grads
-
-    return stacked
 
 
 def total_meta_gradient_norm(mp: MetaParams, taskset: list[Task]) -> float:
@@ -440,12 +430,9 @@ def save_params(path, mp: MetaParams) -> None:
 
 def load_params(path) -> MetaParams:
     with open(path, "rb") as fh:
-        magic, version = read_struct(fh, "<4sI")
-        if magic != _PARAMS_MAGIC:
-            raise ValueError(f"not a MetaParams file: bad magic {magic!r}")
-        if version != _PARAMS_VERSION:
-            raise ValueError(f"unsupported MetaParams version {version}")
+        read_header(fh, _PARAMS_MAGIC, _PARAMS_VERSION, "a MetaParams file")
         kind_code, inner_lr = read_struct(fh, "<Bd")
+        kind = code_name(fh, LEARNER_KINDS, kind_code, "learner kind")
         (alen,) = read_struct(fh, "<I")
         acts = tuple(read_exact(fh, alen).decode().split(",")) if alen else ()
         (nw,) = read_struct(fh, "<I")
@@ -453,5 +440,5 @@ def load_params(path) -> MetaParams:
         (q,) = read_struct(fh, "<Q")
         omega = np.frombuffer(read_exact(fh, 8 * q), dtype="<f8").astype(float)
     spec = MlpSpec(widths, acts if acts else "tanh")
-    learner = Learner(LEARNER_KINDS[kind_code], spec, inner_lr)
+    learner = Learner(kind, spec, inner_lr)
     return MetaParams(omega, learner)

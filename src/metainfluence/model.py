@@ -390,8 +390,3 @@ def output_jacobian(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     acts = [a[:, None, None, :] for a in acts]
     dacts = [da[:, None, None, :] for da in dacts]
     return _backward(spec, acts, dacts, layers, unit)
-
-
-def accuracy(spec: MlpSpec, w: np.ndarray, batch: Batch) -> float:
-    logits = forward(spec, w, batch.x)
-    return float(np.mean(logits.argmax(axis=1) == batch.y))

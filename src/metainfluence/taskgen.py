@@ -202,35 +202,54 @@ def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = No
         fh.write("\n")
 
 
-def _load_batch(entry: dict, part: str) -> Batch:
-    batch = Batch(np.array(entry[part]["x"]), np.array(entry[part]["y"]))
-    if not np.all(np.isfinite(batch.x)):
-        raise ValueError(f"task {entry['id']!r} has a non-finite feature in its {part} batch")
+def _load_batch(part: dict) -> Batch:
+    batch = Batch(np.array(part["x"], dtype=float), np.array(part["y"]))
+    if batch.stacked:
+        raise ValueError(f"inputs must be (n, d), got shape {batch.x.shape}")
     return batch
 
 
 def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
     """Read a taskset file; accepts externally produced files in the same schema.
 
-    Raises ValueError naming the task and batch when a feature is not finite.
+    A document that breaks the schema, or a feature that is not finite,
+    raises ValueError naming the file and, where it is known, the task.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a taskset: the document is not a JSON object")
     version = doc.get("version")
     if version != TASKSET_FORMAT_VERSION:
-        raise ValueError(f"unsupported taskset version {version!r}")
+        raise ValueError(f"{path}: unsupported taskset version {version!r}")
+    entries = doc.get("tasks")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'tasks' is not a list")
     tasks = []
-    for entry in doc["tasks"]:
-        tasks.append(
-            Task(
+    for entry in entries:
+        tid = entry.get("id") if isinstance(entry, dict) else None
+        try:
+            if not isinstance(entry["id"], str):
+                raise TypeError("its id is not a string")
+            task = Task(
                 task_id=entry["id"],
-                support=_load_batch(entry, "support"),
-                query=_load_batch(entry, "query"),
+                support=_load_batch(entry["support"]),
+                query=_load_batch(entry["query"]),
                 group_id=entry.get("group_id"),
                 provenance=entry.get("provenance", "regular"),
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"{path}: task {tid!r} has no field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: task {tid!r} is malformed: {exc}") from exc
+        for part in ("support", "query"):
+            if not np.all(np.isfinite(getattr(task, part).x)):
+                raise ValueError(f"{path}: task {tid!r} has a non-finite feature in its {part} batch")
+        tasks.append(task)
     spec = None
     if doc.get("spec"):
-        spec = TaskDistributionSpec(**doc["spec"])
+        try:
+            spec = TaskDistributionSpec(**doc["spec"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad taskset spec: {exc}") from exc
     return tasks, spec

@@ -105,6 +105,12 @@ def test_gen_counts_and_schema(tmp_path, capsys):
     assert provenances == {"regular", "noise"}
 
 
+def test_gen_noise_section_may_name_its_kind(tmp_path):
+    noise = dict(BASE_CONFIG["tasksets"]["noise"], kind="noise")
+    cfg = write_config(tmp_path, {"tasksets": {"noise": noise}})
+    assert run(["--config", cfg, "--out", tmp_path / "out", "gen"]) == cli.EXIT_OK
+
+
 def test_gen_zero_count_writes_empty_taskset(tmp_path):
     cfg = write_config(tmp_path, {"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], count=0)}})
     # drop noise/test to keep it minimal
@@ -303,3 +309,89 @@ def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
     capsys.readouterr()
     assert run(["--config", cfg5, "--out", crossed, "experiment"]) == cli.EXIT_USAGE
     assert "built on 8 tasks, but the training taskset has 5" in capsys.readouterr().err
+
+
+def assert_clean_exit(args, capsys, code, *needles):
+    """cli.main returns ``code`` with one ``error:`` line that contains every needle."""
+    capsys.readouterr()
+    assert run(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert str(needle) in err
+
+
+@pytest.mark.parametrize(
+    "overrides, stage",
+    [
+        ({"hessian": {"keep": None}}, "influence"),
+        ({"hessian": {"keep": [3]}}, "influence"),
+        ({"hessian": {"keep": {}}}, "influence"),
+        ({"hessian": {"method": "gn", "capacity": None}}, "hessian"),
+        ({"train": {"steps": None}}, "train"),
+        ({"experiments": {"run": ["degradation"], "degradation": {"alphas": ["a"]}}}, "experiment"),
+    ],
+    ids=["keep-null", "keep-list", "keep-object", "capacity-null", "steps-null", "alphas-string"],
+)
+def test_config_type_error_is_usage_error(trained, tmp_path, capsys, overrides, stage):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    cfg = write_config(tmp_path, overrides)
+    assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE)
+
+
+@pytest.mark.parametrize(
+    "doc", [None, 5, dict(BASE_CONFIG, hessian=[]), dict(BASE_CONFIG, experiments=None)],
+    ids=["null", "number", "hessian-list", "experiments-null"],
+)
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert_clean_exit(["--config", path, "--out", tmp_path / "out", "gen"], capsys, cli.EXIT_USAGE)
+
+
+@pytest.mark.parametrize(
+    "artifact, offset, code, stage, what",
+    [
+        ("params.bin", 8, 7, "hessian", "learner kind code 7"),
+        ("hessian.bin", 8, 2, "influence", "Hessian variant code 2"),
+        ("hessian.bin", 9, 5, "influence", "Hessian method code 5"),
+    ],
+)
+def test_unknown_binary_code_is_usage_error(
+    trained, tmp_path, capsys, artifact, offset, code, stage, what
+):
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    data = bytearray((out / artifact).read_bytes())
+    data[offset] = code
+    (out / artifact).write_bytes(bytes(data))
+    args = ["--config", cfg, "--out", out, stage]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, out / artifact, what)
+
+
+def _drop_query(doc):
+    del doc["tasks"][1]["query"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "corrupt, needle",
+    [
+        (_drop_query, "has no field 'query'"),
+        (lambda doc: doc["tasks"], "is not a taskset"),
+        (lambda doc: dict(doc, spec=dict(doc["spec"], colour="red")), "bad taskset spec"),
+    ],
+    ids=["task-without-query", "top-level-array", "unknown-spec-field"],
+)
+def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt, needle):
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    path = out / "train_tasks.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(corrupt(doc)))
+    needles = [path, needle] + ([repr(doc["tasks"][1]["id"])] if "field" in needle else [])
+    assert_clean_exit(["--config", cfg, "--out", out, "hessian"], capsys, cli.EXIT_USAGE, *needles)

@@ -193,6 +193,8 @@ def test_exact_vs_gn_report_grid(rng):
     doc = report.to_dict()
     assert doc["kind"] == "exact_vs_gn"
     assert 0.0 <= report.rows_max_adjacent_fraction <= 1.0
+    with pytest.raises(ValueError, match="must not repeat"):
+        exp.run_exact_vs_gn(mp, tasks, keep_grid=[4, 4], capacity_grid=[4, 8])
 
 
 def test_reports_are_json_serializable(rng):

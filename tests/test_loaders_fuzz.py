@@ -1,0 +1,83 @@
+"""Corrupt artifacts against the four loaders.
+
+A truncated or byte-flipped ``params.bin``, ``hessian.bin``, ``influence.bin``
+or taskset JSON must either load or raise ValueError or OSError, the two
+failures the CLI maps to exit 1 and exit 3. Examples are derandomized and
+bounded, so every run draws the same corruptions.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from metainfluence import hessian, influence, linalg, metalearn, taskgen
+from metainfluence.model import MlpSpec
+
+FUZZ = settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+LOADERS = {
+    "params": metalearn.load_params,
+    "hessian-dense": hessian.load_hessian,
+    "hessian-factored": hessian.load_hessian,
+    "influence": influence.load_influence_records,
+    "taskset": taskgen.load_taskset,
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Valid bytes of each artifact kind, from a tiny model and taskset."""
+    root = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(0)
+    spec = MlpSpec((3, 4, 2), "tanh")
+    mp = metalearn.MetaParams(spec.init_weights(rng), metalearn.Learner("maml", spec, 0.05))
+    dist = taskgen.TaskDistributionSpec("clustered", 3, 2, 2, 1, seed=1)
+    tasks = taskgen.sample_taskset(dist, 2)
+    dense = linalg.symmetrize(rng.normal(size=(mp.q, mp.q)))
+    factor = linalg.FactorMatrix(rng.normal(size=(mp.q, 3)))
+    metalearn.save_params(root / "params", mp)
+    hessian.save_hessian(root / "hessian-dense", hessian.HessianRep("dense", matrix=dense, num_tasks=2))
+    factored = hessian.HessianRep("factored", factor=factor, num_tasks=2, method="gauss_newton")
+    hessian.save_hessian(root / "hessian-factored", factored)
+    records = [influence.InfluenceRecord(t.task_id, rng.normal(size=mp.q), "g") for t in tasks]
+    influence.save_influence_records(root / "influence", records)
+    taskgen.save_taskset(root / "taskset", tasks, dist)
+    for kind, load in LOADERS.items():
+        load(root / kind)  # the uncorrupted file loads
+    return {kind: (root / kind).read_bytes() for kind in LOADERS}
+
+
+def corruptions():
+    """("cut", n, _) keeps the first n bytes; ("flip", i, mask) xors byte i with mask.
+
+    Half the flips land in the first 24 bytes, where the binary headers and the
+    first keys of the taskset JSON are.
+    """
+    position = st.one_of(st.integers(0, 23), st.integers(0, 1 << 20))
+    cut = st.tuples(st.just("cut"), st.integers(0, 1 << 20), st.just(0))
+    flip = st.tuples(st.just("flip"), position, st.integers(1, 255))
+    return st.one_of(cut, flip)
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@FUZZ
+@given(corruption=corruptions())
+def test_corrupt_file_loads_or_raises_value_or_os_error(artifacts, tmp_path, kind, corruption):
+    data = bytearray(artifacts[kind])
+    how, at, mask = corruption
+    if how == "cut":
+        data = data[: at % len(data)]
+    else:
+        data[at % len(data)] ^= mask
+    path = tmp_path / kind
+    path.write_bytes(bytes(data))
+    try:
+        LOADERS[kind](path)
+    except (ValueError, OSError):
+        pass
