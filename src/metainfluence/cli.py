@@ -364,6 +364,8 @@ def cmd_report(out: Path, report_path: str | None, csv: bool) -> None:
     path = _require(Path(report_path or out / "report.json"))
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("results", {}), dict):
+        raise ValueError(f"{path} is not a report: it is not an object with an object under 'results'")
     results = doc.get("results", {})
     print(f"report kind: {doc.get('kind')}  schema v{doc.get('schema_version')}")
     for name, rep in results.items():
@@ -389,18 +391,20 @@ def cmd_report(out: Path, report_path: str | None, csv: bool) -> None:
                     f"score_corr {sweep['score_corr_mean']} +- {sweep['score_corr_std']}"
                 )
     if csv:
-        _flatten_report_csv(doc, path.parent)
+        _flatten_report_csv(results, path)
         print(f"wrote CSV tables next to {path}")
 
 
-def _flatten_report_csv(doc: dict, out: Path) -> None:
-    for name, rep in doc.get("results", {}).items():
+def _flatten_report_csv(results: dict, path: Path) -> None:
+    for name, rep in results.items():
         res = rep.get("results", {}) if isinstance(rep, dict) else {}
         rows = res.get("per_test") or res.get("cells")
         if not rows:
             continue
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ValueError(f"{path} is not a report: the rows of {name!r} are not JSON objects")
         keys = sorted({k for row in rows for k in row})
-        target = out / f"report_{name}.csv"
+        target = path.parent / f"report_{name}.csv"
         with open(target, "w", newline="") as fh:
             fh.write(",".join(keys) + "\n")
             for row in rows:

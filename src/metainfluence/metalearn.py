@@ -22,6 +22,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,8 +109,9 @@ class Task:
         if self.support.x.shape[1] != self.query.x.shape[1]:
             raise ValueError("support and query feature dims differ")
 
-    @property
+    @cached_property
     def n_ways(self) -> int:
+        """Class count, read once per task; ``dataclasses.replace`` builds a fresh cache."""
         return int(max(self.support.y.max(), self.query.y.max())) + 1
 
 

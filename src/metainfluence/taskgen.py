@@ -183,6 +183,14 @@ def mix_tasksets(regular: list[Task], noise: list[Task], seed: int) -> list[Task
 
 
 def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = None) -> None:
+    """Write tasks as one compact JSON line with sorted keys.
+
+    Floats keep their shortest round-trip repr, so ``load_taskset`` returns
+    bitwise-equal tasks. A feature that is not finite raises ValueError, as
+    it does on load.
+    """
+    for t in tasks:
+        _check_finite(path, t)
     doc = {
         "version": TASKSET_FORMAT_VERSION,
         "spec": asdict(spec) if spec is not None else None,
@@ -197,9 +205,19 @@ def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = No
             for t in tasks
         ],
     }
+    # json.dumps without indent runs the C encoder; json.dump never does.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write(text)
         fh.write("\n")
+
+
+def _check_finite(path, task: Task) -> None:
+    for part in ("support", "query"):
+        if not np.all(np.isfinite(getattr(task, part).x)):
+            raise ValueError(
+                f"{path}: task {task.task_id!r} has a non-finite feature in its {part} batch"
+            )
 
 
 def _load_batch(part: dict) -> Batch:
@@ -242,9 +260,7 @@ def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
             raise ValueError(f"{path}: task {tid!r} has no field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: task {tid!r} is malformed: {exc}") from exc
-        for part in ("support", "query"):
-            if not np.all(np.isfinite(getattr(task, part).x)):
-                raise ValueError(f"{path}: task {tid!r} has a non-finite feature in its {part} batch")
+        _check_finite(path, task)
         tasks.append(task)
     spec = None
     if doc.get("spec"):

@@ -395,3 +395,43 @@ def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt,
     path.write_text(json.dumps(corrupt(doc)))
     needles = [path, needle] + ([repr(doc["tasks"][1]["id"])] if "field" in needle else [])
     assert_clean_exit(["--config", cfg, "--out", out, "hessian"], capsys, cli.EXIT_USAGE, *needles)
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ([], []),
+        ({"results": []}, []),
+        ({"results": {"self_rank": {"results": {"per_test": [1, 2]}}}}, ["--csv"]),
+    ],
+    ids=["top-level-array", "results-array", "csv-rows-not-objects"],
+)
+def test_malformed_report_is_usage_error(tmp_path, capsys, doc, flags):
+    cfg = write_config(tmp_path)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    args = ["--config", cfg, "--out", tmp_path, "report", "--report", path, *flags]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, path, "is not a report")
+
+
+@pytest.mark.parametrize(
+    "stage, loads", [("train", 1), ("hessian", 1), ("influence", 2), ("experiment", 2)]
+)
+def test_each_stage_parses_each_taskset_once(trained, tmp_path, monkeypatch, stage, loads):
+    from metainfluence import taskgen
+
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    assert "distribution_distinction" in BASE_CONFIG["experiments"]["run"]
+    paths = []
+    real_load = taskgen.load_taskset
+
+    def counting_load(path):
+        paths.append(Path(path))
+        return real_load(path)
+
+    monkeypatch.setattr(taskgen, "load_taskset", counting_load)
+    assert run(["--config", cfg, "--out", out, stage]) == cli.EXIT_OK
+    assert len(paths) == loads
+    assert len(set(paths)) == loads

@@ -1,10 +1,13 @@
 """Corrupt artifacts against the four loaders.
 
 A truncated or byte-flipped ``params.bin``, ``hessian.bin``, ``influence.bin``
-or taskset JSON must either load or raise ValueError or OSError, the two
+or taskset JSON, in the compact layout ``save_taskset`` writes or in an
+indented one, must either load or raise ValueError or OSError, the two
 failures the CLI maps to exit 1 and exit 3. Examples are derandomized and
 bounded, so every run draws the same corruptions.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ LOADERS = {
     "hessian-factored": hessian.load_hessian,
     "influence": influence.load_influence_records,
     "taskset": taskgen.load_taskset,
+    "taskset-indented": taskgen.load_taskset,
 }
 
 
@@ -48,6 +52,8 @@ def artifacts(tmp_path_factory):
     records = [influence.InfluenceRecord(t.task_id, rng.normal(size=mp.q), "g") for t in tasks]
     influence.save_influence_records(root / "influence", records)
     taskgen.save_taskset(root / "taskset", tasks, dist)
+    doc = json.loads((root / "taskset").read_text())
+    (root / "taskset-indented").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     for kind, load in LOADERS.items():
         load(root / kind)  # the uncorrupted file loads
     return {kind: (root / kind).read_bytes() for kind in LOADERS}

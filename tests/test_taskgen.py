@@ -1,9 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from metainfluence import metalearn, taskgen
-from metainfluence.metalearn import Learner, MetaParams, meta_accuracy
-from metainfluence.model import MlpSpec
+from metainfluence.metalearn import Learner, MetaParams, Task, meta_accuracy
+from metainfluence.model import Batch, MlpSpec
 from metainfluence.taskgen import (
     DegradeParams,
     TaskDistributionSpec,
@@ -132,23 +135,75 @@ def test_mix_tasksets_preserves_partition():
     assert [t.task_id for t in again] == [t.task_id for t in mixed]
 
 
+def special_float_task():
+    x = np.array([[-0.0, 5e-324], [1e308, 0.1]])
+    return Task("special", Batch(x, np.array([0, 1])), Batch(-x, np.array([1, 0])))
+
+
+def assert_bitwise_equal_tasks(got, want):
+    fields = [(t.task_id, t.group_id, t.provenance) for t in want]
+    assert [(t.task_id, t.group_id, t.provenance) for t in got] == fields
+    for g, w in zip(got, want):
+        for part in ("support", "query"):
+            gb, wb = getattr(g, part), getattr(w, part)
+            assert gb.x.shape == wb.x.shape and gb.x.tobytes() == wb.x.tobytes()
+            np.testing.assert_array_equal(gb.y, wb.y)
+
+
 def test_taskset_roundtrip(tmp_path):
     spec = clustered_spec(seed=10)
     tasks = sample_taskset(spec, 3)
-    tasks = augment_group(tasks[0], 2, 0.5, seed=1) + tasks[1:]
+    tasks = augment_group(tasks[0], 2, 0.5, seed=1) + tasks[1:] + [special_float_task()]
     path = tmp_path / "tasks.json"
     save_taskset(path, tasks, spec)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
     loaded, loaded_spec = load_taskset(path)
     assert loaded_spec == spec
-    assert [t.task_id for t in loaded] == [t.task_id for t in tasks]
-    assert [t.group_id for t in loaded] == [t.group_id for t in tasks]
-    assert [t.provenance for t in loaded] == [t.provenance for t in tasks]
-    for got, want in zip(loaded, tasks):
-        np.testing.assert_array_equal(got.support.x, want.support.x)
-        np.testing.assert_array_equal(got.query.y, want.query.y)
+    assert_bitwise_equal_tasks(loaded, tasks)
     # determinism: identical bytes on re-save
     save_taskset(tmp_path / "tasks2.json", loaded, loaded_spec)
     assert (tmp_path / "tasks.json").read_bytes() == (tmp_path / "tasks2.json").read_bytes()
+
+
+def test_taskset_in_indented_layout_loads(tmp_path):
+    spec = clustered_spec(seed=14)
+    tasks = sample_taskset(spec, 2) + [special_float_task()]
+    save_taskset(tmp_path / "compact.json", tasks, spec)
+    doc = json.loads((tmp_path / "compact.json").read_text())
+    with open(tmp_path / "indented.json", "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    loaded, loaded_spec = load_taskset(tmp_path / "indented.json")
+    assert loaded_spec == spec
+    assert_bitwise_equal_tasks(loaded, tasks)
+
+
+@pytest.mark.parametrize("part", ["support", "query"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_refuses_nonfinite_feature(tmp_path, part, bad):
+    task = sample_taskset(clustered_spec(seed=15), 1)[0]
+    x = getattr(task, part).x.copy()
+    x[1, 0] = bad
+    task = replace(task, **{part: Batch(x, getattr(task, part).y)})
+    path = tmp_path / "tasks.json"
+    needle = f"task 'clustered-0000' has a non-finite feature in its {part} batch"
+    with pytest.raises(ValueError, match=needle):
+        save_taskset(path, [task])
+    assert not path.exists()
+
+
+def test_replaced_tasks_count_their_own_classes():
+    task = sample_taskset(clustered_spec(seed=12), 1)[0]
+    assert task.n_ways == 3
+    derived = [degrade_task(task, DegradeParams(0.5, 0.5), seed=1)] + augment_group(task, 3, 0.5, seed=2)
+    assert [variant.n_ways for variant in derived] == [3] * 4
+    two_way = replace(
+        task,
+        support=Batch(task.support.x, task.support.y % 2),
+        query=Batch(task.query.x, task.query.y % 2),
+    )
+    assert two_way.n_ways == 2 and task.n_ways == 3
 
 
 def test_loader_rejects_unknown_version(tmp_path):
