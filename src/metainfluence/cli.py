@@ -26,20 +26,22 @@ class ConfigError(ValueError):
     pass
 
 
-def _section(parent: dict, key: str) -> dict:
-    """The object under ``key`` (empty when absent); any other JSON value is a ConfigError."""
-    value = parent.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config entry {key!r} must be an object, not {type(value).__name__}")
+def _verbatim(value):
     return value
 
 
-def _setting(section: dict, key: str, default, convert):
-    """``convert`` of the value under ``key``, or of ``default``; a rejected value is a ConfigError."""
-    try:
-        return convert(section.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value {key!r}: {exc}") from exc
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {type(value).__name__}")
+    return value
+
+
+def _activation(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
 
 
 def _floats(values) -> list[float]:
@@ -50,8 +52,90 @@ def _ints(values) -> list[int]:
     return [int(v) for v in values]
 
 
+def _names(values) -> list:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of experiment names, not {type(values).__name__}")
+    return values
+
+
+def _keep(keep):
+    if isinstance(keep, str) and keep not in ("positive", "all"):
+        raise ValueError(f"unknown keep rule {keep!r}")
+    if isinstance(keep, bool) or not isinstance(keep, (str, int, float)):
+        raise TypeError(f"keep must be a count, threshold, or rule name, not {keep!r}")
+    return keep
+
+
+_TASKSET_KEYS = {
+    "kind": _verbatim, "count": int, "feature_dim": int, "n_ways": int, "k_support": int, "k_query": int,
+    "class_center_scale": float, "within_class_noise": float, "seed": int,
+    "center_pool_size": _optional_int, "pool_seed": int,
+}
+
+# Every key a config may set, with the converter its value goes through; a
+# nested table is a subsection. A key the config leaves out stays out, so the
+# dataclass or function it configures applies its own default.
+CONFIG_KEYS = {
+    "model": {"layer_widths": tuple, "activation": _activation},
+    "learner": {"kind": _verbatim, "inner_lr": float},
+    "tasksets": {
+        "train": _TASKSET_KEYS,
+        "noise": _TASKSET_KEYS,
+        "test": _TASKSET_KEYS,
+        "augment": {"count": int, "transform_scale": float, "seed": int},
+        "mix_seed": int,
+    },
+    "train": {
+        "steps": int, "meta_batch": int, "lr": float, "weight_decay": float, "seed": int, "init_seed": int,
+    },
+    "hessian": {"method": _verbatim, "dense_cap": int, "capacity": int, "keep": _keep},
+    "experiments": {
+        "run": _names,
+        "degradation": {"alphas": _floats, "ratios": _floats, "seed": int},
+        "exact_vs_gn": {"keep_grid": _ints, "capacity_grid": _ints},
+    },
+    "output_dir": _text,
+}
+REQUIRED_SECTIONS = ("model", "learner", "tasksets", "train", "hessian")
+
+
+def _read(doc, table: dict, where: str = "") -> dict:
+    """The keys ``doc`` sets, each through its converter in ``table``.
+
+    An unknown key, a section that is not an object and a value its
+    converter rejects are ConfigErrors that name the key.
+    """
+    section = f"config section {where!r}" if where else "the config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a JSON object, not {type(doc).__name__}")
+    values = {}
+    for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
+        if key not in table:
+            raise ConfigError(f"unknown config key {name!r}; {section} accepts {', '.join(table)}")
+        convert = table[key]
+        if isinstance(convert, dict):
+            values[key] = _read(value, convert, name)
+            continue
+        try:
+            values[key] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value {name!r}: {exc}") from exc
+    return values
+
+
+def _build(section: str, make, **values):
+    """``make(**values)``; a missing or rejected value is a ConfigError naming ``section``."""
+    try:
+        return make(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config section {section!r}: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
+    """A config read through CONFIG_KEYS; each section holds the keys it sets."""
+
     model: dict
     learner: dict
     tasksets: dict
@@ -59,22 +143,16 @@ class RunConfig:
     hessian: dict
     experiments: dict = field(default_factory=dict)
     output_dir: str = "out"
+    # The experiments section as written, which reports echo byte for byte.
+    echo: dict = field(default_factory=dict)
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
-        sections = ("model", "learner", "tasksets", "train", "hessian", "experiments")
-        for key in sections[:-1]:
-            if key not in doc:
+        values = _read(doc, CONFIG_KEYS)
+        for key in REQUIRED_SECTIONS:
+            if key not in values:
                 raise ConfigError(f"config is missing required section {key!r}")
-        unknown = set(doc) - {*sections, "output_dir"}
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        output_dir = doc.get("output_dir", "out")
-        if not isinstance(output_dir, str):
-            raise ConfigError("output_dir must be a string")
-        return RunConfig(**{key: _section(doc, key) for key in sections}, output_dir=output_dir)
+        return RunConfig(**values, echo=doc.get("experiments", {}))
 
 
 def load_config(path: str) -> RunConfig:
@@ -88,68 +166,20 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
-def _spec_from_config(cfg: RunConfig):
+def _learner(cfg: RunConfig):
+    from .metalearn import Learner
     from .model import MlpSpec
 
-    mdl = cfg.model
-    try:
-        acts = mdl.get("activation", "tanh")
-        return MlpSpec(tuple(mdl["layer_widths"]), tuple(acts) if isinstance(acts, list) else acts)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
+    return _build("learner", Learner, spec=_build("model", MlpSpec, **cfg.model), **cfg.learner)
 
 
-def _learner_from_config(cfg: RunConfig):
-    from .metalearn import Learner
-
-    try:
-        return Learner(
-            kind=cfg.learner["kind"],
-            spec=_spec_from_config(cfg),
-            inner_lr=float(cfg.learner.get("inner_lr", 0.01)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad learner section: {exc}") from exc
-
-
-def _taskset_spec(section: dict, default_kind: str):
+def _taskset_spec(section: str, values: dict):
     from .taskgen import TaskDistributionSpec
 
-    pool = section.get("center_pool_size")
-    try:
-        return TaskDistributionSpec(
-            kind=section.get("kind", default_kind),
-            feature_dim=int(section["feature_dim"]),
-            n_ways=int(section["n_ways"]),
-            k_support=int(section["k_support"]),
-            k_query=int(section["k_query"]),
-            class_center_scale=float(section.get("class_center_scale", 1.0)),
-            within_class_noise=float(section.get("within_class_noise", 0.3)),
-            seed=int(section["seed"]),
-            center_pool_size=int(pool) if pool is not None else None,
-            pool_seed=int(section.get("pool_seed", 0)),
-        ), int(section["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad taskset section: {exc}") from exc
-
-
-def _train_config(cfg: RunConfig):
-    from .metalearn import MetaTrainConfig
-
-    t = cfg.train
-    try:
-        return MetaTrainConfig(
-            steps=int(t["steps"]),
-            meta_batch=int(t.get("meta_batch", 32)),
-            lr=float(t.get("lr", 1e-3)),
-            beta1=float(t.get("beta1", 0.9)),
-            beta2=float(t.get("beta2", 0.999)),
-            eps=float(t.get("eps", 1e-8)),
-            weight_decay=float(t.get("weight_decay", 0.0)),
-            seed=int(t.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
+    if "count" not in values:
+        raise ConfigError(f"config section {section!r} is missing required key 'count'")
+    spec = {key: value for key, value in values.items() if key != "count"}
+    return _build(section, TaskDistributionSpec, **spec), values["count"]
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
@@ -170,41 +200,38 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     sections = cfg.tasksets
     if "train" not in sections:
         raise ConfigError("tasksets section needs a 'train' entry")
-    train = _section(sections, "train")
-    spec, count = _taskset_spec(train, "clustered")
+    train = {"kind": "clustered", **sections["train"]}
+    spec, count = _taskset_spec("tasksets.train", train)
     tasks = taskgen.sample_taskset(spec, count, id_prefix="train")
     if "noise" in sections:
-        nspec, ncount = _taskset_spec({**train, **_section(sections, "noise"), "kind": "noise"}, "noise")
+        nspec, ncount = _taskset_spec("tasksets.noise", {**train, **sections["noise"], "kind": "noise"})
         noise = taskgen.sample_taskset(nspec, ncount, id_prefix="noise")
-        tasks = taskgen.mix_tasksets(tasks, noise, _setting(sections, "mix_seed", 0, int))
+        tasks = taskgen.mix_tasksets(tasks, noise, sections.get("mix_seed", 0))
     if "augment" in sections:
-        aug = _section(sections, "augment")
-        count_aug = _setting(aug, "count", 1, int)
-        scale = _setting(aug, "transform_scale", 1.0, float)
-        seed = _setting(aug, "seed", 0, int)
-        tasks = [v for t in tasks for v in taskgen.augment_group(t, count_aug, scale, seed)]
+        aug = {"count": 1, "transform_scale": 1.0, "seed": 0, **sections["augment"]}
+        tasks = [v for t in tasks for v in taskgen.augment_group(t, **aug)]
     taskgen.save_taskset(out / "train_tasks.json", tasks, spec)
     print(f"wrote {len(tasks)} training tasks to {out / 'train_tasks.json'}")
     if "test" in sections:
-        tspec, tcount = _taskset_spec({**train, **_section(sections, "test")}, "clustered")
+        tspec, tcount = _taskset_spec("tasksets.test", {**train, **sections["test"]})
         test_tasks = taskgen.sample_taskset(tspec, tcount, id_prefix="test")
         taskgen.save_taskset(out / "test_tasks.json", test_tasks, tspec)
         print(f"wrote {tcount} test tasks to {out / 'test_tasks.json'}")
 
 
 def cmd_train(cfg: RunConfig, out: Path, taskset_path: str | None) -> None:
+    import numpy as np
+
     from . import metalearn, taskgen
     from .metalearn import MetaParams
 
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
-    learner = _learner_from_config(cfg)
-    train_cfg = _train_config(cfg)
-    import numpy as np
-
-    init_seed = _setting(cfg.train, "init_seed", train_cfg.seed + 1, int)
-    init_scale = _setting(cfg.train, "init_scale", 1.0, float)
-    omega0 = learner.spec.init_weights(np.random.default_rng(init_seed), init_scale)
-    mp0 = MetaParams(omega0, learner)
+    learner = _learner(cfg)
+    train = dict(cfg.train)
+    init_seed = train.pop("init_seed", None)
+    train_cfg = _build("train", metalearn.MetaTrainConfig, **train)
+    rng = np.random.default_rng(train_cfg.seed + 1 if init_seed is None else init_seed)
+    mp0 = MetaParams(learner.spec.init_weights(rng), learner)
     mp, log = metalearn.meta_train(mp0, tasks, train_cfg)
     metalearn.save_params(out / "params.bin", mp)
     with open(out / "train_log.jsonl", "w") as fh:
@@ -222,15 +249,13 @@ def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path
 
     mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
-    method = cfg.hessian.get("method", "exact")
+    h = cfg.hessian
+    method = h.get("method", "exact")
     if method == "exact":
-        dense_cap = _setting(cfg.hessian, "dense_cap", hessian_mod.DENSE_CAP_DEFAULT, int)
-        if mp.q > dense_cap:
-            raise ConfigError(f"q={mp.q} exceeds dense cap {dense_cap} for method=exact")
-        rep = hessian_mod.exact_meta_hessian(mp, tasks, dense_cap=dense_cap)
+        cap = {"dense_cap": h["dense_cap"]} if "dense_cap" in h else {}
+        rep = hessian_mod.exact_meta_hessian(mp, tasks, **cap)
     elif method == "gn":
-        capacity = _setting(cfg.hessian, "capacity", 1024, int)
-        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=capacity)
+        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=h.get("capacity", 1024))
     else:
         raise ConfigError(f"unknown hessian method {method!r}")
     hessian_mod.save_hessian(out / "hessian.bin", rep)
@@ -241,17 +266,8 @@ def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path
     print(f"wrote {out / 'hessian.bin'}")
 
 
-def _keep_from_config(cfg: RunConfig):
-    keep = cfg.hessian.get("keep", "positive")
-    if isinstance(keep, str) and keep not in ("positive", "all"):
-        raise ConfigError(f"unknown keep rule {keep!r}")
-    if isinstance(keep, bool) or not isinstance(keep, (str, int, float)):
-        raise ConfigError(f"keep must be a count, threshold, or rule name, not {keep!r}")
-    return keep
-
-
-def _load_matching_hessian(path: Path, mp, tasks):
-    """Load a stored Hessian and check it was built for these params and this taskset."""
+def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
+    """Load a stored Hessian, check it was built for these params and this taskset, and invert it."""
     from . import hessian as hessian_mod
 
     rep = hessian_mod.load_hessian(_require(path))
@@ -262,20 +278,18 @@ def _load_matching_hessian(path: Path, mp, tasks):
             f"hessian {path} was built on {rep.num_tasks} tasks, "
             f"but the training taskset has {len(tasks)}"
         )
-    return rep
+    return hessian_mod.invert(rep, cfg.hessian.get("keep", "positive"))
 
 
 def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_path, test_path) -> None:
-    from . import hessian as hessian_mod
     from . import influence as influence_mod
     from . import metalearn, taskgen
 
     mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
-    rep = _load_matching_hessian(Path(hessian_path or out / "hessian.bin"), mp, tasks)
+    inv = _matching_inverse(cfg, Path(hessian_path or out / "hessian.bin"), mp, tasks)
     test_file = Path(test_path) if test_path else out / "test_tasks.json"
     test_tasks = taskgen.load_taskset(test_file)[0] if test_file.exists() else tasks
-    inv = hessian_mod.invert(rep, _keep_from_config(cfg))
     records = influence_mod.influence_records(inv, mp, tasks)
     influence_mod.save_influence_records(out / "influence.bin", records)
     table = influence_mod.score_table(mp, inv, tasks, test_tasks, records=records)
@@ -286,26 +300,13 @@ def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_
     )
 
 
-def cmd_experiment(cfg: RunConfig, out: Path) -> None:
+def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
+    """The report of each requested experiment, by name; loads no artifact when none is requested."""
     from . import experiments as exp
-    from . import hessian as hessian_mod
     from . import metalearn, taskgen
 
-    requested = cfg.experiments.get("run", [])
-    if not isinstance(requested, list):
-        raise ConfigError("experiments.run must be a list of experiment names")
     if not requested:
-        exp.write_report(
-            out / "report.json",
-            {
-                "schema_version": exp.REPORT_SCHEMA_VERSION,
-                "kind": "empty",
-                "config_echo": cfg.experiments,
-                "results": {},
-            },
-        )
-        print(f"no experiments requested; wrote empty report to {out / 'report.json'}")
-        return
+        return {}
     mp = metalearn.load_params(_require(out / "params.bin"))
     tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
     reports = {}
@@ -314,46 +315,40 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> None:
     def _inverse():
         nonlocal inv
         if inv is None:
-            rep = _load_matching_hessian(out / "hessian.bin", mp, tasks)
-            inv = hessian_mod.invert(rep, _keep_from_config(cfg))
+            inv = _matching_inverse(cfg, out / "hessian.bin", mp, tasks)
         return inv
 
     for name in requested:
         if name == "self_rank":
             reports[name] = exp.run_self_rank(mp, _inverse(), tasks).to_dict()
         elif name == "degradation":
-            d = _section(cfg.experiments, "degradation")
-            reports[name] = exp.run_degradation(
-                mp,
-                _inverse(),
-                tasks,
-                alphas=_setting(d, "alphas", [0.0, 0.25, 0.5, 0.75, 1.0], _floats),
-                ratios=_setting(d, "ratios", [0.0, 0.25, 0.5, 0.75, 1.0], _floats),
-                seed=_setting(d, "seed", 0, int),
-                alpha_fixed=_setting(d, "alpha_fixed", 1.0, float),
-                ratio_fixed=_setting(d, "ratio_fixed", 1.0, float),
-                parts=d.get("parts", "both"),
-            ).to_dict()
+            grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+            d = {"alphas": grid, "ratios": grid, "seed": 0, **cfg.experiments.get("degradation", {})}
+            reports[name] = exp.run_degradation(mp, _inverse(), tasks, **d).to_dict()
         elif name == "distribution_distinction":
             test_file = out / "test_tasks.json"
             test_tasks = taskgen.load_taskset(_require(test_file))[0]
             reports[name] = exp.run_distribution_distinction(mp, _inverse(), tasks, test_tasks).to_dict()
         elif name == "exact_vs_gn":
-            g = _section(cfg.experiments, "exact_vs_gn")
-            reports[name] = exp.run_exact_vs_gn(
-                mp,
-                tasks,
-                keep_grid=_setting(g, "keep_grid", [8, 16, 32], _ints),
-                capacity_grid=_setting(g, "capacity_grid", [8, 16, 32], _ints),
-            ).to_dict()
+            grid = [8, 16, 32]
+            g = {"keep_grid": grid, "capacity_grid": grid, **cfg.experiments.get("exact_vs_gn", {})}
+            reports[name] = exp.run_exact_vs_gn(mp, tasks, **g).to_dict()
         else:
             raise ConfigError(f"unknown experiment {name!r}")
+    return reports
+
+
+def cmd_experiment(cfg: RunConfig, out: Path) -> None:
+    from . import experiments as exp
+
+    requested = cfg.experiments.get("run", [])
+    reports = _experiment_results(cfg, out, requested)
     exp.write_report(
         out / "report.json",
         {
             "schema_version": exp.REPORT_SCHEMA_VERSION,
-            "kind": "experiment_suite",
-            "config_echo": cfg.experiments,
+            "kind": "experiment_suite" if requested else "empty",
+            "config_echo": cfg.echo,
             "results": reports,
         },
     )
@@ -367,11 +362,15 @@ def cmd_report(out: Path, report_path: str | None, csv: bool) -> None:
     if not isinstance(doc, dict) or not isinstance(doc.get("results", {}), dict):
         raise ValueError(f"{path} is not a report: it is not an object with an object under 'results'")
     results = doc.get("results", {})
+    nested = {name: rep.get("results", {}) if isinstance(rep, dict) else {} for name, rep in results.items()}
+    for name, res in nested.items():
+        if not isinstance(res, dict) or not all(isinstance(res.get(k, {}), dict) for k in ("alpha", "ratio")):
+            raise ValueError(f"{path} is not a report: the results of {name!r} are not an object of objects")
     print(f"report kind: {doc.get('kind')}  schema v{doc.get('schema_version')}")
-    for name, rep in results.items():
+    for name, res in nested.items():
+        rep = results[name]
         kind = rep.get("kind", name) if isinstance(rep, dict) else name
         print(f"- {name} ({kind})")
-        res = rep.get("results", {}) if isinstance(rep, dict) else {}
         if "summary" in res:
             print(f"    summary: {json.dumps(res['summary'], sort_keys=True)}")
         if "counts" in res:
@@ -386,18 +385,17 @@ def cmd_report(out: Path, report_path: str | None, csv: bool) -> None:
             if key in res:
                 sweep = res[key]
                 print(
-                    f"    {key}: rank_corr {sweep['rank_corr_mean']} +- {sweep['rank_corr_std']} "
-                    f"(excluded {sweep['rank_corr_excluded']}), "
-                    f"score_corr {sweep['score_corr_mean']} +- {sweep['score_corr_std']}"
+                    f"    {key}: rank_corr {sweep.get('rank_corr_mean')} +- {sweep.get('rank_corr_std')} "
+                    f"(excluded {sweep.get('rank_corr_excluded')}), "
+                    f"score_corr {sweep.get('score_corr_mean')} +- {sweep.get('score_corr_std')}"
                 )
     if csv:
-        _flatten_report_csv(results, path)
+        _flatten_report_csv(nested, path)
         print(f"wrote CSV tables next to {path}")
 
 
-def _flatten_report_csv(results: dict, path: Path) -> None:
-    for name, rep in results.items():
-        res = rep.get("results", {}) if isinstance(rep, dict) else {}
+def _flatten_report_csv(nested: dict, path: Path) -> None:
+    for name, res in nested.items():
         rows = res.get("per_test") or res.get("cells")
         if not rows:
             continue

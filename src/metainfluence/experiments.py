@@ -29,6 +29,12 @@ from .taskgen import DegradeParams, degrade_task
 
 REPORT_SCHEMA_VERSION = 1
 
+# The degradation sweeps hold the other knob at full strength and degrade
+# both the support and the query batch.
+DEGRADE_ALPHA_FIXED = 1.0
+DEGRADE_RATIO_FIXED = 1.0
+DEGRADE_PARTS = "both"
+
 
 def pearson(xs, ys) -> float | None:
     """Sample Pearson r; None (never NaN) when either variance vanishes."""
@@ -111,17 +117,12 @@ class SelfRankReport:
 def run_self_rank(mp: MetaParams, inv: SpectralInverse, train_tasks: list[Task]) -> SelfRankReport:
     """Reuse every training task as a test task and locate it in its own ranking."""
     table = score_table(mp, inv, train_tasks, train_tasks)
-    rows = []
-    for tid in table.test_ids:
-        rows.append(
-            {
-                "test_id": tid,
-                "self_rank": table.rank_of(tid, tid),
-                "self_score": table.score_of(tid, tid),
-            }
-        )
-    ranks = np.array([r["self_rank"] for r in rows], dtype=float)
-    scores = np.array([r["self_score"] for r in rows], dtype=float)
+    ranks = np.diag(table.ranks).astype(float)
+    scores = np.diag(table.scores)
+    rows = [
+        {"test_id": tid, "self_rank": int(r), "self_score": float(s)}
+        for tid, r, s in zip(table.test_ids, ranks, scores)
+    ]
     summary = {
         "mean_rank": float(ranks.mean()),
         "std_rank": float(ranks.std()),
@@ -153,7 +154,6 @@ def _degradation_sweep(
     values: list[float],
     make_params,
     seed: int,
-    parts: str,
 ) -> dict:
     train_ids = [r.task_id for r in records]
     per_task = []
@@ -162,7 +162,7 @@ def _degradation_sweep(
     rank_excluded = 0
     score_excluded = 0
     for task in train_tasks:
-        tests = [degrade_task(task, make_params(v), seed, parts) for v in values]
+        tests = [degrade_task(task, make_params(v), seed, DEGRADE_PARTS) for v in values]
         scores = score_pairs(mp, records, tests)
         ranks = rank_rows(scores, train_ids)
         j = train_ids.index(task.task_id)
@@ -208,32 +208,30 @@ def run_degradation(
     alphas: list[float],
     ratios: list[float],
     seed: int,
-    alpha_fixed: float = 1.0,
-    ratio_fixed: float = 1.0,
-    parts: str = "both",
 ) -> DegradationReport:
     """Sweep degradation strength and coverage of each self-test task.
 
     For every training task reused as a test task, the alpha grid runs at
-    ``ratio_fixed`` and the ratio grid at ``alpha_fixed``; per-task Pearson
-    correlations between the grid and the self rank/score are aggregated.
+    DEGRADE_RATIO_FIXED and the ratio grid at DEGRADE_ALPHA_FIXED, degrading
+    DEGRADE_PARTS; per-task Pearson correlations between the grid and the
+    self rank/score are aggregated.
     Tasks whose rank never changes are excluded from the rank statistics and
     counted.
     """
     records = influence_records(inv, mp, train_tasks)
     alpha_sweep = _degradation_sweep(
-        mp, records, train_tasks, alphas, lambda a: DegradeParams(a, ratio_fixed), seed, parts
+        mp, records, train_tasks, alphas, lambda a: DegradeParams(a, DEGRADE_RATIO_FIXED), seed
     )
     ratio_sweep = _degradation_sweep(
-        mp, records, train_tasks, ratios, lambda r: DegradeParams(alpha_fixed, r), seed, parts
+        mp, records, train_tasks, ratios, lambda r: DegradeParams(DEGRADE_ALPHA_FIXED, r), seed
     )
     config = {
         "alphas": [float(a) for a in alphas],
         "ratios": [float(r) for r in ratios],
-        "alpha_fixed": float(alpha_fixed),
-        "ratio_fixed": float(ratio_fixed),
+        "alpha_fixed": DEGRADE_ALPHA_FIXED,
+        "ratio_fixed": DEGRADE_RATIO_FIXED,
         "seed": int(seed),
-        "parts": parts,
+        "parts": DEGRADE_PARTS,
         "sign_convention": HELPFUL_POSITIVE,
         "keep": repr(inv.keep),
     }

@@ -111,16 +111,6 @@ class ScoreTable:
     scores: np.ndarray
     ranks: np.ndarray
 
-    def rank_of(self, test_id: str, train_id: str) -> int:
-        i = self.test_ids.index(test_id)
-        j = self.train_ids.index(train_id)
-        return int(self.ranks[i, j])
-
-    def score_of(self, test_id: str, train_id: str) -> float:
-        i = self.test_ids.index(test_id)
-        j = self.train_ids.index(train_id)
-        return float(self.scores[i, j])
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(f"# sign_convention={HELPFUL_POSITIVE:g} (positive = helpful)\n")
@@ -132,12 +122,10 @@ class ScoreTable:
 
 def rank_rows(scores: np.ndarray, train_ids: list[str]) -> np.ndarray:
     """Per-row ranks, descending score, ties by ascending train id."""
-    n_test, n_train = scores.shape
     id_order = np.argsort(np.argsort(np.asarray(train_ids, dtype=object), kind="stable"))
-    ranks = np.empty((n_test, n_train), dtype=int)
-    for i in range(n_test):
-        order = np.lexsort((id_order, -scores[i]))
-        ranks[i, order] = np.arange(n_train)
+    order = np.lexsort((np.broadcast_to(id_order, scores.shape), -scores), axis=-1)
+    ranks = np.empty(scores.shape, dtype=int)
+    np.put_along_axis(ranks, order, np.arange(scores.shape[1]), axis=-1)
     return ranks
 
 

@@ -35,6 +35,11 @@ LEARNER_KINDS = ("maml", "protonet")
 # 130 KB per task at q=1221; chunks of 32 keep them small next to the inputs.
 STACK_CHUNK = 32
 
+# Adam moment decays and denominator guard of ``meta_train``.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 _PARAMS_MAGIC = b"MIMP"
 _PARAMS_VERSION = 1
 
@@ -327,9 +332,6 @@ class MetaTrainConfig:
     steps: int
     meta_batch: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     seed: int = 0
 
@@ -391,11 +393,11 @@ def meta_train(
         if not np.isfinite(batch_loss) or not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite loss or gradient at step {step}")
 
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        mhat = m / (1.0 - cfg.beta1**step)
-        vhat = v / (1.0 - cfg.beta2**step)
-        omega -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1**step)
+        vhat = v / (1.0 - ADAM_BETA2**step)
+        omega -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         log.entries.append(
             {"step": step, "loss": float(batch_loss), "grad_norm": float(np.linalg.norm(g))}
         )

@@ -342,6 +342,32 @@ def test_config_type_error_is_usage_error(trained, tmp_path, capsys, overrides, 
 
 
 @pytest.mark.parametrize(
+    "overrides, stage, key",
+    [
+        ({"train": {"meta_bacth": 8}}, "train", "train.meta_bacth"),
+        ({"train": {"beta1": 0.5}}, "train", "train.beta1"),
+        ({"train": {"init_scale": 2.0}}, "train", "train.init_scale"),
+        ({"model": {"activations": "relu"}}, "train", "model.activations"),
+        ({"tasksets": {"tests": {"count": 3}}}, "gen", "tasksets.tests"),
+        ({"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], n_way=4)}}, "gen", "tasksets.train.n_way"),
+        ({"tasksets": {"augment": {"scale": 2.0}}}, "gen", "tasksets.augment.scale"),
+        ({"hessian": {"kep": 4}}, "influence", "hessian.kep"),
+        (
+            {"experiments": {"run": ["degradation"], "degradation": {"alpha_fixed": 0.5}}},
+            "experiment",
+            "experiments.degradation.alpha_fixed",
+        ),
+    ],
+)
+def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, overrides, stage, key):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    cfg = write_config(tmp_path, overrides)
+    assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, repr(key))
+
+
+@pytest.mark.parametrize(
     "doc", [None, 5, dict(BASE_CONFIG, hessian=[]), dict(BASE_CONFIG, experiments=None)],
     ids=["null", "number", "hessian-list", "experiments-null"],
 )
@@ -403,8 +429,12 @@ def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt,
         ([], []),
         ({"results": []}, []),
         ({"results": {"self_rank": {"results": {"per_test": [1, 2]}}}}, ["--csv"]),
+        ({"results": {"degradation": {"results": {"alpha": 1}}}}, []),
+        ({"results": {"self_rank": {"results": ["summary"]}}}, []),
+        ({"results": {"self_rank": {"results": []}}}, ["--csv"]),
     ],
-    ids=["top-level-array", "results-array", "csv-rows-not-objects"],
+    ids=["top-level-array", "results-array", "csv-rows-not-objects", "sweep-number",
+         "nested-results-array", "csv-nested-results-array"],
 )
 def test_malformed_report_is_usage_error(tmp_path, capsys, doc, flags):
     cfg = write_config(tmp_path)

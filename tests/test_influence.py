@@ -209,6 +209,17 @@ def test_rank_rows_ties_break_by_id():
     assert ranks[0, 1] == 0 and ranks[0, 0] == 1 and ranks[0, 2] == 2
 
 
+@pytest.mark.parametrize("n_test", [0, 1, 7])
+def test_rank_rows_matches_per_row_sort(rng, n_test):
+    scores = rng.integers(-2, 3, size=(n_test, 9)).astype(float)  # many ties
+    ids = [f"t{j}" for j in rng.permutation(9)]
+    expected = np.empty(scores.shape, dtype=int)
+    for i, row in enumerate(scores):
+        order = sorted(range(9), key=lambda j: (-row[j], ids[j]))
+        expected[i, order] = np.arange(9)
+    np.testing.assert_array_equal(rank_rows(scores, ids), expected)
+
+
 def test_ranking_invariant_under_positive_scaling(rng):
     scores = rng.normal(size=(4, 6))
     ids = [f"t{j}" for j in range(6)]

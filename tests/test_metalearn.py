@@ -309,11 +309,11 @@ def reference_meta_train(mp0, tasks, cfg, upweight):
         for i in rng.integers(0, len(tasks), size=cfg.meta_batch):
             g += weights[i] * meta_grad(MetaParams(omega, mp0.learner), tasks[i])
         g = g / cfg.meta_batch + cfg.weight_decay * omega
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        mhat = m / (1.0 - cfg.beta1**step)
-        vhat = v / (1.0 - cfg.beta2**step)
-        omega = omega - cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        m = metalearn.ADAM_BETA1 * m + (1.0 - metalearn.ADAM_BETA1) * g
+        v = metalearn.ADAM_BETA2 * v + (1.0 - metalearn.ADAM_BETA2) * g * g
+        mhat = m / (1.0 - metalearn.ADAM_BETA1**step)
+        vhat = v / (1.0 - metalearn.ADAM_BETA2**step)
+        omega = omega - cfg.lr * mhat / (np.sqrt(vhat) + metalearn.ADAM_EPS)
     return omega
 
 
