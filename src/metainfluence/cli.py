@@ -40,16 +40,32 @@ def _activation(value):
     return tuple(value) if isinstance(value, list) else value
 
 
+def _int(value) -> int:
+    """A JSON integer, or a float with an integral value; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, not {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, not {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A JSON number; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {type(value).__name__}")
+    return float(value)
+
+
 def _optional_int(value) -> int | None:
-    return None if value is None else int(value)
+    return None if value is None else _int(value)
 
 
 def _floats(values) -> list[float]:
-    return [float(v) for v in values]
+    return [_float(v) for v in values]
 
 
 def _ints(values) -> list[int]:
-    return [int(v) for v in values]
+    return [_int(v) for v in values]
 
 
 def _names(values) -> list:
@@ -67,31 +83,31 @@ def _keep(keep):
 
 
 _TASKSET_KEYS = {
-    "kind": _verbatim, "count": int, "feature_dim": int, "n_ways": int, "k_support": int, "k_query": int,
-    "class_center_scale": float, "within_class_noise": float, "seed": int,
-    "center_pool_size": _optional_int, "pool_seed": int,
+    "kind": _verbatim, "count": _int, "feature_dim": _int, "n_ways": _int, "k_support": _int, "k_query": _int,
+    "class_center_scale": _float, "within_class_noise": _float, "seed": _int,
+    "center_pool_size": _optional_int, "pool_seed": _int,
 }
 
 # Every key a config may set, with the converter its value goes through; a
 # nested table is a subsection. A key the config leaves out stays out, so the
 # dataclass or function it configures applies its own default.
 CONFIG_KEYS = {
-    "model": {"layer_widths": tuple, "activation": _activation},
-    "learner": {"kind": _verbatim, "inner_lr": float},
+    "model": {"layer_widths": _ints, "activation": _activation},
+    "learner": {"kind": _verbatim, "inner_lr": _float},
     "tasksets": {
         "train": _TASKSET_KEYS,
         "noise": _TASKSET_KEYS,
         "test": _TASKSET_KEYS,
-        "augment": {"count": int, "transform_scale": float, "seed": int},
-        "mix_seed": int,
+        "augment": {"count": _int, "transform_scale": _float, "seed": _int},
+        "mix_seed": _int,
     },
     "train": {
-        "steps": int, "meta_batch": int, "lr": float, "weight_decay": float, "seed": int, "init_seed": int,
+        "steps": _int, "meta_batch": _int, "lr": _float, "weight_decay": _float, "seed": _int, "init_seed": _int,
     },
-    "hessian": {"method": _verbatim, "dense_cap": int, "capacity": int, "keep": _keep},
+    "hessian": {"method": _verbatim, "dense_cap": _int, "capacity": _int, "keep": _keep},
     "experiments": {
         "run": _names,
-        "degradation": {"alphas": _floats, "ratios": _floats, "seed": int},
+        "degradation": {"alphas": _floats, "ratios": _floats, "seed": _int},
         "exact_vs_gn": {"keep_grid": _ints, "capacity_grid": _ints},
     },
     "output_dir": _text,

@@ -317,30 +317,27 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
     w = _checked(spec, w, batch.x, batch.y)
     v = np.asarray(v, dtype=float)
     p = spec.num_params
-    # directions as rows (..., k, p): the direction axis sits before the sample axis
+    # directions as rows (..., p) on the leading axes: one direction (p,), one
+    # per task (m, p), or k directions (k, p) for one batch. Each product
+    # below is then a matmul that broadcasts the directions against the cache.
     if batch.stacked:
         if v.shape != (batch.x.shape[0], p):
             raise ValueError(
                 f"stacked batch needs directions ({batch.x.shape[0]}, {p}), got {v.shape}"
             )
-        dirs = v[:, None, :]
+        dirs = v
     elif v.ndim in (1, 2) and v.shape[0] == p:
-        dirs = v[None, :] if v.ndim == 1 else v.T
+        dirs = v if v.ndim == 1 else v.T
     else:
         raise ValueError(f"direction length {v.shape[0] if v.ndim else v.shape} != {p}")
 
     logits, acts, dacts, layers = _forward_cache(spec, w, batch.x)
     s, delta = _softmax_and_delta(logits, batch.y)
-    # insert the direction axis before the sample axis of every cached array,
-    # so each product below is a matmul that broadcasts over directions
-    acts = [a[..., None, :, :] for a in acts]
-    dacts = [da[..., None, :, :] for da in dacts]
-    weights = [W[..., None, :, :] for W, _ in layers]
-    s, delta = s[..., None, :, :], delta[..., None, :, :]
+    weights = [W for W, _ in layers]
     v_layers = _layers(spec, dirs)
     n_layers = spec.num_layers
 
-    # forward sweep of directional derivatives r_z, r_a, each (..., k, n, width)
+    # forward sweep of directional derivatives r_z, r_a, each (..., n, width)
     r_acts: list[np.ndarray | None] = [None]  # inputs are constants
     r_zs: list[np.ndarray] = []
     for l in range(n_layers):
@@ -371,9 +368,7 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
             dda = _act_second(spec.activation[l - 1], acts[l], da)
             r_delta = ru * da + (u * dda) * r_zs[l - 1]
             delta = u * da
-    if batch.stacked:
-        return out[:, 0]
-    return out[0] if v.ndim == 1 else out.T
+    return out.T if v.ndim == 2 and not batch.stacked else out
 
 
 def output_jacobian(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -182,34 +182,41 @@ def mix_tasksets(regular: list[Task], noise: list[Task], seed: int) -> list[Task
     return [combined[i] for i in order]
 
 
-def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = None) -> None:
-    """Write tasks as one compact JSON line with sorted keys.
+def _dumps(value) -> str:
+    # json.dumps without indent runs the C encoder; json.dump never does.
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
-    Floats keep their shortest round-trip repr, so ``load_taskset`` returns
-    bitwise-equal tasks. A feature that is not finite raises ValueError, as
-    it does on load.
+
+def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = None) -> None:
+    """Write tasks as one compact JSON line with sorted keys, one task at a time.
+
+    The file is the compact sorted-key encoding of the whole document, but
+    only one task's float lists exist at once. Floats keep their shortest
+    round-trip repr, so ``load_taskset`` returns bitwise-equal tasks. A
+    feature that is not finite raises ValueError, as it does on load, before
+    the file is opened.
     """
     for t in tasks:
         _check_finite(path, t)
-    doc = {
-        "version": TASKSET_FORMAT_VERSION,
-        "spec": asdict(spec) if spec is not None else None,
-        "tasks": [
-            {
-                "id": t.task_id,
-                "group_id": t.group_id,
-                "provenance": t.provenance,
-                "support": {"x": t.support.x.tolist(), "y": t.support.y.tolist()},
-                "query": {"x": t.query.x.tolist(), "y": t.query.y.tolist()},
-            }
-            for t in tasks
-        ],
-    }
-    # json.dumps without indent runs the C encoder; json.dump never does.
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    head = _dumps(asdict(spec) if spec is not None else None)
     with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+        # sorted top-level keys: spec, tasks, version
+        fh.write(f'{{"spec":{head},"tasks":[')
+        for i, t in enumerate(tasks):
+            if i:
+                fh.write(",")
+            fh.write(
+                _dumps(
+                    {
+                        "id": t.task_id,
+                        "group_id": t.group_id,
+                        "provenance": t.provenance,
+                        "support": {"x": t.support.x.tolist(), "y": t.support.y.tolist()},
+                        "query": {"x": t.query.x.tolist(), "y": t.query.y.tolist()},
+                    }
+                )
+            )
+        fh.write(f'],"version":{TASKSET_FORMAT_VERSION}}}\n')
 
 
 def _check_finite(path, task: Task) -> None:
@@ -220,11 +227,28 @@ def _check_finite(path, task: Task) -> None:
             )
 
 
-def _load_batch(part: dict) -> Batch:
+def _load_batch(part) -> Batch:
+    if isinstance(part, Batch):
+        return part
     batch = Batch(np.array(part["x"], dtype=float), np.array(part["y"]))
     if batch.stacked:
         raise ValueError(f"inputs must be (n, d), got shape {batch.x.shape}")
     return batch
+
+
+def _batch_hook(obj: dict):
+    """Decode an {"x", "y"} object to a Batch as soon as the parser closes it.
+
+    Its float lists are then freed before the next batch is parsed. An
+    object that ``_load_batch`` refuses stays a dict, so the per-task check
+    of ``load_taskset`` raises the error that names its task.
+    """
+    if obj.keys() != {"x", "y"}:
+        return obj
+    try:
+        return _load_batch(obj)
+    except (TypeError, ValueError):
+        return obj
 
 
 def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
@@ -234,7 +258,7 @@ def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
     raises ValueError naming the file and, where it is known, the task.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_hook=_batch_hook)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} is not a taskset: the document is not a JSON object")
     version = doc.get("version")

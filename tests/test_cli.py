@@ -368,6 +368,30 @@ def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, overrides,
 
 
 @pytest.mark.parametrize(
+    "overrides, stage, key",
+    [
+        ({"train": {"steps": 2.9}}, "train", "train.steps"),
+        ({"train": {"meta_batch": True}}, "train", "train.meta_batch"),
+        ({"train": {"lr": True}}, "train", "train.lr"),
+        ({"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], count="8")}}, "gen", "tasksets.train.count"),
+        ({"model": {"layer_widths": "16"}}, "train", "model.layer_widths"),
+    ],
+    ids=["steps-fraction", "meta_batch-bool", "lr-bool", "count-string", "layer_widths-string"],
+)
+def test_config_number_of_wrong_type_is_usage_error(trained, tmp_path, capsys, overrides, stage, key):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    cfg = write_config(tmp_path, overrides)
+    assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, repr(key))
+
+
+def test_config_integral_float_is_an_integer(tmp_path):
+    steps = cli.load_config(write_config(tmp_path, {"train": {"steps": 3.0}})).train["steps"]
+    assert steps == 3 and isinstance(steps, int)
+
+
+@pytest.mark.parametrize(
     "doc", [None, 5, dict(BASE_CONFIG, hessian=[]), dict(BASE_CONFIG, experiments=None)],
     ids=["null", "number", "hessian-list", "experiments-null"],
 )

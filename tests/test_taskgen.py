@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,100 @@ def test_save_refuses_nonfinite_feature(tmp_path, part, bad):
     with pytest.raises(ValueError, match=needle):
         save_taskset(path, [task])
     assert not path.exists()
+
+
+def whole_document(tasks, spec):
+    """The compact sorted-key encoding of the whole taskset document."""
+    doc = {
+        "version": taskgen.TASKSET_FORMAT_VERSION,
+        "spec": asdict(spec) if spec is not None else None,
+        "tasks": [
+            {
+                "id": t.task_id,
+                "group_id": t.group_id,
+                "provenance": t.provenance,
+                "support": {"x": t.support.x.tolist(), "y": t.support.y.tolist()},
+                "query": {"x": t.query.x.tolist(), "y": t.query.y.tolist()},
+            }
+            for t in tasks
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("case", ["spec", "no-spec", "groups", "empty"])
+def test_saved_file_is_the_whole_document_encoding(tmp_path, case):
+    spec = clustered_spec(seed=16)
+    tasks = sample_taskset(spec, 3) + [special_float_task()]
+    if case == "no-spec":
+        spec = None
+    elif case == "groups":
+        tasks = augment_group(tasks[0], 3, 0.5, seed=2) + tasks[1:]
+    elif case == "empty":
+        tasks = []
+    path = tmp_path / "tasks.json"
+    save_taskset(path, tasks, spec)
+    assert path.read_text() == whole_document(tasks, spec)
+    loaded, loaded_spec = load_taskset(path)
+    assert loaded_spec == spec
+    assert_bitwise_equal_tasks(loaded, tasks)
+
+
+def test_save_and_load_hold_about_one_task_at_a_time(tmp_path):
+    # 300 tasks of 16-d 5-way 5+5: about 4.6 MiB of JSON
+    tasks = sample_taskset(TaskDistributionSpec("clustered", 16, 5, 5, 5, seed=18), 300)
+    path = tmp_path / "tasks.json"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        save_taskset(path, tasks)
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+        del tasks
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded, _ = load_taskset(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert len(loaded) == 300 and size > 4 << 20
+    # the whole document as Python lists plus its text would be ~4x the file
+    assert save_peak < 0.1 * size, save_peak / size
+    # the file as bytes and then as text is 2x; every float list at once ~2.9x
+    assert load_peak < 2.4 * size, load_peak / size
+
+
+def test_refused_save_leaves_the_existing_file(tmp_path):
+    tasks = sample_taskset(clustered_spec(seed=19), 3)
+    path = tmp_path / "tasks.json"
+    save_taskset(path, tasks)
+    before = path.read_bytes()
+    x = tasks[2].query.x.copy()
+    x[0, 0] = np.nan
+    bad = tasks[:2] + [replace(tasks[2], query=Batch(x, tasks[2].query.y))]
+    with pytest.raises(ValueError, match="non-finite feature in its query batch"):
+        save_taskset(path, bad)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda batch: dict(batch, x=[batch["x"]]),
+        lambda batch: dict(batch, y=batch["y"][:-1]),
+    ],
+    ids=["x-3d", "y-short"],
+)
+def test_refused_batch_names_its_task(tmp_path, corrupt):
+    spec = clustered_spec(seed=20)
+    save_taskset(tmp_path / "tasks.json", sample_taskset(spec, 3), spec)
+    doc = json.loads((tmp_path / "tasks.json").read_text())
+    doc["tasks"][1]["support"] = corrupt(doc["tasks"][1]["support"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="task 'clustered-0001' is malformed"):
+        load_taskset(path)
 
 
 def test_replaced_tasks_count_their_own_classes():
