@@ -16,6 +16,7 @@ returns the logits with a pullback for any output cotangent; it, ``grad``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,17 +67,20 @@ class MlpSpec:
     def num_classes(self) -> int:
         return self.layer_widths[-1]
 
-    @property
+    # the layout is read on every derivative call, so it is computed once;
+    # cached_property writes the instance dict, not a field, so equality and
+    # hashing see only the widths and activations
+    @cached_property
     def num_layers(self) -> int:
         return len(self.layer_widths) - 1
 
-    @property
+    @cached_property
     def num_params(self) -> int:
         widths = self.layer_widths
         return sum((widths[i] + 1) * widths[i + 1] for i in range(len(widths) - 1))
 
-    def layer_slices(self) -> list[tuple[slice, slice, int, int]]:
-        """(weight slice, bias slice, out, in) per layer in packing order."""
+    @cached_property
+    def _layout(self) -> tuple[tuple[slice, slice, int, int], ...]:
         out = []
         offset = 0
         widths = self.layer_widths
@@ -87,7 +91,11 @@ class MlpSpec:
             b_sl = slice(offset, offset + d_out)
             offset += d_out
             out.append((w_sl, b_sl, d_out, d_in))
-        return out
+        return tuple(out)
+
+    def layer_slices(self) -> tuple[tuple[slice, slice, int, int], ...]:
+        """(weight slice, bias slice, out, in) per layer in packing order."""
+        return self._layout
 
     def init_weights(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         """Scaled fan-in Gaussian weights, zero biases."""
@@ -104,6 +112,10 @@ class Batch:
     A stacked batch has inputs (m, n, d) and labels (m, n); every task in the
     stack has the same sample count n. The derivative primitives then return
     one row per task.
+
+    The batch keeps its own read-only copy of the labels, and their maximum
+    once a derivative call has read it, so the range check of every later
+    call compares one stored int.
     """
 
     x: np.ndarray
@@ -111,7 +123,11 @@ class Batch:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=np.int64)
+        try:
+            y = np.array(self.y, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"labels must fit in int64: {exc}") from exc
+        y.flags.writeable = False
         if x.ndim not in (2, 3):
             raise ValueError(f"inputs must be (n, d) or stacked (m, n, d), got shape {x.shape}")
         if y.shape != x.shape[:-1]:
@@ -131,6 +147,10 @@ class Batch:
     @property
     def stacked(self) -> bool:
         return self.x.ndim == 3
+
+    @cached_property
+    def _y_max(self) -> int:
+        return int(self.y.max()) if self.y.size else -1
 
 
 def _flat(spec: MlpSpec, w: np.ndarray) -> np.ndarray:
@@ -155,17 +175,21 @@ def _layers(spec: MlpSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def _act(kind: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Activation value and first derivative."""
+    """Activation value, written over the pre-activation z, and first derivative."""
     if kind == "tanh":
-        a = np.tanh(z)
-        return a, 1.0 - a * a
-    return np.maximum(z, 0.0), (z > 0.0).astype(float)
+        a = np.tanh(z, out=z)
+        da = a * a
+        return a, np.subtract(1.0, da, out=da)
+    da = (z > 0.0).astype(float)
+    return np.maximum(z, 0.0, out=z), da
 
 
 def _act_second(kind: str, a: np.ndarray, da: np.ndarray) -> np.ndarray:
     """Activation second derivative from the value a and first derivative da."""
     if kind == "tanh":
-        return -2.0 * a * da
+        dda = -2.0 * a
+        dda *= da
+        return dda
     return np.zeros_like(a)
 
 
@@ -178,7 +202,8 @@ def _forward_cache(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
     acts: list[np.ndarray] = [x]
     dacts: list[np.ndarray] = []
     for i, (W, b) in enumerate(layers):
-        z = acts[-1] @ W.swapaxes(-1, -2) + b[..., None, :]
+        z = acts[-1] @ W.swapaxes(-1, -2)
+        z += b[..., None, :]
         if i < spec.num_layers - 1:
             a, da = _act(spec.activation[i], z)
             acts.append(a)
@@ -196,9 +221,10 @@ def forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(logits: np.ndarray, y: np.ndarray):
@@ -217,14 +243,13 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray):
 def _softmax_and_delta(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax and the logit gradient (softmax - onehot) / n of the mean cross-entropy."""
     s = softmax(logits)
-    onehot = y[..., None] == np.arange(logits.shape[-1])
-    return s, (s - onehot) / y.shape[-1]
+    delta = s - (y[..., None] == np.arange(logits.shape[-1]))
+    delta /= y.shape[-1]
+    return s, delta
 
 
-def _checked(
-    spec: MlpSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray | None = None
-) -> np.ndarray:
-    """Validate inputs, and labels if given, against the spec; return the weights as floats.
+def _checked(spec: MlpSpec, w: np.ndarray, x: np.ndarray, y_max: int | None = None) -> np.ndarray:
+    """Validate inputs, and the largest label if given; return the weights as floats.
 
     Inputs are (n, d) or a stack (m, n, d). Weights are one vector (p,)
     shared by every task, or (m, p) with one vector per task of a stack.
@@ -233,8 +258,8 @@ def _checked(
         raise ValueError(
             f"expected inputs (n, {spec.input_dim}) or (m, n, {spec.input_dim}), got {x.shape}"
         )
-    if y is not None and y.size and int(y.max()) >= spec.num_classes:
-        raise ValueError(f"label {int(y.max())} out of range for {spec.num_classes} classes")
+    if y_max is not None and y_max >= spec.num_classes:
+        raise ValueError(f"label {y_max} out of range for {spec.num_classes} classes")
     w = np.asarray(w, dtype=float)
     p = spec.num_params
     if w.shape != (p,) and w.shape != x.shape[:-2] + (p,):
@@ -246,7 +271,7 @@ def _checked(
 
 def loss(spec: MlpSpec, w: np.ndarray, batch: Batch):
     """Mean cross-entropy: a float, or one value per task of a stacked batch."""
-    w = _checked(spec, w, batch.x, batch.y)
+    w = _checked(spec, w, batch.x, batch._y_max)
     logits, *_ = _forward_cache(spec, w, batch.x)
     return cross_entropy(logits, batch.y)
 
@@ -265,7 +290,8 @@ def _backward(spec: MlpSpec, acts, dacts, layers, delta: np.ndarray) -> np.ndarr
         g[..., w_sl] = (delta.swapaxes(-1, -2) @ acts[l]).reshape(lead + (-1,))
         g[..., b_sl] = delta.sum(axis=-2)
         if l > 0:
-            delta = (delta @ layers[l][0]) * dacts[l - 1]
+            delta = delta @ layers[l][0]
+            delta *= dacts[l - 1]
     return g
 
 
@@ -285,7 +311,7 @@ def vjp(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
 
 def _logits_and_grad(spec: MlpSpec, w: np.ndarray, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """One forward/backward pass: logits and the loss gradient, (p,) or (m, p)."""
-    w = _checked(spec, w, batch.x, batch.y)
+    w = _checked(spec, w, batch.x, batch._y_max)
     logits, acts, dacts, layers = _forward_cache(spec, w, batch.x)
     _, delta = _softmax_and_delta(logits, batch.y)
     return logits, _backward(spec, acts, dacts, layers, delta)
@@ -314,7 +340,7 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
     i's Hessian times v[i]. Uses forward-over-reverse propagation, so no
     second-order tensor is ever materialized.
     """
-    w = _checked(spec, w, batch.x, batch.y)
+    w = _checked(spec, w, batch.x, batch._y_max)
     v = np.asarray(v, dtype=float)
     p = spec.num_params
     # directions as rows (..., p) on the leading axes: one direction (p,), one
@@ -342,7 +368,8 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
     r_zs: list[np.ndarray] = []
     for l in range(n_layers):
         vW, vb = v_layers[l]
-        rz = acts[l] @ vW.swapaxes(-1, -2) + vb[..., None, :]
+        rz = acts[l] @ vW.swapaxes(-1, -2)
+        rz += vb[..., None, :]
         if r_acts[l] is not None:
             rz += r_acts[l] @ weights[l].swapaxes(-1, -2)
         r_zs.append(rz)
@@ -350,7 +377,9 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
             r_acts.append(dacts[l] * rz)
 
     rz_last = r_zs[-1]
-    r_delta = (s * (rz_last - (s * rz_last).sum(axis=-1, keepdims=True))) / batch.n
+    r_delta = rz_last - (s * rz_last).sum(axis=-1, keepdims=True)
+    r_delta *= s
+    r_delta /= batch.n
 
     out = np.empty(dirs.shape)
     slices = spec.layer_slices()
@@ -362,12 +391,22 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray
         out[..., w_sl] = hw.reshape(hw.shape[:-2] + (-1,))
         out[..., b_sl] = r_delta.sum(axis=-2)
         if l > 0:
+            # r_delta = ru * da + (u * dda) * r_z and delta = u * da, each
+            # product written into a temporary of this sweep; r_z takes the
+            # product with u * dda because it carries the k directions u lacks
             u = delta @ weights[l]
-            ru = r_delta @ weights[l] + delta @ v_layers[l][0]
+            ru = r_delta @ weights[l]
+            ru += delta @ v_layers[l][0]
             da = dacts[l - 1]
+            ru *= da
             dda = _act_second(spec.activation[l - 1], acts[l], da)
-            r_delta = ru * da + (u * dda) * r_zs[l - 1]
-            delta = u * da
+            dda *= u
+            rz = r_zs[l - 1]
+            rz *= dda
+            ru += rz
+            r_delta = ru
+            u *= da
+            delta = u
     return out.T if v.ndim == 2 and not batch.stacked else out
 
 

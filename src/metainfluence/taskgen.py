@@ -138,7 +138,7 @@ def degrade_task(task: Task, dp: DegradeParams, seed: int, parts: str = "both") 
         x = batch.x.copy()
         n_hit = int(np.floor(dp.ratio * batch.n + 0.5))
         x[perm[:n_hit]] *= 1.0 - dp.alpha
-        return Batch(x, batch.y.copy())
+        return Batch(x, batch.y)
 
     support = _degrade(task.support, perms["support"]) if parts in ("support", "both") else task.support
     query = _degrade(task.query, perms["query"]) if parts in ("query", "both") else task.query
@@ -168,8 +168,8 @@ def augment_group(task: Task, count: int, transform_scale: float, seed: int) -> 
                 task,
                 task_id=f"{task.task_id}-aug{v}",
                 group_id=gid,
-                support=Batch(task.support.x @ rot.T, task.support.y.copy()),
-                query=Batch(task.query.x @ rot.T, task.query.y.copy()),
+                support=Batch(task.support.x @ rot.T, task.support.y),
+                query=Batch(task.query.x @ rot.T, task.query.y),
             )
         )
     return out

@@ -427,14 +427,20 @@ def _drop_query(doc):
     return doc
 
 
+def _huge_label(doc):
+    doc["tasks"][1]["support"]["y"][0] = 10**30
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt, needle",
     [
         (_drop_query, "has no field 'query'"),
         (lambda doc: doc["tasks"], "is not a taskset"),
         (lambda doc: dict(doc, spec=dict(doc["spec"], colour="red")), "bad taskset spec"),
+        (_huge_label, "labels must fit in int64"),
     ],
-    ids=["task-without-query", "top-level-array", "unknown-spec-field"],
+    ids=["task-without-query", "top-level-array", "unknown-spec-field", "label-beyond-int64"],
 )
 def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt, needle):
     cfg, done = trained
@@ -443,7 +449,8 @@ def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt,
     path = out / "train_tasks.json"
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(corrupt(doc)))
-    needles = [path, needle] + ([repr(doc["tasks"][1]["id"])] if "field" in needle else [])
+    names_task = "field" in needle or "int64" in needle
+    needles = [path, needle] + ([repr(doc["tasks"][1]["id"])] if names_task else [])
     assert_clean_exit(["--config", cfg, "--out", out, "hessian"], capsys, cli.EXIT_USAGE, *needles)
 
 

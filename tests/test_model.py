@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,8 @@ def test_batch_validation():
         Batch(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         Batch(np.zeros((2, 3)), np.array([0, -1]))
+    with pytest.raises(ValueError, match="labels must fit in int64"):
+        Batch(np.zeros((2, 3)), [0, 10**30])
     with pytest.raises(ValueError):
         Batch(np.zeros(3), np.zeros(3, dtype=int))
     # stacked: labels must be (m, n) for inputs (m, n, d)
@@ -259,3 +263,88 @@ def test_label_out_of_range_rejected():
     batch = Batch(np.zeros((1, 2)), np.array([2]))
     with pytest.raises(ValueError):
         model.loss(spec, np.zeros(spec.num_params), batch)
+
+
+def test_layout_is_cached_tuple_of_packing_formula():
+    spec = MlpSpec((4, 6, 5, 3), "tanh")
+    expected, offset = [], 0
+    for d_in, d_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
+        w_sl = slice(offset, offset + d_out * d_in)
+        offset += d_out * d_in
+        expected.append((w_sl, slice(offset, offset + d_out), d_out, d_in))
+        offset += d_out
+    assert isinstance(spec.layer_slices(), tuple)
+    assert spec.layer_slices() == tuple(expected)
+    assert spec.layer_slices() is spec.layer_slices()
+    assert spec.num_params == offset and spec.num_layers == 3
+
+
+def test_equal_specs_compare_and_hash_equal_whether_or_not_layout_was_read():
+    read, fresh = MlpSpec((4, 6, 3), "relu"), MlpSpec((4, 6, 3), "relu")
+    read.layer_slices()
+    assert read.num_params == 4 * 6 + 6 + 6 * 3 + 3
+    assert read == fresh and hash(read) == hash(fresh)
+    assert len({read, fresh}) == 1
+    assert read != MlpSpec((4, 7, 3), "relu")
+
+
+def test_replaced_spec_has_its_own_correct_layout():
+    spec = MlpSpec((4, 6, 3), "tanh")
+    spec.layer_slices()
+    relu = dataclasses.replace(spec, activation="relu")
+    assert relu.activation == ("relu",) and relu.layer_slices() == spec.layer_slices()
+    wider = dataclasses.replace(spec, layer_widths=(4, 8, 3))
+    assert wider.num_params == 4 * 8 + 8 + 8 * 3 + 3
+    assert wider.layer_slices()[-1] == (slice(40, 64), slice(64, 67), 3, 8)
+
+
+def test_batch_owns_read_only_labels_and_their_range():
+    spec = MlpSpec((2, 2))
+    w = np.zeros(spec.num_params)
+    y = np.array([0, 1])
+    batch = Batch(np.zeros((2, 2)), y)
+    with pytest.raises(ValueError):
+        batch.y[0] = 1
+    y[1] = 7  # the caller's array, not the batch's
+    np.testing.assert_array_equal(batch.y, [0, 1])
+    assert model.loss(spec, w, batch) == pytest.approx(np.log(2))
+    y_bad = np.array([0, 2])
+    bad = Batch(np.zeros((2, 2)), y_bad)
+    y_bad[1] = 0
+    with pytest.raises(ValueError, match="label 2 out of range"):
+        model.grad(spec, w, bad)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_sweeps_leave_caller_arrays_unchanged(activation):
+    """The in-place sweeps write only into temporaries they allocate themselves."""
+    rng = np.random.default_rng(43)
+    spec, w = random_net(rng, widths=(5, 7, 6, 4), activation=activation)
+    stacked, singles = stacked_batches(rng, spec, m=3)
+    batch = singles[0]
+    per_task_w = w + 0.1 * rng.normal(size=(3, spec.num_params))
+    v1 = rng.normal(size=spec.num_params)
+    vk = rng.normal(size=(spec.num_params, 4))
+    vm = rng.normal(size=(3, spec.num_params))
+    logits = rng.normal(size=(6, 4))
+    cot = rng.normal(size=(3, 6, 4))
+    owned = [w, per_task_w, batch.x, batch.y, stacked.x, stacked.y, v1, vk, vm, logits, cot]
+    before = [a.copy() for a in owned]
+
+    model.grad(spec, w, batch)
+    model.loss_and_grad(spec, w, batch)
+    model.grad(spec, w, stacked)
+    model.loss_and_grad(spec, per_task_w, stacked)
+    model.hvp(spec, w, batch, v1)
+    model.hvp(spec, w, batch, vk)
+    model.hvp(spec, w, stacked, vm)
+    model.hvp(spec, per_task_w, stacked, vm)
+    model.output_jacobian(spec, w, batch.x)
+    model.softmax(logits)
+    out, pullback = model.vjp(spec, per_task_w, stacked.x)
+    first = pullback(cot)
+    np.testing.assert_array_equal(pullback(cot), first)
+    np.testing.assert_array_equal(out, model.vjp(spec, per_task_w, stacked.x)[0])
+
+    for a, b in zip(owned, before):
+        assert a.tobytes() == b.tobytes()

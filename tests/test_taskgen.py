@@ -274,8 +274,9 @@ def test_refused_save_leaves_the_existing_file(tmp_path):
     [
         lambda batch: dict(batch, x=[batch["x"]]),
         lambda batch: dict(batch, y=batch["y"][:-1]),
+        lambda batch: dict(batch, y=[10**30] + batch["y"][1:]),
     ],
-    ids=["x-3d", "y-short"],
+    ids=["x-3d", "y-short", "y-beyond-int64"],
 )
 def test_refused_batch_names_its_task(tmp_path, corrupt):
     spec = clustered_spec(seed=20)
