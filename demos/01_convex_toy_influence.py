@@ -56,7 +56,7 @@ records = [influence_meta(inv, mp, t) for t in tasks]
 print(f"\n{'task':>12} {'cosine(pred, actual)':>22} {'|shift|':>10}")
 for j, task in enumerate(tasks):
     shift = loo_retrain_oracle(warm, tasks, cfg, j, eps, base_omega=mp.omega)
-    pred = inv.project(records[j].i_meta)
+    pred = inv.vectors @ (inv.vectors.T @ records[j].i_meta)  # H^+ H i_meta
     cos = pred @ shift / (np.linalg.norm(pred) * np.linalg.norm(shift))
     print(f"{task.task_id:>12} {cos:22.4f} {np.linalg.norm(shift):10.4f}")
 

@@ -14,6 +14,7 @@ Run:  python3 demos/03_gn_factor_buffer.py   (~30 seconds)
 import numpy as np
 
 from metainfluence import (
+    HessianRep,
     Learner,
     MetaParams,
     MetaTrainConfig,
@@ -22,7 +23,7 @@ from metainfluence import (
     accumulate_gn,
     eigh_symmetric,
     exact_meta_hessian,
-    gn_dense,
+    gn_columns_for_task,
     invert,
     meta_train,
     sample_taskset,
@@ -37,12 +38,16 @@ mp0 = MetaParams(spec.init_weights(np.random.default_rng(32), 0.8), learner)
 mp, log = meta_train(mp0, tasks, MetaTrainConfig(steps=700, meta_batch=10, lr=0.01, seed=33))
 print(f"trained to mean loss {log.final_loss:.4f}  (q = {spec.num_params} parameters)")
 
-dense = gn_dense(mp, tasks)
+# the uncompressed factor: every task's columns side by side, V V^T dense
+v = np.concatenate([gn_columns_for_task(mp, t, num_tasks=len(tasks)).columns for t in tasks], axis=1)
+dense = HessianRep("dense", matrix=v @ v.T, num_tasks=len(tasks), method="gauss_newton")
 dense_norm = np.linalg.norm(dense.matrix)
+print(f"uncompressed factor: {v.shape[1]} columns")
 print(f"\n{'buffer':>8} {'columns':>8} {'rel. reconstruction error':>27}")
 for capacity in (8, 16, 32, 64, 1024):
     factored = accumulate_gn(mp, tasks, capacity=capacity)
-    err = np.linalg.norm(factored.factor.gram_sum() - dense.matrix) / dense_norm
+    vk = factored.factor.columns
+    err = np.linalg.norm(vk @ vk.T - dense.matrix) / dense_norm
     print(f"{capacity:8d} {factored.factor.ncols:8d} {err:27.2e}")
 
 # the inverse of the factor agrees with the inverse of the dense matrix

@@ -15,7 +15,6 @@ from .hessian import (
     accumulate_gn,
     exact_meta_hessian,
     gn_columns_for_task,
-    gn_dense,
     invert,
     load_hessian,
     save_hessian,
@@ -25,7 +24,6 @@ from .influence import (
     HELPFUL_POSITIVE,
     InfluenceRecord,
     ScoreTable,
-    influence_adapt,
     influence_group,
     influence_meta,
     influence_perf,
@@ -51,7 +49,6 @@ from .metalearn import (
     TrainLog,
     adapt,
     load_params,
-    meta_accuracy,
     meta_grad,
     meta_grads,
     meta_loss,

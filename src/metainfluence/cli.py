@@ -304,7 +304,7 @@ def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_
     mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
     inv = _matching_inverse(cfg, Path(hessian_path or out / "hessian.bin"), mp, tasks)
-    test_file = Path(test_path) if test_path else out / "test_tasks.json"
+    test_file = _require(Path(test_path)) if test_path else out / "test_tasks.json"
     test_tasks = taskgen.load_taskset(test_file)[0] if test_file.exists() else tasks
     records = influence_mod.influence_records(inv, mp, tasks)
     influence_mod.save_influence_records(out / "influence.bin", records)

@@ -1,15 +1,14 @@
-"""Curvature of the meta-objective, three ways, plus its pruned pseudo-inverse.
+"""Curvature of the meta-objective, two ways, plus its pruned pseudo-inverse.
 
 * ``exact_meta_hessian``  -- central finite differences of the exact
   meta-gradient, column by column. The meta-gradient itself is analytic, so
   the only error is the controlled FD truncation; no third-order tensor is
   ever formed.
-* ``gn_dense``            -- the positive-semidefinite outer-product term of
-  the cross-entropy curvature, accumulated densely (the uncompressed oracle).
-* ``accumulate_gn``       -- the same term kept as a factor V with
-  V V^T ~= H. After every task the buffer plus the new columns is compressed
-  by one eigendecomposition of its Gram matrix to at most ``capacity``
-  orthogonal columns spanning the leading eigen-directions.
+* ``accumulate_gn``       -- the positive-semidefinite outer-product term of
+  the cross-entropy curvature, kept as a factor V with V V^T ~= H. After
+  every task the buffer plus the new columns is compressed by one
+  eigendecomposition of its Gram matrix to at most ``capacity`` orthogonal
+  columns spanning the leading eigen-directions.
 
 ``invert`` prunes and inverts either representation through the same
 eigenpairs and returns them as a ``SpectralInverse`` (U, lambda).
@@ -81,8 +80,7 @@ class SpectralInverse:
     ``vectors`` (q x k) are orthonormal eigenvectors of H and ``values`` (k)
     their eigenvalues, negatives included when the pruning rule keeps them.
     H^+ H = U U^T is the projector onto the retained directions. No q x q
-    matrix is stored or formed: ``apply`` and ``project`` cost O(q k) per
-    vector.
+    matrix is stored or formed: ``apply`` costs O(q k) per vector.
     """
 
     vectors: np.ndarray
@@ -103,10 +101,6 @@ class SpectralInverse:
         """H^+ x = U ((U^T x) / lambda) for a q-vector or a q x n stack of columns."""
         coef = self.vectors.T @ x
         return self.vectors @ (coef.T / self.values).T
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """H^+ H x = U (U^T x) for a q-vector or a q x n stack of columns."""
-        return self.vectors @ (self.vectors.T @ x)
 
 
 def exact_meta_hessian(
@@ -211,24 +205,6 @@ def accumulate_gn(mp: MetaParams, taskset: list[Task], capacity: int) -> Hessian
         method="gauss_newton",
         buffer_capacity=capacity,
     )
-
-
-def gn_dense(mp: MetaParams, taskset: list[Task]) -> HessianRep:
-    """Dense task-mean outer-product curvature (oracle for the factored path)."""
-    if not taskset:
-        raise ValueError("taskset must be nonempty")
-    q = mp.q
-    h = np.zeros((q, q))
-    m = len(taskset)
-    for task in taskset:
-        logits, jac = meta_output_jacobian(mp, task)
-        sm = model.softmax(logits)
-        a = sm[:, :, None] * np.eye(sm.shape[1])[None, :, :] - np.einsum(
-            "nk,nl->nkl", sm, sm
-        )
-        tmp = np.einsum("nkl,nlq->nkq", a, jac)
-        h += np.einsum("nkq,nkr->qr", jac, tmp) / (task.query.n * m)
-    return HessianRep(variant="dense", matrix=linalg.symmetrize(h), num_tasks=m, method="gauss_newton")
 
 
 def invert(h: HessianRep, keep: int | float | str) -> SpectralInverse:

@@ -80,14 +80,9 @@ def influence_group(records: list[InfluenceRecord], group_id: str) -> InfluenceR
     return InfluenceRecord(task_id=group_id, i_meta=total, group_id=group_id)
 
 
-def influence_adapt(mp: MetaParams, test_task: Task, rec: InfluenceRecord) -> np.ndarray:
-    """Induced shift of the test task's adapted weights: (d theta_hat / d omega) @ i_meta."""
-    return adapt_jacobian_matvec(mp, test_task, rec.i_meta)
-
-
 def influence_perf(mp: MetaParams, test_task: Task, rec: InfluenceRecord) -> float:
     """Induced change rate of the test task's query loss (positive = loss rises)."""
-    shift = influence_adapt(mp, test_task, rec)
+    shift = adapt_jacobian_matvec(mp, test_task, rec.i_meta)
     if mp.learner.kind == "protonet":
         # theta passes through adaptation, so the loss derivative w.r.t. the
         # weights is the full meta-gradient (query features and centroids).

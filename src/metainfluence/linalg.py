@@ -40,7 +40,7 @@ class IllConditionedError(ValueError):
     """A retained eigenvalue is too small to invert safely."""
 
 
-class NotPositiveSemidefiniteError(ValueError):
+class NotPositiveSemidefiniteError(ArithmeticError):
     """An input that must be PSD has a clearly negative eigenvalue."""
 
 
@@ -65,19 +65,17 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvectors.shape[0])
 
-    def reconstruct(self, indices: np.ndarray | None = None) -> np.ndarray:
-        """Rebuild Q_I Lambda_I Q_I^T over the given eigenpair indices (all by default)."""
-        if indices is None:
-            lam, q = self.eigenvalues, self.eigenvectors
-        else:
-            lam, q = self.eigenvalues[indices], self.eigenvectors[:, indices]
-        if lam.size == 0:
-            return np.zeros((self.dim, self.dim))
-        return symmetrize((q * lam) @ q.T)
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` unchanged; a solve that fails to converge raises EigenConvergenceError."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        off = a - np.diag(np.diag(a))
+        resid = float(np.linalg.norm(off))
+        raise EigenConvergenceError(
+            f"eigendecomposition did not converge; off-diagonal Frobenius residual {resid:g}"
+        ) from exc
 
 
 def eigh_symmetric(a: np.ndarray) -> EigenDecomposition:
@@ -95,15 +93,7 @@ def eigh_symmetric(a: np.ndarray) -> EigenDecomposition:
     asym = float(np.abs(a - a.T).max())
     if asym > 1e-8 * max(scale, 1e-300):
         raise ValueError(f"matrix is not symmetric: max |a - a.T| = {asym:g}")
-    a = symmetrize(a)
-    try:
-        w, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        off = a - np.diag(np.diag(a))
-        resid = float(np.linalg.norm(off))
-        raise EigenConvergenceError(
-            f"eigendecomposition did not converge; off-diagonal Frobenius residual {resid:g}"
-        ) from exc
+    w, q = _eigh(symmetrize(a))
     return EigenDecomposition(w[::-1].copy(), q[:, ::-1].copy())
 
 
@@ -153,8 +143,7 @@ def psd_sqrt_small(a: np.ndarray) -> np.ndarray:
     an eigenvalue below -PSD_NEG_TOL raises NotPositiveSemidefiniteError.
     Intended for class-count-sized matrices such as diag(s) - s s^T.
     """
-    a = symmetrize(a)
-    w, q = np.linalg.eigh(a)
+    w, q = _eigh(symmetrize(a))
     if w.size and float(w[0]) < -PSD_NEG_TOL:
         raise NotPositiveSemidefiniteError(f"eigenvalue {float(w[0]):g} below -{PSD_NEG_TOL:g}")
     w = np.where(w < PSD_ZERO_TOL, 0.0, w)
@@ -180,10 +169,6 @@ class FactorMatrix:
     @property
     def ncols(self) -> int:
         return int(self.columns.shape[1])
-
-    def gram_sum(self) -> np.ndarray:
-        """Dense V V^T."""
-        return symmetrize(self.columns @ self.columns.T)
 
     @staticmethod
     def empty(rows: int) -> "FactorMatrix":
@@ -216,7 +201,7 @@ def orthogonalize_keep_largest(cols: FactorMatrix, capacity: int) -> FactorMatri
     if max_in_sq == 0.0:
         return FactorMatrix.empty(c.shape[0])
     drop_tol = DROP_TOL_SCALE * np.sqrt(max_in_sq)
-    w, o = np.linalg.eigh(g)
+    w, o = _eigh(g)
     w, o = w[::-1], o[:, ::-1]
     floor = max(GRAM_EIG_FLOOR * float(w[0]), drop_tol * drop_tol)
     n_keep = min(int(np.count_nonzero(w > floor)), capacity)
@@ -233,7 +218,7 @@ def factor_eigen(v: FactorMatrix) -> EigenDecomposition:
     dropped. Eigenvalues are descending.
     """
     c = v.columns
-    _, o = np.linalg.eigh(symmetrize(c.T @ c))
+    _, o = _eigh(symmetrize(c.T @ c))
     rotated = c @ o
     norms = np.linalg.norm(rotated, axis=0)
     order = np.argsort(-norms, kind="stable")

@@ -197,10 +197,6 @@ def meta_loss(mp: MetaParams, task: Task) -> float:
     return model.cross_entropy(task_logits(mp, task), task.query.y)
 
 
-def meta_accuracy(mp: MetaParams, task: Task) -> float:
-    return _accuracy(task_logits(mp, task), task.query.y)
-
-
 def _maml_meta_grad(
     learner: Learner, omega: np.ndarray, support: Batch, query: Batch, with_loss: bool = False
 ):

@@ -153,18 +153,6 @@ class Batch:
         return int(self.y.max()) if self.y.size else -1
 
 
-def _flat(spec: MlpSpec, w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (spec.num_params,):
-        raise ValueError(f"expected weight vector of length {spec.num_params}, got {w.shape}")
-    return w
-
-
-def unpack(spec: MlpSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (W, b) per layer of a flat weight vector."""
-    return _layers(spec, _flat(spec, w))
-
-
 def _layers(spec: MlpSpec, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer views of flat vectors w (..., p): W (..., out, in) and b (..., out)."""
     lead = w.shape[:-1]
@@ -212,11 +200,9 @@ def _forward_cache(spec: MlpSpec, w: np.ndarray, x: np.ndarray):
 
 
 def forward(spec: MlpSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Logits (n x c) for inputs (n x d)."""
+    """Logits (n x c) for inputs (n x d), or (m, n, c) for a stack (m, n, d)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"expected inputs (n, {spec.input_dim}), got {x.shape}")
-    logits, *_ = _forward_cache(spec, _flat(spec, w), x)
+    logits, *_ = _forward_cache(spec, _checked(spec, w, x), x)
     return logits
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from metainfluence import model
-from metainfluence.metalearn import Learner, MetaParams
+from metainfluence import hessian, linalg, model, taskgen
+from metainfluence.metalearn import Learner, MetaParams, meta_output_jacobian, task_logits
 from metainfluence.model import Batch, MlpSpec
 
 
@@ -44,11 +44,63 @@ def adaptation_jacobian(mp, task):
     return eye - mp.learner.inner_lr * model.hvp(mp.learner.spec, mp.omega, task.support, eye)
 
 
+def gn_dense(mp, taskset):
+    """Dense task-mean outer-product curvature, the oracle for the factored path.
+
+    Each query sample contributes J^T (diag(s) - s s^T) J / (n_query * m),
+    with J its logit meta-Jacobian, built without any factor column.
+    """
+    h = np.zeros((mp.q, mp.q))
+    m = len(taskset)
+    for task in taskset:
+        logits, jac = meta_output_jacobian(mp, task)
+        sm = model.softmax(logits)
+        a = sm[:, :, None] * np.eye(sm.shape[1])[None, :, :] - np.einsum("nk,nl->nkl", sm, sm)
+        tmp = np.einsum("nkl,nlq->nkq", a, jac)
+        h += np.einsum("nkq,nkr->qr", jac, tmp) / (task.query.n * m)
+    return hessian.HessianRep(
+        "dense", matrix=linalg.symmetrize(h), num_tasks=m, method="gauss_newton"
+    )
+
+
+def gram(f):
+    """Dense V V^T of a FactorMatrix."""
+    return linalg.symmetrize(f.columns @ f.columns.T)
+
+
+def rebuild(e, idx=slice(None)):
+    """Q_I Lambda_I Q_I^T over the eigenpairs ``idx`` of an EigenDecomposition."""
+    q = e.eigenvectors[:, idx]
+    return linalg.symmetrize((q * e.eigenvalues[idx]) @ q.T)
+
+
+def project(inv, x):
+    """H^+ H x = U (U^T x), the projector onto the directions an inverse retains."""
+    return inv.vectors @ (inv.vectors.T @ x)
+
+
+def accuracy(mp, task):
+    """Query accuracy after adaptation."""
+    return float(np.mean(task_logits(mp, task).argmax(axis=1) == task.query.y))
+
+
 def make_params(rng, widths=(6, 5, 3), kind="maml", inner_lr=0.05, jitter=0.2):
     spec = MlpSpec(widths)
     learner = Learner(kind, spec, inner_lr)
     omega = spec.init_weights(rng) + jitter * rng.normal(size=spec.num_params)
     return MetaParams(omega, learner)
+
+
+def fd_asymmetric_problem():
+    """A MAML problem whose FD meta-Hessian fails its symmetry check at a step scale of 1e-1.
+
+    The raw asymmetry there is 8.3e-3 against a bound of 1e-5 * 0.41; the
+    default step of 1e-4 passes.
+    """
+    spec = MlpSpec((4, 5, 3))
+    mp = MetaParams(spec.init_weights(np.random.default_rng(3)), Learner("maml", spec, 0.05))
+    tasks = taskgen.sample_taskset(taskgen.TaskDistributionSpec("clustered", 4, 3, 2, 2, seed=3), 3)
+    return mp, tasks
 
 
 @pytest.fixture

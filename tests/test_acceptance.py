@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import gn_dense, gram, project, rebuild
 from metainfluence import cli, experiments, hessian, linalg, metalearn, model, taskgen
 from metainfluence import influence as infl
 from metainfluence.metalearn import Learner, MetaParams, MetaTrainConfig
@@ -174,7 +175,7 @@ def test_criterion_2_oracle_fidelity(convex_toy):
     for j in range(8):
         shift = infl.loo_retrain_oracle(warm, tasks, cfg, j, eps, base_omega=mp.omega)
         shifts.append(shift)
-        projected = inv.project(records[j].i_meta)
+        projected = project(inv, records[j].i_meta)
         cos = projected @ shift / (np.linalg.norm(projected) * np.linalg.norm(shift))
         assert cos >= 0.9
 
@@ -191,7 +192,7 @@ def test_criterion_2_oracle_fidelity(convex_toy):
     # prediction error does not blow up as epsilon shrinks (no 1/eps term);
     # the epsilon-independent convergence bias dominates, so the two errors
     # stay within a modest factor (see decisions ledger on the O(eps) ratio)
-    proj0 = inv.project(records[0].i_meta)
+    proj0 = project(inv, records[0].i_meta)
     shift_coarse = infl.loo_retrain_oracle(warm, tasks, cfg, 0, 1e-2, base_omega=mp.omega)
     err_coarse = np.linalg.norm(shift_coarse - proj0)
     err_fine = np.linalg.norm(shifts[0] - proj0)
@@ -217,7 +218,7 @@ def test_criterion_3_pseudo_inverse_identities():
             k = int(np.sum(np.abs(e.eigenvalues) > 1e-6 * scale))
             idx = linalg.retained_indices(e.eigenvalues, k)
         pinv = hessian.invert(hessian.HessianRep("dense", matrix=a), k).apply(np.eye(n))
-        pruned = e.reconstruct(idx)
+        pruned = rebuild(e, idx)
         tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
         assert np.linalg.norm(pruned @ pinv @ pruned - pruned) <= tol
         assert np.linalg.norm(pinv @ pruned @ pinv - pinv) <= tol * max(
@@ -233,9 +234,9 @@ def test_criterion_3_pseudo_inverse_identities():
         f = linalg.FactorMatrix(rng.normal(size=(q, r)))
         factored = hessian.HessianRep("factored", factor=f)
         via_factor = hessian.invert(factored, "all").apply(np.eye(q))
-        e = linalg.eigh_symmetric(f.gram_sum())
+        e = linalg.eigh_symmetric(gram(f))
         rank = int(np.sum(e.eigenvalues > 1e-10 * max(e.eigenvalues[0], 1e-300)))
-        dense = hessian.HessianRep("dense", matrix=f.gram_sum())
+        dense = hessian.HessianRep("dense", matrix=gram(f))
         via_spectral = hessian.invert(dense, rank).apply(np.eye(q))
         assert np.linalg.norm(via_factor - via_spectral) <= 1e-7 * max(
             1.0, float(np.linalg.norm(via_spectral))
@@ -261,11 +262,11 @@ def test_criterion_4_gauss_newton_approximation():
             taskgen.TaskDistributionSpec("clustered", d, ways, 3, 4, seed=int(rng.integers(1e6))),
             3,
         )
-        dense = hessian.gn_dense(mp, tasks)
+        dense = gn_dense(mp, tasks)
         lam = np.linalg.eigvalsh(dense.matrix)
         assert lam.min() >= -1e-9 * max(lam.max(), 1e-300)
         factored = hessian.accumulate_gn(mp, tasks, capacity=10_000)
-        assert np.abs(factored.factor.gram_sum() - dense.matrix).max() <= 1e-8 * max(
+        assert np.abs(gram(factored.factor) - dense.matrix).max() <= 1e-8 * max(
             np.abs(dense.matrix).max(), 1.0
         )
 
@@ -281,7 +282,7 @@ def test_criterion_4_gauss_newton_approximation():
     )
     assert log.final_loss < 0.05
     exact = hessian.exact_meta_hessian(mp, tasks)
-    gn = hessian.gn_dense(mp, tasks)
+    gn = gn_dense(mp, tasks)
     assert np.linalg.norm(exact.matrix - gn.matrix) / np.linalg.norm(exact.matrix) < 0.2
 
 

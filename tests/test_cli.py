@@ -2,10 +2,13 @@ import json
 import hashlib
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from metainfluence import cli
+from conftest import fd_asymmetric_problem
+from metainfluence import cli, hessian, metalearn, model, taskgen
 
 
 BASE_CONFIG = {
@@ -312,11 +315,13 @@ def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
 
 
 def assert_clean_exit(args, capsys, code, *needles):
-    """cli.main returns ``code`` with one ``error:`` line that contains every needle."""
+    """cli.main returns ``code`` with one ``error:`` line, ``numerical failure:`` at exit 2,
+    that contains every needle."""
     capsys.readouterr()
     assert run(args) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    prefix = "numerical failure: " if code == cli.EXIT_NUMERICAL else "error: "
+    assert err.startswith(prefix) and err.count("\n") == 1, err
     for needle in needles:
         assert str(needle) in err
 
@@ -496,3 +501,88 @@ def test_each_stage_parses_each_taskset_once(trained, tmp_path, monkeypatch, sta
     assert run(["--config", cfg, "--out", out, stage]) == cli.EXIT_OK
     assert len(paths) == loads
     assert len(set(paths)) == loads
+
+
+GN_HESSIAN = {"hessian": {"method": "gn", "capacity": 32, "keep": "all"}}
+
+
+@pytest.mark.parametrize(
+    "stage, fails_on",
+    [
+        ("hessian", lambda a: a.shape[0] == 3),
+        ("hessian", lambda a: a.shape[0] != 3),
+        ("influence", lambda a: True),
+    ],
+    ids=["softmax-block", "gram-matrix", "factored-invert"],
+)
+def test_eigensolver_failure_is_numerical_failure(trained, tmp_path, capsys, monkeypatch, stage, fails_on):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    cfg = write_config(tmp_path, GN_HESSIAN)
+    if stage == "influence":
+        assert run(["--config", cfg, "--out", out, "hessian"]) == cli.EXIT_OK
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        if fails_on(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    args = ["--config", cfg, "--out", out, stage]
+    assert_clean_exit(args, capsys, cli.EXIT_NUMERICAL, "did not converge")
+
+
+def test_non_psd_softmax_curvature_is_numerical_failure(trained, tmp_path, capsys, monkeypatch):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    cfg = write_config(tmp_path, GN_HESSIAN)
+    # a negated softmax makes each diag(s) - s s^T block negative definite
+    monkeypatch.setattr(hessian, "model", SimpleNamespace(softmax=lambda z: -model.softmax(z)))
+    args = ["--config", cfg, "--out", out, "hessian"]
+    assert_clean_exit(args, capsys, cli.EXIT_NUMERICAL, "eigenvalue", "below")
+
+
+def test_fd_asymmetry_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    mp, tasks = fd_asymmetric_problem()
+    out = tmp_path / "out"
+    out.mkdir()
+    metalearn.save_params(out / "params.bin", mp)
+    taskgen.save_taskset(out / "train_tasks.json", tasks)
+    cfg = write_config(tmp_path, {"model": {"layer_widths": [4, 5, 3]}})
+    monkeypatch.setattr(hessian, "FD_STEP_SCALE", 1e-1)
+    args = ["--config", cfg, "--out", out, "hessian"]
+    assert_clean_exit(args, capsys, cli.EXIT_NUMERICAL, "pre-symmetrization asymmetry")
+    assert not (out / "hessian.bin").exists()
+
+
+def test_ill_conditioned_keep_is_usage_error(trained, tmp_path, capsys):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    q = metalearn.load_params(out / "params.bin").q
+    num_tasks = len(taskgen.load_taskset(out / "train_tasks.json")[0])
+    lam = np.ones(q)
+    lam[-1] = 1e-14
+    rep = hessian.HessianRep("dense", matrix=np.diag(lam), num_tasks=num_tasks)
+    hessian.save_hessian(out / "hessian.bin", rep)
+    cfg = write_config(tmp_path, {"hessian": {"keep": q}})
+    args = ["--config", cfg, "--out", out, "influence"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, "ill-conditioned inversion requested")
+
+
+def test_explicit_test_taskset_must_exist(trained, tmp_path, capsys):
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    missing = tmp_path / "no_such_file.json"
+    args = ["--config", cfg, "--out", out, "influence", "--test-taskset", missing]
+    assert_clean_exit(args, capsys, cli.EXIT_IO, missing)
+    assert not (out / "scores.csv").exists()
+    # without the flag, a missing default test taskset still falls back to the training tasks
+    (out / "test_tasks.json").unlink()
+    assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
+    lines = (out / "scores.csv").read_text().strip().split("\n")
+    assert len(lines) == 2 + 8 * 8

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_params
+from conftest import gn_dense, make_params
 from metainfluence import experiments as exp
 from metainfluence import hessian, metalearn, taskgen
 from metainfluence.hessian import SpectralInverse
@@ -174,7 +174,7 @@ def test_exact_vs_gn_self_correlation_is_one(rng):
     # correlate perfectly when the exact method is the same matrix
     mp = make_params(rng, widths=(4, 4, 3), inner_lr=0.05)
     tasks = sample_tasks(d=4, count=3)
-    gn_rep = hessian.gn_dense(mp, tasks)
+    gn_rep = gn_dense(mp, tasks)
     inv = hessian.invert(gn_rep, "positive")
     from metainfluence.influence import influence_meta, score_pairs
 

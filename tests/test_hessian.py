@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_params, rel_err
+from conftest import fd_asymmetric_problem, gn_dense, gram, make_params, project, rel_err
 from metainfluence import hessian, linalg, metalearn, model, taskgen
 from metainfluence.hessian import (
     HessianRep,
     accumulate_gn,
     exact_meta_hessian,
     gn_columns_for_task,
-    gn_dense,
     invert,
     load_hessian,
     save_hessian,
@@ -65,6 +64,14 @@ def test_exact_hessian_matches_fd_of_meta_grad(rng):
     assert rel_err(h.matrix @ v, fd) < 1e-3
 
 
+def test_fd_asymmetry_beyond_tolerance_raises(monkeypatch):
+    mp, tasks = fd_asymmetric_problem()
+    exact_meta_hessian(mp, tasks)  # the default step passes the check
+    monkeypatch.setattr(hessian, "FD_STEP_SCALE", 1e-1)
+    with pytest.raises(hessian.FdAsymmetryError, match="pre-symmetrization asymmetry"):
+        exact_meta_hessian(mp, tasks)
+
+
 def test_gn_columns_saturated_prediction_contributes_nothing():
     spec = MlpSpec((2, 2))
     learner = Learner("maml", spec, 0.0)
@@ -95,7 +102,7 @@ def test_gn_columns_reproduce_dense(kind, inner_lr, rng):
     dense = gn_dense(mp, tasks)
     total = np.zeros((mp.q, mp.q))
     for t in tasks:
-        total += gn_columns_for_task(mp, t, num_tasks=len(tasks)).gram_sum()
+        total += gram(gn_columns_for_task(mp, t, num_tasks=len(tasks)))
     assert np.abs(total - dense.matrix).max() <= 1e-8 * max(np.abs(dense.matrix).max(), 1.0)
 
 
@@ -112,7 +119,7 @@ def test_accumulate_gn_full_capacity_matches_dense(rng):
     dense = gn_dense(mp, tasks)
     # 1024 is the default buffer size; far above the column count here
     factored = accumulate_gn(mp, tasks, capacity=1024)
-    err = np.linalg.norm(factored.factor.gram_sum() - dense.matrix)
+    err = np.linalg.norm(gram(factored.factor) - dense.matrix)
     assert err <= 1e-7 * max(np.linalg.norm(dense.matrix), 1.0)
     assert factored.buffer_capacity == 1024
 
@@ -136,7 +143,7 @@ def test_accumulate_gn_single_task_equals_columns(rng):
     factored = accumulate_gn(mp, [task], capacity=10_000)
     cols = gn_columns_for_task(mp, task, num_tasks=1)
     np.testing.assert_allclose(
-        factored.factor.gram_sum(), cols.gram_sum(), atol=1e-10 * max(1.0, np.linalg.norm(cols.gram_sum()))
+        gram(factored.factor), gram(cols), atol=1e-10 * max(1.0, np.linalg.norm(gram(cols)))
     )
 
 
@@ -162,7 +169,7 @@ def test_invert_dense_counts_and_values():
     np.testing.assert_allclose(inv.apply(np.eye(3)), np.diag([0.25, 1.0, 0.0]))
     assert inv.retained == 2
     assert inv.discarded_negative == 1
-    np.testing.assert_allclose(inv.project(np.eye(3)), np.diag([1.0, 1.0, 0.0]))
+    np.testing.assert_allclose(project(inv, np.eye(3)), np.diag([1.0, 1.0, 0.0]))
 
 
 def test_invert_full_keep_is_plain_inverse(rng):
@@ -173,7 +180,7 @@ def test_invert_full_keep_is_plain_inverse(rng):
     np.testing.assert_allclose(
         inv.apply(np.eye(6)), np.linalg.inv(spd), atol=1e-8 * np.linalg.norm(np.linalg.inv(spd))
     )
-    np.testing.assert_allclose(inv.project(np.eye(6)), np.eye(6), atol=1e-10)
+    np.testing.assert_allclose(project(inv, np.eye(6)), np.eye(6), atol=1e-10)
     assert inv.discarded_negative == 0
 
 
@@ -195,13 +202,13 @@ def test_invert_annihilates_discarded_directions(rng):
 def test_invert_factored_matches_dense_path(rng):
     cols = linalg.FactorMatrix(rng.normal(size=(9, 5)))
     h_f = HessianRep(variant="factored", factor=cols, num_tasks=1, method="gauss_newton")
-    h_d = HessianRep(variant="dense", matrix=cols.gram_sum(), num_tasks=1, method="gauss_newton")
+    h_d = HessianRep(variant="dense", matrix=gram(cols), num_tasks=1, method="gauss_newton")
     inv_f = invert(h_f, 5)
     inv_d = invert(h_d, 5)
     eye = np.eye(9)
     scale = np.linalg.norm(inv_d.apply(eye))
     np.testing.assert_allclose(inv_f.apply(eye), inv_d.apply(eye), atol=1e-7 * scale)
-    np.testing.assert_allclose(inv_f.project(eye), inv_d.project(eye), atol=1e-7)
+    np.testing.assert_allclose(project(inv_f, eye), project(inv_d, eye), atol=1e-7)
 
 
 def test_invert_factored_keep_subset(rng):
@@ -210,7 +217,7 @@ def test_invert_factored_keep_subset(rng):
     inv = invert(h_f, 2)
     assert inv.retained == 2
     # projector has rank 2
-    assert int(round(np.trace(inv.project(np.eye(9))))) == 2
+    assert int(round(np.trace(project(inv, np.eye(9))))) == 2
 
 
 def test_invert_factored_refuses_ill_conditioned_count():
@@ -234,7 +241,7 @@ def test_invert_factored_clamps_to_live_directions(rng):
 def test_spectrum_summary_factored_matches_dense(rng):
     cols = linalg.FactorMatrix(rng.normal(size=(9, 4)))
     s = spectrum_summary(HessianRep(variant="factored", factor=cols, num_tasks=1))
-    lam = linalg.eigh_symmetric(cols.gram_sum()).eigenvalues[: cols.ncols]
+    lam = linalg.eigh_symmetric(gram(cols)).eigenvalues[: cols.ncols]
     assert s["num_eigenvalues"] == cols.ncols
     assert s["num_negative"] == 0 and s["num_nonpositive"] == 0
     assert s["lambda_max"] == pytest.approx(lam[0], rel=1e-10)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import gram, rebuild
 from metainfluence import linalg
 from metainfluence.hessian import HessianRep, invert
 from metainfluence.linalg import (
@@ -49,7 +50,7 @@ def test_eigh_reconstruction_and_orthonormality(seed):
     rng = np.random.default_rng(seed)
     a = random_symmetric(rng, 8)
     e = eigh_symmetric(a)
-    recon = e.reconstruct()
+    recon = rebuild(e)
     assert np.linalg.norm(recon - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
     assert np.linalg.norm(e.eigenvectors.T @ e.eigenvectors - np.eye(8)) <= 1e-10 * 8
     assert np.all(np.diff(e.eigenvalues) <= 1e-12)
@@ -115,7 +116,7 @@ def test_moore_penrose_mixed_spectrum(seed):
     if np.abs(e.eigenvalues[idx]).min() < 1e-10 * scale:
         pytest.skip("random spectrum too close to singular for this draw")
     pinv = dense_pinv(a, k)
-    pruned = e.reconstruct(idx)
+    pruned = rebuild(e, idx)
     tol = 1e-8 * max(1.0, np.linalg.norm(a))
     np.testing.assert_allclose(pruned @ pinv @ pruned, pruned, atol=tol)
     np.testing.assert_allclose(pinv @ pruned @ pinv, pinv, atol=tol)
@@ -142,20 +143,39 @@ def test_psd_sqrt_rejects_negative():
         psd_sqrt_small(np.diag([1.0, -1e-6]))
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: eigh_symmetric(np.eye(3)),
+        lambda: psd_sqrt_small(np.eye(3)),
+        lambda: orthogonalize_keep_largest(FactorMatrix(np.eye(3)), capacity=2),
+        lambda: linalg.factor_eigen(FactorMatrix(np.eye(3))),
+    ],
+    ids=["eigh_symmetric", "psd_sqrt_small", "orthogonalize_keep_largest", "factor_eigen"],
+)
+def test_nonconverging_eigensolver_raises_convergence_error(monkeypatch, solve):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(linalg.EigenConvergenceError, match="did not converge"):
+        solve()
+
+
 def test_orthogonalize_axis_pair():
     f = FactorMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
     out = orthogonalize_keep_largest(f, capacity=2)
     assert out.ncols == 2
     g = out.columns.T @ out.columns
     assert abs(g[0, 1]) <= 1e-8 * np.sqrt(g[0, 0] * g[1, 1])
-    np.testing.assert_allclose(out.gram_sum(), f.gram_sum(), atol=1e-12)
+    np.testing.assert_allclose(gram(out), gram(f), atol=1e-12)
 
 
 def test_orthogonalize_drops_duplicate():
     f = FactorMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
     out = orthogonalize_keep_largest(f, capacity=2)
     assert out.ncols == 1
-    np.testing.assert_allclose(out.gram_sum(), f.gram_sum(), atol=1e-12)
+    np.testing.assert_allclose(gram(out), gram(f), atol=1e-12)
 
 
 def test_orthogonalize_empty_input():
@@ -174,10 +194,10 @@ def test_orthogonalize_capacity_compression_near_optimal():
     off = g - np.diag(np.diag(g))
     assert np.abs(off).max() <= 1e-8 * np.outer(norms, norms).max()
     # captured mass within factor 2 of the optimal rank-6 truncation
-    full = eigh_symmetric(cols.gram_sum())
-    best = full.reconstruct(np.arange(6))
-    err_best = np.linalg.norm(cols.gram_sum() - best)
-    err_ours = np.linalg.norm(cols.gram_sum() - out.gram_sum())
+    full = eigh_symmetric(gram(cols))
+    best = rebuild(full, np.arange(6))
+    err_best = np.linalg.norm(gram(cols) - best)
+    err_ours = np.linalg.norm(gram(cols) - gram(out))
     assert err_ours <= 2.0 * err_best + 1e-12
     # span containment: each output column reconstructs from the input columns
     proj, *_ = np.linalg.lstsq(cols.columns, out.columns, rcond=None)
@@ -190,7 +210,7 @@ def test_orthogonalize_full_capacity_preserves_sum(seed):
     cols = FactorMatrix(rng.normal(size=(9, 14)))
     out = orthogonalize_keep_largest(cols, capacity=14)
     np.testing.assert_allclose(
-        out.gram_sum(), cols.gram_sum(), atol=1e-10 * np.linalg.norm(cols.gram_sum())
+        gram(out), gram(cols), atol=1e-10 * np.linalg.norm(gram(cols))
     )
 
 
@@ -200,8 +220,8 @@ def test_orthogonalize_below_rank_is_optimal_truncation(capacity):
     cols = FactorMatrix(rng.normal(size=(12, 9)) * np.logspace(0, -2, 9))
     out = orthogonalize_keep_largest(cols, capacity=capacity)
     assert out.ncols == capacity
-    best = eigh_symmetric(cols.gram_sum()).reconstruct(np.arange(capacity))
-    np.testing.assert_allclose(out.gram_sum(), best, rtol=0, atol=1e-10 * np.linalg.norm(best))
+    best = rebuild(eigh_symmetric(gram(cols)), np.arange(capacity))
+    np.testing.assert_allclose(gram(out), best, rtol=0, atol=1e-10 * np.linalg.norm(best))
 
 
 def test_orthogonalize_graded_norms_preserves_sum():
@@ -209,8 +229,8 @@ def test_orthogonalize_graded_norms_preserves_sum():
     cols = FactorMatrix(rng.normal(size=(15, 10)) * np.logspace(0, -6, 10))
     out = orthogonalize_keep_largest(cols, capacity=10)
     assert out.ncols == 10
-    want = cols.gram_sum()
-    np.testing.assert_allclose(out.gram_sum(), want, rtol=0, atol=1e-10 * np.linalg.norm(want))
+    want = gram(cols)
+    np.testing.assert_allclose(gram(out), want, rtol=0, atol=1e-10 * np.linalg.norm(want))
 
 
 @pytest.mark.parametrize("rank", [1, 3, 6])
@@ -219,13 +239,13 @@ def test_orthogonalize_never_exceeds_numerical_rank(rank):
     cols = FactorMatrix(rng.normal(size=(10, rank)) @ rng.normal(size=(rank, 8)))
     out = orthogonalize_keep_largest(cols, capacity=8)
     assert out.ncols == rank
-    want = cols.gram_sum()
-    np.testing.assert_allclose(out.gram_sum(), want, rtol=0, atol=1e-10 * np.linalg.norm(want))
+    want = gram(cols)
+    np.testing.assert_allclose(gram(out), want, rtol=0, atol=1e-10 * np.linalg.norm(want))
 
 
 def test_factor_pinv_single_column():
     f = FactorMatrix(np.array([[2.0], [0.0]]))
-    np.testing.assert_allclose(f.gram_sum(), np.diag([4.0, 0.0]))
+    np.testing.assert_allclose(gram(f), np.diag([4.0, 0.0]))
     np.testing.assert_allclose(factor_pinv(f), np.diag([0.25, 0.0]), atol=1e-12)
 
 
@@ -243,9 +263,9 @@ def test_factor_pinv_matches_spectral(seed):
     r = int(rng.integers(1, 9))
     f = FactorMatrix(rng.normal(size=(q, r)))
     via_factor = factor_pinv(f)
-    e = eigh_symmetric(f.gram_sum())
+    e = eigh_symmetric(gram(f))
     rank = int(np.sum(e.eigenvalues > 1e-10 * e.eigenvalues[0]))
-    via_spectral = dense_pinv(f.gram_sum(), rank)
+    via_spectral = dense_pinv(gram(f), rank)
     scale = np.linalg.norm(via_spectral)
     np.testing.assert_allclose(via_factor, via_spectral, atol=1e-7 * scale)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import adaptation_jacobian, fd_gradient, make_params, rel_err
+from conftest import accuracy, adaptation_jacobian, fd_gradient, make_params, rel_err
 from metainfluence import hessian, metalearn, model, taskgen
 from metainfluence.metalearn import (
     Learner,
@@ -353,7 +353,7 @@ def test_meta_train_final_log_matches_per_task_values(rng):
     tasks = sample_tasks(count=4)
     mp, log = meta_train(mp0, tasks, MetaTrainConfig(steps=3, meta_batch=4, seed=2))
     assert log.final_loss == pytest.approx(np.mean([meta_loss(mp, t) for t in tasks]), rel=1e-12)
-    assert log.final_accuracy == np.mean([metalearn.meta_accuracy(mp, t) for t in tasks])
+    assert log.final_accuracy == np.mean([accuracy(mp, t) for t in tasks])
 
 
 def test_meta_train_upweight_zero_eps_matches_base(rng):

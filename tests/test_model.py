@@ -22,8 +22,12 @@ def test_packing_roundtrip():
     spec = MlpSpec((3, 5, 2))
     rng = np.random.default_rng(0)
     w = rng.normal(size=spec.num_params)
-    layers = model.unpack(spec, w)
-    rebuilt = np.concatenate([np.concatenate([W.ravel(), b]) for W, b in layers])
+    rebuilt = np.concatenate(
+        [
+            np.concatenate([w[w_sl].reshape(d_out, d_in).ravel(), w[b_sl]])
+            for w_sl, b_sl, d_out, d_in in spec.layer_slices()
+        ]
+    )
     np.testing.assert_array_equal(rebuilt, w)
 
 
@@ -181,6 +185,8 @@ def test_stacked_shape_errors():
         model.grad(spec, np.zeros((2, spec.num_params)), stacked)
     with pytest.raises(ValueError):
         model.output_jacobian(spec, w, stacked.x)
+    with pytest.raises(ValueError):
+        model.forward(spec, np.zeros((2, spec.num_params)), stacked.x)
 
 
 def test_output_jacobian_bias_columns():
@@ -226,19 +232,31 @@ def test_forward_matches_independent_reimplementation():
     spec, w = random_net(rng, widths=(3, 6, 4, 3))
     x = rng.normal(size=(5, 3))
 
-    # plain loop reimplementation of the same packing convention
-    a = x
-    offset = 0
-    widths = spec.layer_widths
-    for i in range(len(widths) - 1):
-        d_in, d_out = widths[i], widths[i + 1]
-        W = w[offset : offset + d_out * d_in].reshape(d_out, d_in)
-        offset += d_out * d_in
-        b = w[offset : offset + d_out]
-        offset += d_out
-        z = a @ W.T + b
-        a = np.tanh(z) if i < len(widths) - 2 else z
-    np.testing.assert_allclose(model.forward(spec, w, x), a, atol=1e-12)
+    def reference(w, x):
+        # plain loop reimplementation of the same packing convention
+        a = x
+        offset = 0
+        widths = spec.layer_widths
+        for i in range(len(widths) - 1):
+            d_in, d_out = widths[i], widths[i + 1]
+            W = w[offset : offset + d_out * d_in].reshape(d_out, d_in)
+            offset += d_out * d_in
+            b = w[offset : offset + d_out]
+            offset += d_out
+            z = a @ W.T + b
+            a = np.tanh(z) if i < len(widths) - 2 else z
+        return a
+
+    np.testing.assert_allclose(model.forward(spec, w, x), reference(w, x), atol=1e-12)
+    # a task stack takes one shared weight vector or one per task
+    xs = rng.normal(size=(4, 5, 3))
+    per_task_w = w + 0.1 * rng.normal(size=(4, spec.num_params))
+    shared = model.forward(spec, w, xs)
+    own = model.forward(spec, per_task_w, xs)
+    assert shared.shape == own.shape == (4, 5, 3)
+    for i in range(4):
+        np.testing.assert_allclose(shared[i], reference(w, xs[i]), atol=1e-12)
+        np.testing.assert_allclose(own[i], reference(per_task_w[i], xs[i]), atol=1e-12)
 
 
 def test_batch_validation():

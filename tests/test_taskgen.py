@@ -5,8 +5,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from conftest import accuracy
 from metainfluence import metalearn, taskgen
-from metainfluence.metalearn import Learner, MetaParams, Task, meta_accuracy
+from metainfluence.metalearn import Learner, MetaParams, Task
 from metainfluence.model import Batch, MlpSpec
 from metainfluence.taskgen import (
     DegradeParams,
@@ -332,5 +333,5 @@ def test_noise_tasks_are_at_chance_after_adaptation():
     learner = Learner("maml", spec, 0.05)
     mp = MetaParams(spec.init_weights(np.random.default_rng(0), 0.5), learner)
     noise_tasks = sample_taskset(TaskDistributionSpec("noise", d, ways, 5, 20, seed=3), 20)
-    accs = [meta_accuracy(mp, t) for t in noise_tasks]
+    accs = [accuracy(mp, t) for t in noise_tasks]
     assert abs(float(np.mean(accs)) - 1.0 / ways) < 0.1
