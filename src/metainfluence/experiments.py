@@ -312,16 +312,18 @@ def run_distribution_distinction(
     for i, task in enumerate(test_tasks):
         reg = scores[i, regular_mask]
         noi = scores[i, noise_mask]
+        means = float(reg.mean()), float(noi.mean())
+        medians = float(np.median(reg)), float(np.median(noi))
         rows.append(
             {
                 "test_id": task.task_id,
                 "test_loss": float(meta_loss(mp, task)),
-                "mean_regular": float(reg.mean()),
-                "mean_noise": float(noi.mean()),
-                "median_regular": float(np.median(reg)),
-                "median_noise": float(np.median(noi)),
-                "proper_order_mean": bool(reg.mean() > noi.mean()),
-                "proper_order_median": bool(np.median(reg) > np.median(noi)),
+                "mean_regular": means[0],
+                "mean_noise": means[1],
+                "median_regular": medians[0],
+                "median_noise": medians[1],
+                "proper_order_mean": means[0] > means[1],
+                "proper_order_median": medians[0] > medians[1],
             }
         )
     rows.sort(key=lambda r: (r["test_loss"], r["test_id"]))

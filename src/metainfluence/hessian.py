@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg, model
 from .linalg import FactorMatrix
 from .metalearn import MetaParams, Task, _meta_grad, meta_output_jacobian
-from .metalearn import code_name, read_exact, read_header, read_struct
+from .metalearn import code_name, read_f64, read_header, read_struct
 
 _HESSIAN_MAGIC = b"MIHS"
 _HESSIAN_VERSION = 1
@@ -287,7 +287,7 @@ def load_hessian(path) -> HessianRep:
         variant_code, method_code, _, q, cols, capacity, num_tasks = read_struct(fh, "<BBHQQQQ")
         variant = code_name(fh, _VARIANTS, variant_code, "Hessian variant")
         method = code_name(fh, _METHODS, method_code, "Hessian method")
-        data = np.frombuffer(read_exact(fh, 8 * q * cols), dtype="<f8").astype(float)
+        data = read_f64(fh, q * cols)
     if variant == "dense":
         return HessianRep(
             variant="dense",

@@ -30,6 +30,7 @@ from .metalearn import (
     meta_grads,
     meta_train,
     read_exact,
+    read_f64,
     read_header,
     read_struct,
 )
@@ -212,6 +213,5 @@ def load_influence_records(path) -> list[InfluenceRecord]:
             (glen,) = read_struct(fh, "<I")
             gid = read_exact(fh, glen).decode() if glen else None
             ids.append((tid, gid))
-        mat = np.frombuffer(read_exact(fh, 8 * count * q), dtype="<f8").astype(float)
-    mat = mat.reshape(count, q)
-    return [InfluenceRecord(tid, mat[i].copy(), gid) for i, (tid, gid) in enumerate(ids)]
+        mat = read_f64(fh, count * q).reshape(count, q)
+    return [InfluenceRecord(tid, mat[i], gid) for i, (tid, gid) in enumerate(ids)]

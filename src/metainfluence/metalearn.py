@@ -52,18 +52,35 @@ class TruncatedFileError(OSError):
     """A binary artifact ends before the bytes its header declares."""
 
 
+def _check_remaining(fh, n: int) -> None:
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        raise TruncatedFileError(
+            f"{fh.name} is truncated: expected {n} more bytes, found {remaining}"
+        )
+
+
 def read_exact(fh, n: int) -> bytes:
     """Read exactly n bytes from a binary file or raise TruncatedFileError.
 
     The length is checked against the bytes left in the file before reading,
     so a corrupt header that declares a huge payload allocates nothing.
     """
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > remaining:
-        raise TruncatedFileError(
-            f"{fh.name} is truncated: expected {n} more bytes, found {remaining}"
-        )
+    _check_remaining(fh, n)
     return fh.read(n)
+
+
+def read_f64(fh, count: int) -> np.ndarray:
+    """Read ``count`` little-endian float64 values straight into a new array.
+
+    Length-checked like ``read_exact``. The file is read into the array
+    itself, so the payload is held once.
+    """
+    _check_remaining(fh, 8 * count)
+    out = np.empty(count, dtype="<f8")
+    if fh.readinto(out) != out.nbytes:
+        raise TruncatedFileError(f"{fh.name} is truncated: it shrank while being read")
+    return out.astype(float, copy=False)
 
 
 def read_struct(fh, fmt: str) -> tuple:
@@ -438,7 +455,7 @@ def load_params(path) -> MetaParams:
         (nw,) = read_struct(fh, "<I")
         widths = read_struct(fh, f"<{nw}Q")
         (q,) = read_struct(fh, "<Q")
-        omega = np.frombuffer(read_exact(fh, 8 * q), dtype="<f8").astype(float)
+        omega = read_f64(fh, q)
     spec = MlpSpec(widths, acts if acts else "tanh")
     learner = Learner(kind, spec, inner_lr)
     return MetaParams(omega, learner)

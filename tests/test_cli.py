@@ -459,6 +459,17 @@ def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt,
     assert_clean_exit(["--config", cfg, "--out", out, "hessian"], capsys, cli.EXIT_USAGE, *needles)
 
 
+def test_truncated_taskset_is_usage_error(trained, tmp_path, capsys):
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    path = out / "train_tasks.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    needles = [path, "is not valid JSON at char"]
+    assert_clean_exit(["--config", cfg, "--out", out, "hessian"], capsys, cli.EXIT_USAGE, *needles)
+
+
 @pytest.mark.parametrize(
     "doc, flags",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,22 @@ def test_hessian_roundtrip(tmp_path, rng, variant):
         np.testing.assert_array_equal(loaded.factor.columns, h.factor.columns)
     save_hessian(tmp_path / "h2.bin", loaded)
     assert (tmp_path / "h.bin").read_bytes() == (tmp_path / "h2.bin").read_bytes()
+
+
+def test_dense_hessian_load_holds_its_payload_once(tmp_path, rng):
+    h = HessianRep(variant="dense", matrix=linalg.symmetrize(rng.normal(size=(400, 400))), num_tasks=3)
+    path = tmp_path / "h.bin"
+    save_hessian(path, h)
+    payload = h.matrix.nbytes
+    tracemalloc.start()
+    try:
+        loaded = load_hessian(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.matrix, h.matrix)
+    # the bytes and then a float copy of them were 2x the payload
+    assert payload <= peak < 1.05 * payload, peak / payload
 
 
 def test_gn_matches_exact_near_fit_small():

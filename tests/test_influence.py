@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,23 @@ def test_store_roundtrip(tmp_path, rng):
         np.testing.assert_array_equal(got.i_meta, want.i_meta)
     save_influence_records(tmp_path / "infl2.bin", loaded)
     assert (tmp_path / "infl.bin").read_bytes() == (tmp_path / "infl2.bin").read_bytes()
+
+
+def test_store_load_holds_its_payload_once(tmp_path, rng):
+    records = [InfluenceRecord(f"t{i}", rng.normal(size=400), None) for i in range(200)]
+    path = tmp_path / "infl.bin"
+    save_influence_records(path, records)
+    payload = 200 * 400 * 8
+    tracemalloc.start()
+    try:
+        loaded = load_influence_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for got, want in zip(loaded, records):
+        np.testing.assert_array_equal(got.i_meta, want.i_meta)
+    # the bytes, a float copy and then a copy per record were 2x the payload
+    assert payload <= peak < 1.25 * payload, peak / payload
 
 
 def test_store_truncated_payload_raises(tmp_path, rng):

@@ -181,6 +181,112 @@ def test_taskset_in_indented_layout_loads(tmp_path):
     assert_bitwise_equal_tasks(loaded, tasks)
 
 
+def layout_text(tasks, spec, layout):
+    """The taskset document in one of three layouts: as saved, indented, or reordered keys."""
+    text = whole_document(tasks, spec)
+    doc = json.loads(text)
+    if layout == "indented":
+        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    if layout == "version-first":
+        return json.dumps({"version": doc["version"], "spec": doc["spec"], "tasks": doc["tasks"]})
+    return text
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+@pytest.mark.parametrize("layout", ["compact", "indented", "version-first"])
+def test_small_window_round_trips_bitwise(tmp_path, monkeypatch, window, layout):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
+    spec = clustered_spec(seed=24)
+    tasks = augment_group(sample_taskset(spec, 2)[0], 2, 0.5, seed=3) + [special_float_task()]
+    path = tmp_path / "tasks.json"
+    path.write_text(layout_text(tasks, spec, layout))
+    loaded, loaded_spec = load_taskset(path)
+    assert loaded_spec == spec
+    assert_bitwise_equal_tasks(loaded, tasks)
+
+
+def test_every_window_edge_position_loads(tmp_path, monkeypatch):
+    # the first refill ends at char `window`, so the sweep puts an edge at
+    # every offset of the file, in and at the end of every number
+    x = np.array([[0.30000000000000004, -12.5], [1e-7, 123456789.0]])
+    tasks = [Task("t", Batch(x, np.array([0, 1])), Batch(-x, np.array([1, 0])))]
+    path = tmp_path / "tasks.json"
+    save_taskset(path, tasks)
+    for window in range(1, path.stat().st_size + 2):
+        monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
+        assert_bitwise_equal_tasks(load_taskset(path)[0], tasks)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 64])
+def test_number_that_ends_at_the_window_edge_is_read_whole(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
+    path = tmp_path / "tasks.json"
+    path.write_text('{"tasks":[],"version":10}')
+    with pytest.raises(ValueError, match="unsupported taskset version 10$"):
+        load_taskset(path)
+    path.write_text('{"tasks":[],"version":1')
+    with pytest.raises(ValueError, match="not valid JSON at char 23: Expecting ',' delimiter"):
+        load_taskset(path)
+
+
+@pytest.mark.parametrize("window", [3, 1 << 16])
+def test_empty_task_list_loads(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
+    spec = clustered_spec(seed=25)
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [], "spec": asdict(spec)}, indent=2))
+    assert load_taskset(path) == ([], spec)
+
+
+@pytest.mark.parametrize("window", [3, 1 << 16])
+@pytest.mark.parametrize("trailer", ["x", "{}", " []\n", "\n1"])
+def test_trailing_data_is_refused(tmp_path, monkeypatch, window, trailer):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
+    path = tmp_path / "tasks.json"
+    save_taskset(path, sample_taskset(clustered_spec(seed=26), 2))
+    text = path.read_text()
+    path.write_text(text + trailer)
+    offset = len(text) + len(trailer) - len(trailer.lstrip())
+    with pytest.raises(ValueError, match=f"not valid JSON at char {offset}: Extra data"):
+        load_taskset(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"tasks"', "", "  \n", "null", "garbage"])
+def test_document_that_is_not_an_object_is_not_a_taskset(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", 2)
+    path = tmp_path / "tasks.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="is not a taskset: the document is not a JSON object"):
+        load_taskset(path)
+
+
+def test_truncated_file_names_the_json_error_and_its_file_offset(tmp_path, monkeypatch):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", 5)
+    spec = clustered_spec(seed=27, d=2, ways=2, ks=1, kq=1)
+    save_taskset(tmp_path / "whole.json", sample_taskset(spec, 2) + [special_float_task()], spec)
+    text = (tmp_path / "whole.json").read_text()
+    path = tmp_path / "cut.json"
+    for cut in range(1, len(text) - 1):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text[:cut])
+        path.write_text(text[:cut])
+        with pytest.raises(ValueError) as got:
+            load_taskset(path)
+        assert str(got.value) == f"{path} is not valid JSON at char {want.value.pos}: {want.value.msg}"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_nonfinite_literal_reaches_the_finiteness_check(tmp_path, monkeypatch, literal):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", 4)
+    path = tmp_path / "tasks.json"
+    save_taskset(path, sample_taskset(clustered_spec(seed=28), 2))
+    doc = json.loads(path.read_text())
+    doc["tasks"][1]["support"]["x"][0][0] = 0.125
+    path.write_text(json.dumps(doc).replace("0.125", literal))
+    with pytest.raises(ValueError, match="'clustered-0001' has a non-finite feature in its support batch"):
+        load_taskset(path)
+
+
 @pytest.mark.parametrize("part", ["support", "query"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_save_refuses_nonfinite_feature(tmp_path, part, bad):
@@ -233,28 +339,33 @@ def test_saved_file_is_the_whole_document_encoding(tmp_path, case):
 
 
 def test_save_and_load_hold_about_one_task_at_a_time(tmp_path):
-    # 300 tasks of 16-d 5-way 5+5: about 4.6 MiB of JSON
-    tasks = sample_taskset(TaskDistributionSpec("clustered", 16, 5, 5, 5, seed=18), 300)
-    path = tmp_path / "tasks.json"
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        save_taskset(path, tasks)
-        save_peak = tracemalloc.get_traced_memory()[1] - base
-        del tasks
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        loaded, _ = load_taskset(path)
-        load_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    size = path.stat().st_size
-    assert len(loaded) == 300 and size > 4 << 20
-    # the whole document as Python lists plus its text would be ~4x the file
-    assert save_peak < 0.1 * size, save_peak / size
-    # the file as bytes and then as text is 2x; every float list at once ~2.9x
-    assert load_peak < 2.4 * size, load_peak / size
+    # 16-d 5-way 5+5 tasks: 300 of them are about 4.6 MiB of JSON, 1200 about 18 MiB
+    spec = TaskDistributionSpec("clustered", 16, 5, 5, 5, seed=18)
+    transient, size = {}, {}
+    for count in (300, 1200):
+        path = tmp_path / f"tasks{count}.json"
+        tasks = sample_taskset(spec, count)
+        tracemalloc.start()
+        try:
+            save_taskset(path, tasks)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            del tasks
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loaded, _ = load_taskset(path)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == count
+        size[count] = path.stat().st_size
+        # the whole document as Python lists plus its text would be ~4x the file
+        assert save_peak < 0.1 * size[count], save_peak / size[count]
+        # beyond what the loaded tasks keep: about one text window and the
+        # per-task dicts before validation (the whole text was 1.5x the file)
+        transient[count] = peak - kept
+        assert transient[count] < 2 << 20, transient
+    # the file's growth adds only the per-task dicts, about 450 bytes a task
+    assert transient[1200] - transient[300] < 0.05 * (size[1200] - size[300]), (transient, size)
 
 
 def test_refused_save_leaves_the_existing_file(tmp_path):
