@@ -18,13 +18,15 @@ from .hessian import SpectralInverse
 from .influence import (
     HELPFUL_POSITIVE,
     InfluenceRecord,
+    _record_stack,
+    _scored_chunks,
     influence_group,
     influence_records,
     rank_rows,
     score_pairs,
     score_table,
 )
-from .metalearn import MetaParams, Task, meta_loss
+from .metalearn import STACK_CHUNK, MetaParams, Task, meta_grads
 from .taskgen import DegradeParams, degrade_task
 
 REPORT_SCHEMA_VERSION = 1
@@ -147,6 +149,33 @@ class DegradationReport:
         )
 
 
+def _degraded_scores(
+    mp: MetaParams,
+    records: list[InfluenceRecord],
+    train_tasks: list[Task],
+    values: list[float],
+    make_params,
+    seed: int,
+):
+    """Each training task with the (len(values), records) scores of its degraded grid.
+
+    The grids of several tasks share one stacked meta-gradient call of at
+    most STACK_CHUNK tests. Each task's block is then multiplied by the
+    record stack on its own, as ``score_pairs`` does for that grid alone: one
+    product over every grid would send a trailing one-row chunk through a
+    matrix-vector kernel and change its last bits.
+    """
+    stack = _record_stack(records)
+    k = len(values)
+    per_call = max(1, STACK_CHUNK // max(k, 1))
+    for c in range(0, len(train_tasks), per_call):
+        tasks = train_tasks[c : c + per_call]
+        tests = [degrade_task(t, make_params(v), seed, DEGRADE_PARTS) for t in tasks for v in values]
+        grads = meta_grads(mp, tests)
+        for i, task in enumerate(tasks):
+            yield task, HELPFUL_POSITIVE * (grads[i * k : (i + 1) * k] @ stack)
+
+
 def _degradation_sweep(
     mp: MetaParams,
     records: list[InfluenceRecord],
@@ -161,9 +190,7 @@ def _degradation_sweep(
     score_corrs: list[float] = []
     rank_excluded = 0
     score_excluded = 0
-    for task in train_tasks:
-        tests = [degrade_task(task, make_params(v), seed, DEGRADE_PARTS) for v in values]
-        scores = score_pairs(mp, records, tests)
+    for task, scores in _degraded_scores(mp, records, train_tasks, values, make_params, seed):
         ranks = rank_rows(scores, train_ids)
         j = train_ids.index(task.task_id)
         self_ranks = ranks[:, j].astype(float)
@@ -266,7 +293,10 @@ def _group_records(records: list[InfluenceRecord], train_tasks: list[Task]) -> t
     for task in train_tasks:
         gid = task.group_id
         if gid is None:
-            continue
+            raise ValueError(
+                f"training task {task.task_id!r} has no group id while others have one; "
+                "group every training task or none"
+            )
         if gid not in provenance_by_group:
             provenance_by_group[gid] = task.provenance
             order.append(gid)
@@ -285,7 +315,9 @@ def run_distribution_distinction(
     """Compare score distributions of regular vs noise training entities per test.
 
     When the training tasks carry group ids, scoring happens at the group
-    level (summed member influence); otherwise per task. A test is in proper
+    level (summed member influence); otherwise per task. A training set in
+    which only some tasks carry a group id raises ValueError. Each test's
+    loss and scores come from one stacked kernel pass. A test is in proper
     order when the regular mean (or median) strictly exceeds the noise one;
     the counts feed an exact two-sided binomial test against chance. Rows are
     ordered by ascending test loss.
@@ -307,17 +339,18 @@ def run_distribution_distinction(
     if not regular_mask.any():
         raise ValueError("no regular-provenance training entities; comparison undefined")
 
-    scores = score_pairs(mp, entities, test_tasks)
+    losses, scores = _scored_chunks(mp, entities, test_tasks, with_loss=True)
+    regular, noise = scores[:, regular_mask], scores[:, noise_mask]
+    median_regular, median_noise = np.median(regular, axis=1), np.median(noise, axis=1)
     rows = []
     for i, task in enumerate(test_tasks):
-        reg = scores[i, regular_mask]
-        noi = scores[i, noise_mask]
-        means = float(reg.mean()), float(noi.mean())
-        medians = float(np.median(reg)), float(np.median(noi))
+        # a mean over axis 1 sums in another order than each row's own mean
+        means = float(regular[i].mean()), float(noise[i].mean())
+        medians = float(median_regular[i]), float(median_noise[i])
         rows.append(
             {
                 "test_id": task.task_id,
-                "test_loss": float(meta_loss(mp, task)),
+                "test_loss": float(losses[i]),
                 "mean_regular": means[0],
                 "mean_noise": means[1],
                 "median_regular": medians[0],

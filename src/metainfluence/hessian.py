@@ -158,28 +158,23 @@ def gn_columns_for_task(mp: MetaParams, task: Task, num_tasks: int = 1) -> Facto
     """Factor columns of one task's outer-product curvature term.
 
     For each query sample the softmax curvature diag(s) - s s^T is factored
-    with ``psd_sqrt_small`` and pushed through the transposed logit
-    meta-Jacobian. Columns carry 1/sqrt(n_query * num_tasks) so that summing
-    V V^T over a taskset reproduces the task-mean matrix. Saturated samples
-    contribute nothing and zero factor columns are omitted.
+    with ``psd_sqrt_small``; one batched product pushes every sample's
+    factor through its transposed logit meta-Jacobian. Columns carry
+    1/sqrt(n_query * num_tasks) so that summing V V^T over a taskset
+    reproduces the task-mean matrix. Zero factor columns, which include
+    every column of a saturated sample, are omitted; the rest keep their
+    (sample, column) order.
     """
     logits, jac = meta_output_jacobian(mp, task)
     nq, c, q = jac.shape
-    sm = model.softmax(logits)
     scale = 1.0 / np.sqrt(nq * num_tasks)
-    blocks = []
-    for n in range(nq):
-        s = sm[n]
-        a = np.diag(s) - np.outer(s, s)
-        c_fac = linalg.psd_sqrt_small(a)
-        col_norms = np.linalg.norm(c_fac, axis=0)
-        c_fac = c_fac[:, col_norms > 0.0]
-        if c_fac.shape[1] == 0:
-            continue
-        blocks.append((jac[n].T @ c_fac) * scale)
-    if not blocks:
-        return FactorMatrix.empty(q)
-    return FactorMatrix(np.concatenate(blocks, axis=1))
+    c_facs = np.stack(
+        [linalg.psd_sqrt_small(np.diag(s) - np.outer(s, s)) for s in model.softmax(logits)]
+    )
+    nonzero = np.linalg.norm(c_facs, axis=1) > 0.0
+    cols = jac.swapaxes(1, 2) @ c_facs
+    cols *= scale
+    return FactorMatrix(cols.swapaxes(0, 1)[:, nonzero])
 
 
 def accumulate_gn(mp: MetaParams, taskset: list[Task], capacity: int) -> HessianRep:

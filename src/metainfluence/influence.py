@@ -24,6 +24,7 @@ from .metalearn import (
     MetaParams,
     MetaTrainConfig,
     Task,
+    _stacked_rows,
     adapt,
     adapt_jacobian_matvec,
     meta_grad,
@@ -108,12 +109,21 @@ class ScoreTable:
     ranks: np.ndarray
 
     def to_csv(self, path) -> None:
+        """One line per pair; a score is written as the repr of its Python float.
+
+        Each test row is converted with ``tolist`` and written as one string,
+        so the whole table is never held as Python objects at once.
+        """
         with open(path, "w", newline="") as fh:
             fh.write(f"# sign_convention={HELPFUL_POSITIVE:g} (positive = helpful)\n")
             fh.write("test_id,train_id,score,rank\n")
-            for i, tid in enumerate(self.test_ids):
-                for j, jid in enumerate(self.train_ids):
-                    fh.write(f"{tid},{jid},{float(self.scores[i, j])!r},{int(self.ranks[i, j])}\n")
+            for tid, scores, ranks in zip(self.test_ids, self.scores, self.ranks):
+                fh.write(
+                    "".join(
+                        f"{tid},{jid},{s!r},{r}\n"
+                        for jid, s, r in zip(self.train_ids, scores.tolist(), ranks.tolist())
+                    )
+                )
 
 
 def rank_rows(scores: np.ndarray, train_ids: list[str]) -> np.ndarray:
@@ -125,6 +135,33 @@ def rank_rows(scores: np.ndarray, train_ids: list[str]) -> np.ndarray:
     return ranks
 
 
+def _record_stack(records: list[InfluenceRecord]) -> np.ndarray:
+    """The records' vectors as the columns of one (q, len(records)) matrix."""
+    if not records:
+        raise ValueError("need at least one influence record")
+    return np.stack([r.i_meta for r in records], axis=1)
+
+
+def _scored_chunks(
+    mp: MetaParams, records: list[InfluenceRecord], test_tasks: list[Task], with_loss: bool = False
+):
+    """Score matrix (tests x records), and with ``with_loss`` the tests' query losses.
+
+    Test meta-gradients come from the stacked kernel STACK_CHUNK tasks at a
+    time, and each chunk's rows are multiplied by the record stack once.
+    Returns the scores, or (losses, scores) with ``with_loss``.
+    """
+    stack = _record_stack(records)
+    losses, scores = np.empty(len(test_tasks)), np.empty((len(test_tasks), len(records)))
+    for c in range(0, len(test_tasks), STACK_CHUNK):
+        chunk = slice(c, c + STACK_CHUNK)
+        rows = _stacked_rows(mp.learner, mp.omega, test_tasks[chunk], with_loss=with_loss)
+        if with_loss:
+            losses[chunk], rows = rows
+        scores[chunk] = HELPFUL_POSITIVE * (rows @ stack)
+    return (losses, scores) if with_loss else scores
+
+
 def score_pairs(mp: MetaParams, records: list[InfluenceRecord], test_tasks: list[Task]) -> np.ndarray:
     """Score matrix (tests x records) from stored records.
 
@@ -133,14 +170,7 @@ def score_pairs(mp: MetaParams, records: list[InfluenceRecord], test_tasks: list
     task's meta-gradient; tests verify agreement with the composed form.
     Test meta-gradients are computed STACK_CHUNK tasks at a time.
     """
-    if not records:
-        raise ValueError("need at least one influence record")
-    stack = np.stack([r.i_meta for r in records], axis=1)
-    scores = np.empty((len(test_tasks), len(records)))
-    for c in range(0, len(test_tasks), STACK_CHUNK):
-        chunk = test_tasks[c : c + STACK_CHUNK]
-        scores[c : c + len(chunk)] = HELPFUL_POSITIVE * (meta_grads(mp, chunk) @ stack)
-    return scores
+    return _scored_chunks(mp, records, test_tasks)
 
 
 def score_table(

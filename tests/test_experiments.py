@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from conftest import gn_dense, make_params
 from metainfluence import experiments as exp
 from metainfluence import hessian, metalearn, taskgen
 from metainfluence.hessian import SpectralInverse
+from metainfluence.influence import influence_records, score_pairs
+from metainfluence.metalearn import STACK_CHUNK, meta_loss
 
 
 def identity_inverse(q):
@@ -152,6 +155,73 @@ def test_distribution_distinction_group_level(rng):
     assert report.config["entity_level"] == "group"
     assert report.counts["regular_entities"] == 2
     assert report.counts["noise_entities"] == 1
+
+
+def test_distribution_distinction_refuses_partly_grouped_training_set(rng):
+    mp = make_params(rng)
+    regular = sample_tasks(count=3)
+    grouped = taskgen.augment_group(regular[0], 2, 0.5, seed=8) + regular[1:]
+    noise = [replace(t, group_id=f"g-{t.task_id}") for t in sample_tasks(count=2, kind="noise", seed=9)]
+    tests = sample_tasks(count=2, seed=66)
+    with pytest.raises(ValueError, match=f"{regular[1].task_id!r} has no group id"):
+        exp.run_distribution_distinction(mp, identity_inverse(mp.q), grouped + noise, tests)
+    # ungrouped noise tasks next to grouped regular ones name the first of them
+    ungrouped = sample_tasks(count=2, kind="noise", seed=9)
+    with pytest.raises(ValueError, match=f"{ungrouped[0].task_id!r} has no group id"):
+        exp.run_distribution_distinction(mp, identity_inverse(mp.q), grouped[:2] + ungrouped, tests)
+
+
+def two_shape_tasks(prefix, count, seed, kind="clustered"):
+    """``count`` tasks alternating between two (support, query) shapes, with unique ids."""
+    a = sample_tasks(count=(count + 1) // 2, seed=seed, kind=kind, ks=4, kq=5)
+    b = sample_tasks(count=count // 2, seed=seed + 1, kind=kind, ks=3, kq=6)
+    mixed = [t for pair in zip(a, b) for t in pair] + a[len(b) :]
+    return [replace(t, task_id=f"{prefix}-{i:03d}") for i, t in enumerate(mixed)]
+
+
+@pytest.mark.parametrize("kind,inner_lr", [("maml", 0.05), ("protonet", 0.0)])
+def test_stacked_experiment_paths_match_per_task_oracles(kind, inner_lr, rng):
+    mp = make_params(rng, kind=kind, inner_lr=inner_lr)
+    inv = identity_inverse(mp.q)
+    train = two_shape_tasks("reg", 24, seed=3) + two_shape_tasks("noi", 17, seed=9, kind="noise")
+    # 2 * STACK_CHUNK + 1 tests: two full chunks of two shape groups each, then a 1-task chunk
+    tests = two_shape_tasks("test", 2 * STACK_CHUNK + 1, seed=21)
+
+    report = exp.run_distribution_distinction(mp, inv, train, tests)
+    records = influence_records(inv, mp, train)
+    scores = score_pairs(mp, records, tests)
+    regular = np.array([t.provenance == "regular" for t in train])
+    want = []
+    for i, task in enumerate(tests):
+        reg, noi = scores[i, regular], scores[i, ~regular]
+        means = float(reg.mean()), float(noi.mean())
+        medians = float(np.median(reg)), float(np.median(noi))
+        want.append(
+            {
+                "test_id": task.task_id,
+                "test_loss": float(meta_loss(mp, task)),
+                "mean_regular": means[0],
+                "mean_noise": means[1],
+                "median_regular": medians[0],
+                "median_noise": medians[1],
+                "proper_order_mean": means[0] > means[1],
+                "proper_order_median": medians[0] > medians[1],
+            }
+        )
+    want.sort(key=lambda r: (r["test_loss"], r["test_id"]))
+    assert report.rows == want
+
+    # a grid of 5 does not divide STACK_CHUNK: 6 tasks share each stacked call, the last 5
+    alphas, ratios, seed = [0.0, 0.2, 0.5, 0.8, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], 5
+    report = exp.run_degradation(mp, inv, train, alphas, ratios, seed)
+    for sweep, grid, make in (
+        (report.alpha_sweep, alphas, lambda a: taskgen.DegradeParams(a, exp.DEGRADE_RATIO_FIXED)),
+        (report.ratio_sweep, ratios, lambda r: taskgen.DegradeParams(exp.DEGRADE_ALPHA_FIXED, r)),
+    ):
+        assert [row["task_id"] for row in sweep["per_task"]] == [t.task_id for t in train]
+        for j, (task, row) in enumerate(zip(train, sweep["per_task"])):
+            degraded = [taskgen.degrade_task(task, make(v), seed, exp.DEGRADE_PARTS) for v in grid]
+            assert row["self_scores"] == score_pairs(mp, records, degraded)[:, j].tolist()
 
 
 def test_all_equal_scores_is_not_proper_order(rng):

@@ -8,6 +8,7 @@ from metainfluence import hessian, metalearn, taskgen
 from metainfluence.hessian import SpectralInverse, exact_meta_hessian, invert
 from metainfluence.influence import (
     InfluenceRecord,
+    ScoreTable,
     influence_group,
     influence_meta,
     influence_perf,
@@ -288,6 +289,23 @@ def test_score_csv_round_trips_scores(tmp_path, rng):
     rows = path.read_text().strip().split("\n")[2:]
     parsed = np.array([float(row.split(",")[2]) for row in rows]).reshape(table.scores.shape)
     np.testing.assert_array_equal(parsed, table.scores)
+
+
+def test_score_csv_writes_shortest_repr_bytes(tmp_path):
+    scores = np.array([[1e-05, -0.0, 0.1], [1e16, -2.5, 0.1 + 0.2]])
+    ranks = np.array([[1, 2, 0], [0, 2, 1]])
+    path = tmp_path / "scores.csv"
+    ScoreTable(["t0", "t1"], ["a", "b", "c"], scores, ranks).to_csv(path)
+    assert path.read_bytes() == (
+        b"# sign_convention=-1 (positive = helpful)\n"
+        b"test_id,train_id,score,rank\n"
+        b"t0,a,1e-05,1\n"
+        b"t0,b,-0.0,2\n"
+        b"t0,c,0.1,0\n"
+        b"t1,a,1e+16,0\n"
+        b"t1,b,-2.5,2\n"
+        b"t1,c,0.30000000000000004,1\n"
+    )
 
 
 def test_score_csv_row_count(tmp_path, rng):
