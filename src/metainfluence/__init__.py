@@ -51,12 +51,11 @@ from .metalearn import (
     load_params,
     meta_grad,
     meta_grads,
-    meta_loss,
     meta_train,
     save_params,
     total_meta_gradient_norm,
 )
-from .model import Batch, MlpSpec, forward, grad, hvp, loss, output_jacobian
+from .model import Batch, MlpSpec, forward, grad, hvp, output_jacobian
 from .taskgen import (
     DegradeParams,
     TaskDistributionSpec,

@@ -190,9 +190,10 @@ def _degradation_sweep(
     score_corrs: list[float] = []
     rank_excluded = 0
     score_excluded = 0
-    for task, scores in _degraded_scores(mp, records, train_tasks, values, make_params, seed):
+    # records follow train_tasks, so task j's own column is column j
+    scored = _degraded_scores(mp, records, train_tasks, values, make_params, seed)
+    for j, (task, scores) in enumerate(scored):
         ranks = rank_rows(scores, train_ids)
-        j = train_ids.index(task.task_id)
         self_ranks = ranks[:, j].astype(float)
         self_scores = scores[:, j]
         r_rank = pearson(values, self_ranks)

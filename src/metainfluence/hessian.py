@@ -16,21 +16,13 @@ eigenpairs and returns them as a ``SpectralInverse`` (U, lambda).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model
+from . import artifact, linalg, model
 from .linalg import FactorMatrix
 from .metalearn import MetaParams, Task, _meta_grad, meta_output_jacobian
-from .metalearn import code_name, read_f64, read_header, read_struct
-
-_HESSIAN_MAGIC = b"MIHS"
-_HESSIAN_VERSION = 1
-# a variant's or method's stored code is its position here
-_VARIANTS = ("dense", "factored")
-_METHODS = ("exact", "gauss_newton")
 
 DENSE_CAP_DEFAULT = 2000
 FD_STEP_SCALE = 1e-4
@@ -55,8 +47,11 @@ class HessianRep:
     def __post_init__(self) -> None:
         if self.variant not in ("dense", "factored"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "dense" and self.matrix is None:
-            raise ValueError("dense variant needs a matrix")
+        if self.method not in ("exact", "gauss_newton"):
+            raise ValueError(f"unknown method {self.method!r}")
+        shape = np.shape(self.matrix)
+        if self.variant == "dense" and (len(shape) != 2 or shape[0] != shape[1]):
+            raise ValueError(f"dense variant needs a square matrix, got shape {shape}")
         if self.variant == "factored" and self.factor is None:
             raise ValueError("factored variant needs a factor")
 
@@ -250,50 +245,25 @@ def spectrum_summary(h: HessianRep) -> dict:
 
 
 def save_hessian(path, h: HessianRep) -> None:
-    """Binary layout: magic, version, variant, method, q, columns, capacity, tasks, then f64 payload."""
-    variant_code = _VARIANTS.index(h.variant)
-    method_code = _METHODS.index(h.method)
-    if h.variant == "dense":
-        payload = np.ascontiguousarray(h.matrix, dtype="<f8")
-        cols = h.dim
-    else:
-        payload = np.ascontiguousarray(h.factor.columns, dtype="<f8")
-        cols = h.factor.ncols
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _HESSIAN_MAGIC, _HESSIAN_VERSION))
-        fh.write(
-            struct.pack(
-                "<BBHQQQQ",
-                variant_code,
-                method_code,
-                0,
-                h.dim,
-                cols,
-                h.buffer_capacity or 0,
-                h.num_tasks,
-            )
-        )
-        fh.write(payload.tobytes())
+    """Variant, method, task count and capacity in the header; the matrix or factor as the payload."""
+    header = {
+        "variant": h.variant, "method": h.method,
+        "num_tasks": h.num_tasks, "buffer_capacity": h.buffer_capacity,
+    }
+    payload = h.matrix if h.variant == "dense" else h.factor.columns
+    artifact.save(path, "hessian", header, payload)
 
 
 def load_hessian(path) -> HessianRep:
-    with open(path, "rb") as fh:
-        read_header(fh, _HESSIAN_MAGIC, _HESSIAN_VERSION, "a Hessian file")
-        variant_code, method_code, _, q, cols, capacity, num_tasks = read_struct(fh, "<BBHQQQQ")
-        variant = code_name(fh, _VARIANTS, variant_code, "Hessian variant")
-        method = code_name(fh, _METHODS, method_code, "Hessian method")
-        data = read_f64(fh, q * cols)
-    if variant == "dense":
+    def build(head: dict, data: np.ndarray) -> HessianRep:
+        dense = head["variant"] == "dense"
         return HessianRep(
-            variant="dense",
-            matrix=data.reshape(q, q),
-            num_tasks=num_tasks,
-            method=method,
+            variant=head["variant"],
+            matrix=data if dense else None,
+            factor=None if dense else FactorMatrix(data),
+            num_tasks=head["num_tasks"],
+            method=head["method"],
+            buffer_capacity=head["buffer_capacity"],
         )
-    return HessianRep(
-        variant="factored",
-        factor=FactorMatrix(data.reshape(q, cols)),
-        num_tasks=num_tasks,
-        method=method,
-        buffer_capacity=capacity or None,
-    )
+
+    return artifact.load(path, "hessian", build)

@@ -13,7 +13,6 @@ report and table header.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +29,8 @@ from .metalearn import (
     meta_grad,
     meta_grads,
     meta_train,
-    read_exact,
-    read_f64,
-    read_header,
-    read_struct,
 )
-from . import model
-
-_STORE_MAGIC = b"MIIR"
-_STORE_VERSION = 1
+from . import artifact, model
 
 HELPFUL_POSITIVE = -1.0  # score = HELPFUL_POSITIVE * d(test loss)/d(upweight)
 
@@ -216,32 +208,18 @@ def loo_retrain_oracle(
 
 
 def save_influence_records(path, records: list[InfluenceRecord]) -> None:
-    """Binary store: header, id table, then the row-major f64 record matrix."""
+    """Task and group ids in the header; the (records, q) matrix as the payload."""
     if not records:
         raise ValueError("nothing to save")
-    q = records[0].i_meta.size
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _STORE_MAGIC, _STORE_VERSION))
-        fh.write(struct.pack("<QQ", len(records), q))
-        for rec in records:
-            tid = rec.task_id.encode()
-            gid = (rec.group_id or "").encode()
-            fh.write(struct.pack("<I", len(tid)) + tid)
-            fh.write(struct.pack("<I", len(gid)) + gid)
-        mat = np.stack([r.i_meta for r in records], axis=0)
-        fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+    header = {"task_ids": [r.task_id for r in records], "group_ids": [r.group_id for r in records]}
+    artifact.save(path, "influence", header, np.stack([r.i_meta for r in records]))
 
 
 def load_influence_records(path) -> list[InfluenceRecord]:
-    with open(path, "rb") as fh:
-        read_header(fh, _STORE_MAGIC, _STORE_VERSION, "an influence store")
-        count, q = read_struct(fh, "<QQ")
-        ids = []
-        for _ in range(count):
-            (tlen,) = read_struct(fh, "<I")
-            tid = read_exact(fh, tlen).decode()
-            (glen,) = read_struct(fh, "<I")
-            gid = read_exact(fh, glen).decode() if glen else None
-            ids.append((tid, gid))
-        mat = read_f64(fh, count * q).reshape(count, q)
-    return [InfluenceRecord(tid, mat[i], gid) for i, (tid, gid) in enumerate(ids)]
+    def build(head: dict, mat: np.ndarray) -> list[InfluenceRecord]:
+        if mat.ndim != 2:
+            raise ValueError(f"records need a 2-D payload, got shape {mat.shape}")
+        rows = zip(head["task_ids"], mat, head["group_ids"], strict=True)
+        return [InfluenceRecord(tid, row, gid) for tid, row, gid in rows]
+
+    return artifact.load(path, "influence", build)

@@ -19,14 +19,12 @@ and the curvature and scoring code above them all go through it.
 from __future__ import annotations
 
 import json
-import os
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import model
+from . import artifact, model
 from .model import Batch, MlpSpec
 
 LEARNER_KINDS = ("maml", "protonet")
@@ -40,68 +38,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_PARAMS_MAGIC = b"MIMP"
-_PARAMS_VERSION = 1
-
 
 class TrainingDivergedError(RuntimeError):
     """Meta-training produced a non-finite loss or gradient."""
-
-
-class TruncatedFileError(OSError):
-    """A binary artifact ends before the bytes its header declares."""
-
-
-def _check_remaining(fh, n: int) -> None:
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > remaining:
-        raise TruncatedFileError(
-            f"{fh.name} is truncated: expected {n} more bytes, found {remaining}"
-        )
-
-
-def read_exact(fh, n: int) -> bytes:
-    """Read exactly n bytes from a binary file or raise TruncatedFileError.
-
-    The length is checked against the bytes left in the file before reading,
-    so a corrupt header that declares a huge payload allocates nothing.
-    """
-    _check_remaining(fh, n)
-    return fh.read(n)
-
-
-def read_f64(fh, count: int) -> np.ndarray:
-    """Read ``count`` little-endian float64 values straight into a new array.
-
-    Length-checked like ``read_exact``. The file is read into the array
-    itself, so the payload is held once.
-    """
-    _check_remaining(fh, 8 * count)
-    out = np.empty(count, dtype="<f8")
-    if fh.readinto(out) != out.nbytes:
-        raise TruncatedFileError(f"{fh.name} is truncated: it shrank while being read")
-    return out.astype(float, copy=False)
-
-
-def read_struct(fh, fmt: str) -> tuple:
-    """Read and unpack one struct of format ``fmt``, length-checked."""
-    return struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt)))
-
-
-def read_header(fh, magic: bytes, version: int, what: str) -> None:
-    """Read a binary artifact's magic and version and check both against ``what``'s."""
-    got_magic, got_version = read_struct(fh, "<4sI")
-    if got_magic != magic:
-        raise ValueError(f"{fh.name} is not {what}: bad magic {got_magic!r}")
-    if got_version != version:
-        raise ValueError(f"{fh.name}: unsupported version {got_version} of {what}")
-
-
-def code_name(fh, names: tuple[str, ...], code: int, what: str) -> str:
-    """The name a stored enum code stands for; an unknown code raises ValueError."""
-    if code >= len(names):
-        raise ValueError(f"{fh.name}: unknown {what} code {code}")
-    return names[code]
 
 
 @dataclass(frozen=True)
@@ -207,11 +146,6 @@ def task_logits(mp: MetaParams, task: Task) -> np.ndarray:
 
 def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(logits.argmax(axis=1) == y))
-
-
-def meta_loss(mp: MetaParams, task: Task) -> float:
-    """Query loss after adaptation (the outer-loop objective for one task)."""
-    return model.cross_entropy(task_logits(mp, task), task.query.y)
 
 
 def _maml_meta_grad(
@@ -430,32 +364,18 @@ def total_meta_gradient_norm(mp: MetaParams, taskset: list[Task]) -> float:
 
 
 def save_params(path, mp: MetaParams) -> None:
-    """Binary MetaParams file: header, spec, then the little-endian f64 vector."""
-    spec = mp.learner.spec
-    acts = ",".join(spec.activation).encode()
-    widths = spec.layer_widths
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _PARAMS_MAGIC, _PARAMS_VERSION))
-        kind_code = LEARNER_KINDS.index(mp.learner.kind)
-        fh.write(struct.pack("<Bd", kind_code, mp.learner.inner_lr))
-        fh.write(struct.pack("<I", len(acts)) + acts)
-        fh.write(struct.pack("<I", len(widths)))
-        fh.write(struct.pack(f"<{len(widths)}Q", *widths))
-        fh.write(struct.pack("<Q", mp.q))
-        fh.write(np.ascontiguousarray(mp.omega, dtype="<f8").tobytes())
+    """The learner and its architecture in the header; omega as the payload."""
+    learner = mp.learner
+    header = {
+        "kind": learner.kind, "inner_lr": learner.inner_lr,
+        "layer_widths": learner.spec.layer_widths, "activation": learner.spec.activation,
+    }
+    artifact.save(path, "params", header, mp.omega)
 
 
 def load_params(path) -> MetaParams:
-    with open(path, "rb") as fh:
-        read_header(fh, _PARAMS_MAGIC, _PARAMS_VERSION, "a MetaParams file")
-        kind_code, inner_lr = read_struct(fh, "<Bd")
-        kind = code_name(fh, LEARNER_KINDS, kind_code, "learner kind")
-        (alen,) = read_struct(fh, "<I")
-        acts = tuple(read_exact(fh, alen).decode().split(",")) if alen else ()
-        (nw,) = read_struct(fh, "<I")
-        widths = read_struct(fh, f"<{nw}Q")
-        (q,) = read_struct(fh, "<Q")
-        omega = read_f64(fh, q)
-    spec = MlpSpec(widths, acts if acts else "tanh")
-    learner = Learner(kind, spec, inner_lr)
-    return MetaParams(omega, learner)
+    def build(head: dict, omega: np.ndarray) -> MetaParams:
+        spec = MlpSpec(head["layer_widths"], head["activation"])
+        return MetaParams(omega, Learner(head["kind"], spec, head["inner_lr"]))
+
+    return artifact.load(path, "params", build)

@@ -255,13 +255,6 @@ def _checked(spec: MlpSpec, w: np.ndarray, x: np.ndarray, y_max: int | None = No
     return w
 
 
-def loss(spec: MlpSpec, w: np.ndarray, batch: Batch):
-    """Mean cross-entropy: a float, or one value per task of a stacked batch."""
-    w = _checked(spec, w, batch.x, batch._y_max)
-    logits, *_ = _forward_cache(spec, w, batch.x)
-    return cross_entropy(logits, batch.y)
-
-
 def _backward(spec: MlpSpec, acts, dacts, layers, delta: np.ndarray) -> np.ndarray:
     """Reverse sweep from the output cotangent ``delta`` (..., n, c) of a cached forward pass.
 

@@ -194,11 +194,10 @@ def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = No
     The file is the compact sorted-key encoding of the whole document, but
     only one task's float lists exist at once. Floats keep their shortest
     round-trip repr, so ``load_taskset`` returns bitwise-equal tasks. A
-    feature that is not finite raises ValueError, as it does on load, before
-    the file is opened.
+    feature that is not finite or a bad task id raises ValueError, as it does
+    on load, before the file is opened.
     """
-    for t in tasks:
-        _check_finite(path, t)
+    _check_tasks(path, tasks)
     head = _dumps(asdict(spec) if spec is not None else None)
     with open(path, "w") as fh:
         # sorted top-level keys: spec, tasks, version
@@ -220,12 +219,19 @@ def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = No
         fh.write(f'],"version":{TASKSET_FORMAT_VERSION}}}\n')
 
 
-def _check_finite(path, task: Task) -> None:
-    for part in ("support", "query"):
-        if not np.all(np.isfinite(getattr(task, part).x)):
-            raise ValueError(
-                f"{path}: task {task.task_id!r} has a non-finite feature in its {part} batch"
-            )
+def _check_tasks(path, tasks: list[Task]) -> None:
+    """Refuse a non-finite feature, and a task id that repeats or that would split a CSV row."""
+    seen: set[str] = set()
+    for task in tasks:
+        if task.task_id in seen or any(c in task.task_id for c in ",\n\r"):
+            why = "repeats" if task.task_id in seen else "holds a comma or a line break"
+            raise ValueError(f"{path}: task id {task.task_id!r} {why}")
+        seen.add(task.task_id)
+        for part in ("support", "query"):
+            if not np.all(np.isfinite(getattr(task, part).x)):
+                raise ValueError(
+                    f"{path}: task {task.task_id!r} has a non-finite feature in its {part} batch"
+                )
 
 
 def _load_batch(part) -> Batch:
@@ -360,9 +366,9 @@ def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
 
     The file is read through a bounded text window, one task at a time, so
     beyond the loaded tasks it holds under two windows of text. Text that is
-    not JSON, a document that breaks the schema, or a feature that is not
-    finite raises ValueError naming the file and, where it is known, the
-    character offset or the task.
+    not JSON, a document that breaks the schema, a feature that is not
+    finite, or a task id that repeats or holds a comma or a line break raises
+    ValueError naming the file and, where it is known, the offset or the task.
     """
     with open(path) as fh:
         doc = _read_document(path, fh)
@@ -389,8 +395,8 @@ def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
             raise ValueError(f"{path}: task {tid!r} has no field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: task {tid!r} is malformed: {exc}") from exc
-        _check_finite(path, task)
         tasks.append(task)
+    _check_tasks(path, tasks)
     spec = None
     if doc.get("spec"):
         try:

@@ -36,6 +36,11 @@ def random_net(rng, widths=(5, 7, 4), activation="tanh", jitter=0.3):
     return spec, w
 
 
+def meta_loss(mp, task):
+    """Query loss after adaptation, the outer-loop objective of one task."""
+    return model.cross_entropy(task_logits(mp, task), task.query.y)
+
+
 def adaptation_jacobian(mp, task):
     """d theta_hat / d omega as a q x q matrix: I for protonet, I - lr * H_support for MAML."""
     eye = np.eye(mp.q)

@@ -1,6 +1,7 @@
 import json
 import hashlib
 import shutil
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -406,25 +407,55 @@ def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc):
     assert_clean_exit(["--config", path, "--out", tmp_path / "out", "gen"], capsys, cli.EXIT_USAGE)
 
 
+def rewrite_header(path, edit):
+    """Replace a binary artifact's JSON header by ``edit(header)``, keeping magic, version and payload."""
+    data = path.read_bytes()
+    magic, version, size = struct.unpack("<4sIQ", data[:16])
+    text = json.dumps(edit(json.loads(data[16 : 16 + size])), sort_keys=True).encode()
+    path.write_bytes(struct.pack("<4sIQ", magic, version, len(text)) + text + data[16 + size :])
+
+
 @pytest.mark.parametrize(
-    "artifact, offset, code, stage, what",
+    "artifact, field, value, stage, what",
     [
-        ("params.bin", 8, 7, "hessian", "learner kind code 7"),
-        ("hessian.bin", 8, 2, "influence", "Hessian variant code 2"),
-        ("hessian.bin", 9, 5, "influence", "Hessian method code 5"),
+        ("params.bin", "kind", "hopfield", "hessian", "unknown learner kind 'hopfield'"),
+        ("hessian.bin", "variant", "sparse", "influence", "unknown variant 'sparse'"),
+        ("hessian.bin", "method", "bfgs", "influence", "unknown method 'bfgs'"),
     ],
+    ids=["learner-kind", "hessian-variant", "hessian-method"],
 )
-def test_unknown_binary_code_is_usage_error(
-    trained, tmp_path, capsys, artifact, offset, code, stage, what
+def test_unknown_header_name_is_usage_error(
+    trained, tmp_path, capsys, artifact, field, value, stage, what
 ):
     cfg, done = trained
     out = tmp_path / "out"
     shutil.copytree(done, out)
-    data = bytearray((out / artifact).read_bytes())
-    data[offset] = code
-    (out / artifact).write_bytes(bytes(data))
+    rewrite_header(out / artifact, lambda header: dict(header, **{field: value}))
     args = ["--config", cfg, "--out", out, stage]
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, out / artifact, what)
+
+
+def _version_1(path):
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "corrupt, what",
+    [
+        (_version_1, "unsupported version 1 of a MetaParams file"),
+        (lambda path: rewrite_header(path, lambda header: [header]), "is not a JSON object"),
+    ],
+    ids=["version-1", "header-not-an-object"],
+)
+def test_unreadable_params_header_is_usage_error(trained, tmp_path, capsys, corrupt, what):
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    corrupt(out / "params.bin")
+    args = ["--config", cfg, "--out", out, "hessian"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, out / "params.bin", what)
 
 
 def _drop_query(doc):
@@ -437,6 +468,11 @@ def _huge_label(doc):
     return doc
 
 
+def _repeated_id(doc):
+    doc["tasks"][1]["id"] = doc["tasks"][0]["id"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt, needle",
     [
@@ -444,8 +480,9 @@ def _huge_label(doc):
         (lambda doc: doc["tasks"], "is not a taskset"),
         (lambda doc: dict(doc, spec=dict(doc["spec"], colour="red")), "bad taskset spec"),
         (_huge_label, "labels must fit in int64"),
+        (_repeated_id, "repeats"),
     ],
-    ids=["task-without-query", "top-level-array", "unknown-spec-field", "label-beyond-int64"],
+    ids=["task-without-query", "top-level-array", "unknown-spec-field", "label-beyond-int64", "repeated-id"],
 )
 def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt, needle):
     cfg, done = trained
@@ -454,7 +491,7 @@ def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt,
     path = out / "train_tasks.json"
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(corrupt(doc)))
-    names_task = "field" in needle or "int64" in needle
+    names_task = "field" in needle or "int64" in needle or needle == "repeats"
     needles = [path, needle] + ([repr(doc["tasks"][1]["id"])] if names_task else [])
     assert_clean_exit(["--config", cfg, "--out", out, "hessian"], capsys, cli.EXIT_USAGE, *needles)
 

@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import gn_dense, make_params
+from conftest import gn_dense, make_params, meta_loss
 from metainfluence import experiments as exp
 from metainfluence import hessian, metalearn, taskgen
 from metainfluence.hessian import SpectralInverse
 from metainfluence.influence import influence_records, score_pairs
-from metainfluence.metalearn import STACK_CHUNK, meta_loss
+from metainfluence.metalearn import STACK_CHUNK
 
 
 def identity_inverse(q):
@@ -118,6 +118,21 @@ def test_degradation_report_structure(rng):
     assert doc["results"]["alpha"]["values"] == [0.0, 0.5, 1.0]
     assert len(doc["results"]["alpha"]["per_task"]) == 3
     assert doc["config_echo"]["sign_convention"] == exp.HELPFUL_POSITIVE
+
+
+def test_degradation_reads_each_task_column_by_position(rng):
+    # the last task reuses the first one's id; its self scores still come from its own column
+    mp = make_params(rng, widths=(4, 6, 3))
+    tasks = sample_tasks(d=4, count=5)
+    tasks[4] = replace(tasks[4], task_id=tasks[0].task_id)
+    inv, alphas, seed = identity_inverse(mp.q), [0.0, 0.5, 1.0], 3
+    report = exp.run_degradation(mp, inv, tasks, alphas, [0.0, 1.0], seed)
+    degraded = [
+        taskgen.degrade_task(tasks[4], taskgen.DegradeParams(a, exp.DEGRADE_RATIO_FIXED), seed, exp.DEGRADE_PARTS)
+        for a in alphas
+    ]
+    want = score_pairs(mp, influence_records(inv, mp, tasks), degraded)[:, 4]
+    assert report.alpha_sweep["per_task"][4]["self_scores"] == want.tolist()
 
 
 def test_distribution_distinction_requires_noise(rng):

@@ -19,7 +19,8 @@ from metainfluence.influence import (
     score_pairs,
     score_table,
 )
-from metainfluence.metalearn import MetaParams, TruncatedFileError, adapt, adapt_jacobian_matvec, meta_grad
+from metainfluence.artifact import TruncatedFileError
+from metainfluence.metalearn import MetaParams, adapt, adapt_jacobian_matvec, meta_grad
 
 
 def sample_tasks(seed=7, count=4, d=6, ways=3, ks=4, kq=5, noise=0.6):

@@ -62,10 +62,10 @@ def artifacts(tmp_path_factory):
 def corruptions():
     """("cut", n, _) keeps the first n bytes; ("flip", i, mask) xors byte i with mask.
 
-    Half the flips land in the first 24 bytes, where the binary headers and the
-    first keys of the taskset JSON are.
+    Half the flips land in the first 256 bytes, where the binary prefixes and
+    JSON headers and the first keys of the taskset JSON are.
     """
-    position = st.one_of(st.integers(0, 23), st.integers(0, 1 << 20))
+    position = st.one_of(st.integers(0, 255), st.integers(0, 1 << 20))
     cut = st.tuples(st.just("cut"), st.integers(0, 1 << 20), st.just(0))
     flip = st.tuples(st.just("flip"), position, st.integers(1, 255))
     return st.one_of(cut, flip)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import accuracy, adaptation_jacobian, fd_gradient, make_params, rel_err
+from conftest import accuracy, adaptation_jacobian, fd_gradient, make_params, meta_loss, rel_err
 from metainfluence import hessian, metalearn, model, taskgen
 from metainfluence.metalearn import (
     Learner,
@@ -14,7 +14,6 @@ from metainfluence.metalearn import (
     load_params,
     meta_grad,
     meta_grads,
-    meta_loss,
     meta_train,
     save_params,
     total_meta_gradient_norm,
@@ -58,7 +57,7 @@ def test_adapt_matches_fd_gradient_step(seed):
     rng = np.random.default_rng(seed)
     mp = make_params(rng, widths=(6, 5, 3), inner_lr=0.07)
     task = sample_tasks(seed=seed)[0]
-    fd = fd_gradient(lambda w: model.loss(mp.learner.spec, w, task.support), mp.omega)
+    fd = fd_gradient(lambda w: model.loss_and_grad(mp.learner.spec, w, task.support)[0], mp.omega)
     assert rel_err(adapt(mp, task), mp.omega - 0.07 * fd) < 1e-5
 
 
@@ -99,7 +98,7 @@ def test_meta_loss_composes_adapt_and_loss(rng):
     mp = make_params(rng, widths=(6, 5, 3), inner_lr=0.05)
     task = sample_tasks()[2]
     theta = adapt(mp, task)
-    assert meta_loss(mp, task) == pytest.approx(model.loss(mp.learner.spec, theta, task.query))
+    assert meta_loss(mp, task) == pytest.approx(model.loss_and_grad(mp.learner.spec, theta, task.query)[0])
 
 
 def test_meta_loss_invariant_under_query_duplication(rng):

@@ -50,7 +50,7 @@ def test_forward_single_layer_is_affine():
 def test_loss_uniform_logits_is_log_c():
     spec = MlpSpec((2, 4))
     batch = Batch(np.zeros((6, 2)), np.arange(6) % 4)
-    assert model.loss(spec, np.zeros(spec.num_params), batch) == pytest.approx(np.log(4.0))
+    assert model.loss_and_grad(spec, np.zeros(spec.num_params), batch)[0] == pytest.approx(np.log(4.0))
 
 
 def test_loss_saturated_correct_is_tiny():
@@ -59,7 +59,7 @@ def test_loss_saturated_correct_is_tiny():
     w = np.zeros(spec.num_params)
     w[-2:] = [20.0, -20.0]
     batch = Batch(np.zeros((3, 2)), np.zeros(3, dtype=int))
-    assert model.loss(spec, w, batch) <= 1e-8
+    assert model.loss_and_grad(spec, w, batch)[0] <= 1e-8
 
 
 def test_loss_shift_invariance():
@@ -79,7 +79,7 @@ def test_grad_matches_fd(seed, activation):
     spec, w = random_net(rng, activation=activation)
     batch = random_batch(rng, 8, spec)
     g = model.grad(spec, w, batch)
-    fd = fd_gradient(lambda ww: model.loss(spec, ww, batch), w)
+    fd = fd_gradient(lambda ww: model.loss_and_grad(spec, ww, batch)[0], w)
     assert rel_err(g, fd) < 1e-5
 
 
@@ -280,7 +280,7 @@ def test_label_out_of_range_rejected():
     spec = MlpSpec((2, 2))
     batch = Batch(np.zeros((1, 2)), np.array([2]))
     with pytest.raises(ValueError):
-        model.loss(spec, np.zeros(spec.num_params), batch)
+        model.loss_and_grad(spec, np.zeros(spec.num_params), batch)[0]
 
 
 def test_layout_is_cached_tuple_of_packing_formula():
@@ -325,7 +325,7 @@ def test_batch_owns_read_only_labels_and_their_range():
         batch.y[0] = 1
     y[1] = 7  # the caller's array, not the batch's
     np.testing.assert_array_equal(batch.y, [0, 1])
-    assert model.loss(spec, w, batch) == pytest.approx(np.log(2))
+    assert model.loss_and_grad(spec, w, batch)[0] == pytest.approx(np.log(2))
     y_bad = np.array([0, 2])
     bad = Batch(np.zeros((2, 2)), y_bad)
     y_bad[1] = 0

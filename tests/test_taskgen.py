@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -299,6 +300,31 @@ def test_save_refuses_nonfinite_feature(tmp_path, part, bad):
     with pytest.raises(ValueError, match=needle):
         save_taskset(path, [task])
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "bad_id, why",
+    [
+        ("clustered-0000", "repeats"),
+        ("noise,0004", "holds a comma or a line break"),
+        ("a\nb", "holds a comma or a line break"),
+        ("a\rb", "holds a comma or a line break"),
+    ],
+    ids=["repeated", "comma", "newline", "carriage-return"],
+)
+def test_bad_task_id_is_refused_on_save_and_load(tmp_path, bad_id, why):
+    tasks = sample_taskset(clustered_spec(seed=21), 3)
+    path = tmp_path / "tasks.json"
+    needle = re.escape(f"{path}: task id {bad_id!r} {why}")
+    with pytest.raises(ValueError, match=needle):
+        save_taskset(path, tasks[:2] + [replace(tasks[2], task_id=bad_id)])
+    assert not path.exists()
+    save_taskset(path, tasks)
+    doc = json.loads(path.read_text())
+    doc["tasks"][2]["id"] = bad_id
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=needle):
+        load_taskset(path)
 
 
 def whole_document(tasks, spec):
