@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,9 +51,11 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A JSON number; a bool or a string is refused."""
+    """A finite JSON number; a bool, a string, NaN and +-Infinity are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, not {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, not {value!r}")
     return float(value)
 
 
@@ -75,10 +78,9 @@ def _names(values) -> list:
 
 
 def _keep(keep):
-    if isinstance(keep, str) and keep not in ("positive", "all"):
-        raise ValueError(f"unknown keep rule {keep!r}")
-    if isinstance(keep, bool) or not isinstance(keep, (str, int, float)):
-        raise TypeError(f"keep must be a count, threshold, or rule name, not {keep!r}")
+    from .linalg import check_keep
+
+    check_keep(keep)
     return keep
 
 
@@ -135,7 +137,7 @@ def _read(doc, table: dict, where: str = "") -> dict:
             continue
         try:
             values[key] = convert(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value {name!r}: {exc}") from exc
     return values
 

@@ -97,10 +97,23 @@ def eigh_symmetric(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w[::-1].copy(), q[:, ::-1].copy())
 
 
+def check_keep(keep) -> None:
+    """Refuse a ``keep`` that is not one of the pruning rules of ``retained_indices``."""
+    if isinstance(keep, str):
+        if keep not in ("positive", "all"):
+            raise ValueError(f"unknown keep rule {keep!r}")
+    elif isinstance(keep, (bool, np.bool_)) or not isinstance(keep, (int, float, np.integer, np.floating)):
+        raise TypeError(f"keep must be an int count, float threshold, or rule name, not {keep!r}")
+    elif isinstance(keep, (int, np.integer)) and keep < 0:
+        raise ValueError(f"keep count must be non-negative, not {keep!r}")
+    elif not 0.0 <= keep < np.inf:
+        raise ValueError(f"keep threshold must be finite and non-negative, not {keep!r}")
+
+
 def retained_indices(eigenvalues: np.ndarray, keep: int | float | str) -> np.ndarray:
     """Indices of eigenvalues treated as non-zero under a pruning rule.
 
-    ``keep`` is one of:
+    ``keep`` is one of these (``check_keep`` refuses anything else):
       * int k      -- the k largest eigenvalues in signed descending order
                       (clamped to the available count);
       * float tau  -- every eigenvalue with |lam| >= tau * s, where s is the
@@ -109,31 +122,18 @@ def retained_indices(eigenvalues: np.ndarray, keep: int | float | str) -> np.nda
       * "all"      -- every eigenvalue with |lam| above INVERT_FLOOR * s,
                       i.e. the plain inverse minus numerically-zero modes.
     """
+    check_keep(keep)
     lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.size
-    if n == 0:
-        return np.empty(0, dtype=int)
-    scale = float(np.abs(lam).max())
+    scale = float(np.abs(lam).max(initial=0.0))
     if scale == 0.0:
         return np.empty(0, dtype=int)
-    if isinstance(keep, str):
-        if keep == "positive":
-            return np.flatnonzero(lam > POSITIVE_FLOOR * scale)
-        if keep == "all":
-            return np.flatnonzero(np.abs(lam) > INVERT_FLOOR * scale)
-        raise ValueError(f"unknown keep rule {keep!r}")
-    if isinstance(keep, (bool, np.bool_)):
-        raise TypeError("keep must be an int count, float threshold, or rule name")
+    if keep == "positive":
+        return np.flatnonzero(lam > POSITIVE_FLOOR * scale)
+    if keep == "all":
+        return np.flatnonzero(np.abs(lam) > INVERT_FLOOR * scale)
     if isinstance(keep, (int, np.integer)):
-        if keep < 0:
-            raise ValueError("keep count must be non-negative")
-        return np.arange(min(int(keep), n))
-    if isinstance(keep, (float, np.floating)):
-        tau = float(keep)
-        if tau < 0:
-            raise ValueError("keep threshold must be non-negative")
-        return np.flatnonzero(np.abs(lam) >= tau * scale)
-    raise TypeError(f"unsupported keep specifier {keep!r}")
+        return np.arange(min(int(keep), lam.size))
+    return np.flatnonzero(np.abs(lam) >= float(keep) * scale)
 
 
 def psd_sqrt_small(a: np.ndarray) -> np.ndarray:

@@ -282,6 +282,12 @@ class MetaTrainConfig:
     weight_decay: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise ValueError(f"steps must be non-negative, not {self.steps}")
+        if self.meta_batch < 1:
+            raise ValueError(f"meta_batch must be at least 1, not {self.meta_batch}")
+
 
 @dataclass
 class TrainLog:

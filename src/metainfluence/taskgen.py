@@ -197,7 +197,9 @@ def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = No
     feature that is not finite or a bad task id raises ValueError, as it does
     on load, before the file is opened.
     """
-    _check_tasks(path, tasks)
+    seen: set[str] = set()
+    for task in tasks:
+        _check_task(path, task, seen)
     head = _dumps(asdict(spec) if spec is not None else None)
     with open(path, "w") as fh:
         # sorted top-level keys: spec, tasks, version
@@ -219,49 +221,49 @@ def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = No
         fh.write(f'],"version":{TASKSET_FORMAT_VERSION}}}\n')
 
 
-def _check_tasks(path, tasks: list[Task]) -> None:
-    """Refuse a non-finite feature, and a task id that repeats or that would split a CSV row."""
-    seen: set[str] = set()
-    for task in tasks:
-        if task.task_id in seen or any(c in task.task_id for c in ",\n\r"):
-            why = "repeats" if task.task_id in seen else "holds a comma or a line break"
-            raise ValueError(f"{path}: task id {task.task_id!r} {why}")
-        seen.add(task.task_id)
-        for part in ("support", "query"):
-            if not np.all(np.isfinite(getattr(task, part).x)):
-                raise ValueError(
-                    f"{path}: task {task.task_id!r} has a non-finite feature in its {part} batch"
-                )
+def _check_task(path, task: Task, seen: set[str]) -> None:
+    """Refuse a non-finite feature, and an id in ``seen`` or that would split a CSV row; record the id."""
+    if task.task_id in seen or any(c in task.task_id for c in ",\n\r"):
+        why = "repeats" if task.task_id in seen else "holds a comma or a line break"
+        raise ValueError(f"{path}: task id {task.task_id!r} {why}")
+    seen.add(task.task_id)
+    for part in ("support", "query"):
+        if not np.all(np.isfinite(getattr(task, part).x)):
+            raise ValueError(f"{path}: task {task.task_id!r} has a non-finite feature in its {part} batch")
 
 
 def _load_batch(part) -> Batch:
-    if isinstance(part, Batch):
-        return part
     batch = Batch(np.array(part["x"], dtype=float), np.array(part["y"]))
     if batch.stacked:
         raise ValueError(f"inputs must be (n, d), got shape {batch.x.shape}")
     return batch
 
 
-def _batch_hook(obj: dict):
-    """Decode an {"x", "y"} object to a Batch as soon as the parser closes it.
-
-    Its float lists are then freed before the next batch is parsed. An
-    object that ``_load_batch`` refuses stays a dict, so the per-task check
-    of ``load_taskset`` raises the error that names its task.
-    """
-    if obj.keys() != {"x", "y"}:
-        return obj
+def _load_task(path, entry, seen: set[str]) -> Task:
+    """The checked Task of one decoded ``tasks`` entry; a bad entry raises ValueError naming it."""
+    tid = entry.get("id") if isinstance(entry, dict) else None
     try:
-        return _load_batch(obj)
-    except (TypeError, ValueError):
-        return obj
+        if not isinstance(entry["id"], str):
+            raise TypeError("its id is not a string")
+        task = Task(
+            task_id=entry["id"],
+            support=_load_batch(entry["support"]),
+            query=_load_batch(entry["query"]),
+            group_id=entry.get("group_id"),
+            provenance=entry.get("provenance", "regular"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: task {tid!r} has no field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: task {tid!r} is malformed: {exc}") from exc
+    _check_task(path, task, seen)
+    return task
 
 
 # Characters that load_taskset reads per refill of its text window. On a
 # 19 MB taskset, 64 Ki loads as fast as 1 Mi and holds 4 MB less at peak.
 _WINDOW_CHARS = 1 << 16
-_DECODER = json.JSONDecoder(object_hook=_batch_hook)
+_DECODER = json.JSONDecoder()
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
@@ -338,7 +340,7 @@ class _TextWindow:
 
 
 def _read_document(path, fh) -> dict:
-    """The taskset document, with its "tasks" array decoded one task at a time."""
+    """The taskset document; each entry of its "tasks" array becomes a checked Task as it is read."""
     window = _TextWindow(path, fh)
     if window.peek() != "{":
         raise ValueError(f"{path} is not a taskset: the document is not a JSON object")
@@ -350,8 +352,9 @@ def _read_document(path, fh) -> dict:
         key = window.value()
         window.take(":", "Expecting ':' delimiter")
         if key == "tasks" and window.peek() == "[":
-            tasks = doc[key] = []
-            window.members("]", lambda: tasks.append(window.value()))
+            tasks, seen = [], set()
+            doc[key] = tasks
+            window.members("]", lambda: tasks.append(_load_task(path, window.value(), seen)))
         else:
             doc[key] = window.value()
 
@@ -364,39 +367,20 @@ def _read_document(path, fh) -> dict:
 def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
     """Read a taskset file; accepts externally produced files in the same schema.
 
-    The file is read through a bounded text window, one task at a time, so
-    beyond the loaded tasks it holds under two windows of text. Text that is
-    not JSON, a document that breaks the schema, a feature that is not
-    finite, or a task id that repeats or holds a comma or a line break raises
-    ValueError naming the file and, where it is known, the offset or the task.
+    The file is read through a bounded text window, and each task is built
+    and checked as it is read. Text that is not JSON, a document that breaks
+    the schema, a feature that is not finite, or a task id that repeats or
+    holds a comma or a line break raises ValueError naming the file and,
+    where it is known, the offset or the task (a bad task before the rest).
     """
     with open(path) as fh:
         doc = _read_document(path, fh)
     version = doc.get("version")
     if version != TASKSET_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported taskset version {version!r}")
-    entries = doc.get("tasks")
-    if not isinstance(entries, list):
+    tasks = doc.get("tasks")
+    if not isinstance(tasks, list):
         raise ValueError(f"{path}: 'tasks' is not a list")
-    tasks = []
-    for entry in entries:
-        tid = entry.get("id") if isinstance(entry, dict) else None
-        try:
-            if not isinstance(entry["id"], str):
-                raise TypeError("its id is not a string")
-            task = Task(
-                task_id=entry["id"],
-                support=_load_batch(entry["support"]),
-                query=_load_batch(entry["query"]),
-                group_id=entry.get("group_id"),
-                provenance=entry.get("provenance", "regular"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: task {tid!r} has no field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: task {tid!r} is malformed: {exc}") from exc
-        tasks.append(task)
-    _check_tasks(path, tasks)
     spec = None
     if doc.get("spec"):
         try:

@@ -392,6 +392,36 @@ def test_config_number_of_wrong_type_is_usage_error(trained, tmp_path, capsys, o
     assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, repr(key))
 
 
+@pytest.mark.parametrize(
+    "section, key, literal, stage, names",
+    [
+        ("hessian", "keep", "NaN", "gen", "hessian.keep"),
+        ("hessian", "keep", "1e999", "gen", "hessian.keep"),
+        ("hessian", "keep", "-Infinity", "gen", "hessian.keep"),
+        ("train", "lr", "NaN", "train", "train.lr"),
+        ("learner", "inner_lr", "NaN", "train", "learner.inner_lr"),
+        ("train", "weight_decay", "1e999", "train", "train.weight_decay"),
+        ("train", "lr", "1" + "0" * 400, "train", "train.lr"),
+        ("hessian", "keep", "-3", "gen", "hessian.keep"),
+        ("hessian", "keep", "-0.5", "gen", "hessian.keep"),
+        ("train", "meta_batch", "0", "train", "train"),
+        ("train", "steps", "-5", "train", "train"),
+    ],
+    ids=[
+        "keep-nan", "keep-overflow", "keep-minus-infinity", "lr-nan", "inner_lr-nan", "weight_decay-overflow",
+        "lr-integer-beyond-float",
+        "keep-negative-count", "keep-negative-threshold", "meta_batch-zero", "steps-negative",
+    ],
+)
+def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, section, key, literal, stage, names):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    cfg = write_config(tmp_path, {section: {key: 0.125}})
+    cfg.write_text(cfg.read_text().replace("0.125", literal))
+    assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, repr(names))
+
+
 def test_config_integral_float_is_an_integer(tmp_path):
     steps = cli.load_config(write_config(tmp_path, {"train": {"steps": 3.0}})).train["steps"]
     assert steps == 3 and isinstance(steps, int)

@@ -386,11 +386,11 @@ def test_save_and_load_hold_about_one_task_at_a_time(tmp_path):
         size[count] = path.stat().st_size
         # the whole document as Python lists plus its text would be ~4x the file
         assert save_peak < 0.1 * size[count], save_peak / size[count]
-        # beyond what the loaded tasks keep: about one text window and the
-        # per-task dicts before validation (the whole text was 1.5x the file)
+        # beyond what the loaded tasks keep: about one text window and one
+        # task's float lists (the whole text was 1.5x the file)
         transient[count] = peak - kept
         assert transient[count] < 2 << 20, transient
-    # the file's growth adds only the per-task dicts, about 450 bytes a task
+    # the file's growth adds next to nothing: each task is built as it is read
     assert transient[1200] - transient[300] < 0.05 * (size[1200] - size[300]), (transient, size)
 
 
@@ -424,6 +424,42 @@ def test_refused_batch_names_its_task(tmp_path, corrupt):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="task 'clustered-0001' is malformed"):
+        load_taskset(path)
+
+
+def cut_in_third_task(tasks, spec, corrupt):
+    """The saved text of ``corrupt(doc)``, cut halfway through its third and last task."""
+    doc = json.loads(whole_document(tasks, spec))
+    text = json.dumps(corrupt(doc), sort_keys=True, separators=(",", ":"))
+    third = text.index(f'"id":{json.dumps(tasks[2].task_id)}')
+    return text[: third + (len(text) - third) // 2]
+
+
+def _short_support_y(doc):
+    doc["tasks"][1]["support"]["y"].pop()
+    return doc
+
+
+def _nan_feature(doc):
+    doc["tasks"][0]["query"]["x"][0][1] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("window", [4, 1 << 16])
+@pytest.mark.parametrize(
+    "corrupt, needle",
+    [
+        (_short_support_y, "task 'clustered-0001' is malformed"),
+        (_nan_feature, "task 'clustered-0000' has a non-finite feature in its query batch"),
+    ],
+    ids=["short-y", "nan-feature"],
+)
+def test_bad_task_is_refused_before_a_later_cut(tmp_path, monkeypatch, window, corrupt, needle):
+    monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
+    spec = clustered_spec(seed=29)
+    path = tmp_path / "tasks.json"
+    path.write_text(cut_in_third_task(sample_taskset(spec, 3), spec, corrupt))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {needle}")):
         load_taskset(path)
 
 
