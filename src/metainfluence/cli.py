@@ -115,6 +115,7 @@ CONFIG_KEYS = {
     "output_dir": _text,
 }
 REQUIRED_SECTIONS = ("model", "learner", "tasksets", "train", "hessian")
+EXPERIMENTS = ("self_rank", "degradation", "distribution_distinction", "exact_vs_gn")
 
 
 def _read(doc, table: dict, where: str = "") -> dict:
@@ -243,11 +244,11 @@ def cmd_train(cfg: RunConfig, out: Path, taskset_path: str | None) -> None:
     from . import metalearn, taskgen
     from .metalearn import MetaParams
 
-    tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
     learner = _learner(cfg)
     train = dict(cfg.train)
     init_seed = train.pop("init_seed", None)
     train_cfg = _build("train", metalearn.MetaTrainConfig, **train)
+    tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
     rng = np.random.default_rng(train_cfg.seed + 1 if init_seed is None else init_seed)
     mp0 = MetaParams(learner.spec.init_weights(rng), learner)
     mp, log = metalearn.meta_train(mp0, tasks, train_cfg)
@@ -265,17 +266,17 @@ def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path
     from . import metalearn, taskgen
     from .experiments import canonical_json
 
-    mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
-    tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
     h = cfg.hessian
     method = h.get("method", "exact")
+    if method not in ("exact", "gn"):
+        raise ConfigError(f"bad config value 'hessian.method': unknown method {method!r}; use 'exact' or 'gn'")
+    mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
+    tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
     if method == "exact":
         cap = {"dense_cap": h["dense_cap"]} if "dense_cap" in h else {}
         rep = hessian_mod.exact_meta_hessian(mp, tasks, **cap)
-    elif method == "gn":
-        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=h.get("capacity", 1024))
     else:
-        raise ConfigError(f"unknown hessian method {method!r}")
+        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=h.get("capacity", 1024))
     hessian_mod.save_hessian(out / "hessian.bin", rep)
     summary = hessian_mod.spectrum_summary(rep)
     with open(out / "spectrum.json", "w") as fh:
@@ -319,40 +320,40 @@ def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_
 
 
 def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
-    """The report of each requested experiment, by name; loads no artifact when none is requested."""
+    """The report of each requested experiment, by name.
+
+    The names and the degradation grid values are checked before any artifact
+    is read, and no artifact is read when no experiment is requested.
+    """
     from . import experiments as exp
     from . import metalearn, taskgen
 
+    for name in requested:
+        if name not in EXPERIMENTS:
+            raise ConfigError(f"bad config value 'experiments.run': unknown experiment {name!r}")
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    degradation = {"alphas": grid, "ratios": grid, "seed": 0, **cfg.experiments.get("degradation", {})}
+    if "degradation" in requested:
+        for value in degradation["alphas"] + degradation["ratios"]:
+            _build("experiments.degradation", taskgen.DegradeParams, alpha=value, ratio=value)
+    sizes = [8, 16, 32]
+    exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **cfg.experiments.get("exact_vs_gn", {})}
     if not requested:
         return {}
     mp = metalearn.load_params(_require(out / "params.bin"))
     tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
+    inv = _matching_inverse(cfg, out / "hessian.bin", mp, tasks) if set(requested) - {"exact_vs_gn"} else None
     reports = {}
-    inv = None
-
-    def _inverse():
-        nonlocal inv
-        if inv is None:
-            inv = _matching_inverse(cfg, out / "hessian.bin", mp, tasks)
-        return inv
-
     for name in requested:
         if name == "self_rank":
-            reports[name] = exp.run_self_rank(mp, _inverse(), tasks).to_dict()
+            reports[name] = exp.run_self_rank(mp, inv, tasks).to_dict()
         elif name == "degradation":
-            grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-            d = {"alphas": grid, "ratios": grid, "seed": 0, **cfg.experiments.get("degradation", {})}
-            reports[name] = exp.run_degradation(mp, _inverse(), tasks, **d).to_dict()
+            reports[name] = exp.run_degradation(mp, inv, tasks, **degradation).to_dict()
         elif name == "distribution_distinction":
-            test_file = out / "test_tasks.json"
-            test_tasks = taskgen.load_taskset(_require(test_file))[0]
-            reports[name] = exp.run_distribution_distinction(mp, _inverse(), tasks, test_tasks).to_dict()
-        elif name == "exact_vs_gn":
-            grid = [8, 16, 32]
-            g = {"keep_grid": grid, "capacity_grid": grid, **cfg.experiments.get("exact_vs_gn", {})}
-            reports[name] = exp.run_exact_vs_gn(mp, tasks, **g).to_dict()
+            test_tasks = taskgen.load_taskset(_require(out / "test_tasks.json"))[0]
+            reports[name] = exp.run_distribution_distinction(mp, inv, tasks, test_tasks).to_dict()
         else:
-            raise ConfigError(f"unknown experiment {name!r}")
+            reports[name] = exp.run_exact_vs_gn(mp, tasks, **exact_vs_gn).to_dict()
     return reports
 
 

@@ -35,7 +35,6 @@ REPORT_SCHEMA_VERSION = 1
 # both the support and the query batch.
 DEGRADE_ALPHA_FIXED = 1.0
 DEGRADE_RATIO_FIXED = 1.0
-DEGRADE_PARTS = "both"
 
 
 def pearson(xs, ys) -> float | None:
@@ -78,11 +77,13 @@ def binomial_two_sided_p(successes: int, trials: int) -> float:
     return min(1.0, total)
 
 
-def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
-    if not values:
-        return None, None
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
+def _corr_summary(corrs: list[float | None]) -> tuple[float | None, float | None, int]:
+    """Mean and std of the defined correlations (None, None if none is) and how many are None."""
+    defined = [r for r in corrs if r is not None]
+    if not defined:
+        return None, None, len(corrs)
+    arr = np.asarray(defined, dtype=float)
+    return float(arr.mean()), float(arr.std()), len(corrs) - len(defined)
 
 
 def _report(kind: str, config_echo: dict, results: dict) -> dict:
@@ -170,7 +171,7 @@ def _degraded_scores(
     per_call = max(1, STACK_CHUNK // max(k, 1))
     for c in range(0, len(train_tasks), per_call):
         tasks = train_tasks[c : c + per_call]
-        tests = [degrade_task(t, make_params(v), seed, DEGRADE_PARTS) for t in tasks for v in values]
+        tests = [degrade_task(t, make_params(v), seed) for t in tasks for v in values]
         grads = meta_grads(mp, tests)
         for i, task in enumerate(tasks):
             yield task, HELPFUL_POSITIVE * (grads[i * k : (i + 1) * k] @ stack)
@@ -186,47 +187,25 @@ def _degradation_sweep(
 ) -> dict:
     train_ids = [r.task_id for r in records]
     per_task = []
-    rank_corrs: list[float] = []
-    score_corrs: list[float] = []
-    rank_excluded = 0
-    score_excluded = 0
     # records follow train_tasks, so task j's own column is column j
     scored = _degraded_scores(mp, records, train_tasks, values, make_params, seed)
     for j, (task, scores) in enumerate(scored):
-        ranks = rank_rows(scores, train_ids)
-        self_ranks = ranks[:, j].astype(float)
+        self_ranks = rank_rows(scores, train_ids)[:, j].astype(float)
         self_scores = scores[:, j]
-        r_rank = pearson(values, self_ranks)
-        r_score = pearson(values, self_scores)
         per_task.append(
             {
                 "task_id": task.task_id,
                 "self_ranks": [int(r) for r in self_ranks],
                 "self_scores": [float(s) for s in self_scores],
-                "rank_corr": r_rank,
-                "score_corr": r_score,
+                "rank_corr": pearson(values, self_ranks),
+                "score_corr": pearson(values, self_scores),
             }
         )
-        if r_rank is None:
-            rank_excluded += 1
-        else:
-            rank_corrs.append(r_rank)
-        if r_score is None:
-            score_excluded += 1
-        else:
-            score_corrs.append(r_score)
-    rank_mean, rank_std = _mean_std(rank_corrs)
-    score_mean, score_std = _mean_std(score_corrs)
-    return {
-        "values": [float(v) for v in values],
-        "per_task": per_task,
-        "rank_corr_mean": rank_mean,
-        "rank_corr_std": rank_std,
-        "rank_corr_excluded": rank_excluded,
-        "score_corr_mean": score_mean,
-        "score_corr_std": score_std,
-        "score_corr_excluded": score_excluded,
-    }
+    sweep = {"values": [float(v) for v in values], "per_task": per_task}
+    for key in ("rank_corr", "score_corr"):
+        mean, std, excluded = _corr_summary([row[key] for row in per_task])
+        sweep.update({f"{key}_mean": mean, f"{key}_std": std, f"{key}_excluded": excluded})
+    return sweep
 
 
 def run_degradation(
@@ -241,7 +220,7 @@ def run_degradation(
 
     For every training task reused as a test task, the alpha grid runs at
     DEGRADE_RATIO_FIXED and the ratio grid at DEGRADE_ALPHA_FIXED, degrading
-    DEGRADE_PARTS; per-task Pearson correlations between the grid and the
+    both batches; per-task Pearson correlations between the grid and the
     self rank/score are aggregated.
     Tasks whose rank never changes are excluded from the rank statistics and
     counted.
@@ -259,7 +238,7 @@ def run_degradation(
         "alpha_fixed": DEGRADE_ALPHA_FIXED,
         "ratio_fixed": DEGRADE_RATIO_FIXED,
         "seed": int(seed),
-        "parts": DEGRADE_PARTS,
+        "parts": "both",
         "sign_convention": HELPFUL_POSITIVE,
         "keep": repr(inv.keep),
     }
@@ -451,19 +430,11 @@ def run_exact_vs_gn(
         inv = hessian_mod.invert(rep, "all")
         gn_scores[cap] = score_pairs(mp, influence_records(inv, mp, train_tasks), train_tasks)
 
-    n_tests = len(train_tasks)
     cells = []
     for cap in capacity_grid:
         for k in keep_grid:
-            corrs = []
-            undefined = 0
-            for t in range(n_tests):
-                r = pearson(exact_scores[k][t], gn_scores[cap][t])
-                if r is None:
-                    undefined += 1
-                else:
-                    corrs.append(r)
-            mean, std = _mean_std(corrs)
+            corrs = [pearson(e, g) for e, g in zip(exact_scores[k], gn_scores[cap])]
+            mean, std, undefined = _corr_summary(corrs)
             cells.append(
                 {
                     "capacity": int(cap),

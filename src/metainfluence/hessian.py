@@ -205,12 +205,15 @@ def invert(h: HessianRep, keep: int | float | str) -> SpectralInverse:
     factor from its small Gram matrix, never a q x q eigenproblem) and
     ``retained_indices`` picks those that ``keep`` retains. Retained
     negatives are inverted with their sign. A retained eigenvalue below
-    INVERT_FLOOR times the spectrum scale raises IllConditionedError. A count
-    larger than the available directions is clamped and flagged.
+    INVERT_FLOOR times the spectrum scale raises IllConditionedError, and a
+    rule that retains no eigenvalue raises ValueError, since every score would
+    be zero. A count larger than the available directions is clamped and flagged.
     """
     e = h.eigen()
     lam = e.eigenvalues
     idx = linalg.retained_indices(lam, keep)
+    if idx.size == 0:
+        raise ValueError(f"keep {keep!r} retains none of the {lam.size} eigenvalues; every score would be zero")
     kept = lam[idx]
     scale = float(np.abs(lam).max(initial=0.0))
     small = np.abs(kept) < linalg.INVERT_FLOOR * scale

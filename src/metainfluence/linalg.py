@@ -104,20 +104,23 @@ def check_keep(keep) -> None:
             raise ValueError(f"unknown keep rule {keep!r}")
     elif isinstance(keep, (bool, np.bool_)) or not isinstance(keep, (int, float, np.integer, np.floating)):
         raise TypeError(f"keep must be an int count, float threshold, or rule name, not {keep!r}")
-    elif isinstance(keep, (int, np.integer)) and keep < 0:
-        raise ValueError(f"keep count must be non-negative, not {keep!r}")
-    elif not 0.0 <= keep < np.inf:
-        raise ValueError(f"keep threshold must be finite and non-negative, not {keep!r}")
+    elif isinstance(keep, (int, np.integer)):
+        if keep < 1:
+            raise ValueError(f"keep count must be at least 1, not {keep!r}")
+    elif not 0.0 <= keep <= 1.0:
+        count = keep > 1 and keep.is_integer()
+        hint = f"; a count is written as an integer, such as {int(keep)}" if count else ""
+        raise ValueError(f"keep threshold must lie in [0, 1], not {keep!r}{hint}")
 
 
 def retained_indices(eigenvalues: np.ndarray, keep: int | float | str) -> np.ndarray:
     """Indices of eigenvalues treated as non-zero under a pruning rule.
 
     ``keep`` is one of these (``check_keep`` refuses anything else):
-      * int k      -- the k largest eigenvalues in signed descending order
+      * int k >= 1 -- the k largest eigenvalues in signed descending order
                       (clamped to the available count);
       * float tau  -- every eigenvalue with |lam| >= tau * s, where s is the
-                      largest eigenvalue magnitude;
+                      largest eigenvalue magnitude and tau lies in [0, 1];
       * "positive" -- every eigenvalue above POSITIVE_FLOOR * s;
       * "all"      -- every eigenvalue with |lam| above INVERT_FLOOR * s,
                       i.e. the plain inverse minus numerically-zero modes.

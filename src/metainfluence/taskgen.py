@@ -123,27 +123,22 @@ def sample_taskset(spec: TaskDistributionSpec, count: int, id_prefix: str | None
     return tasks
 
 
-def degrade_task(task: Task, dp: DegradeParams, seed: int, parts: str = "both") -> Task:
-    """Attenuate a seeded subset of samples' features by (1 - alpha).
+def degrade_task(task: Task, dp: DegradeParams, seed: int) -> Task:
+    """Attenuate a seeded subset of both batches' features by (1 - alpha).
 
     The subset is the first round(ratio * n) entries of a per-(task, seed)
     permutation, so for a fixed seed the degraded subsets are nested as the
-    ratio grows. ``parts`` selects "support", "query", or "both".
+    ratio grows.
     """
-    if parts not in ("support", "query", "both"):
-        raise ValueError(f"unknown parts {parts!r}")
     rng = _seed_for(seed, task.task_id)
-    perms = {name: rng.permutation(getattr(task, name).n) for name in ("support", "query")}
-
-    def _degrade(batch: Batch, perm: np.ndarray) -> Batch:
+    degraded = {}
+    for name in ("support", "query"):
+        batch = getattr(task, name)
         x = batch.x.copy()
         n_hit = int(np.floor(dp.ratio * batch.n + 0.5))
-        x[perm[:n_hit]] *= 1.0 - dp.alpha
-        return Batch(x, batch.y)
-
-    support = _degrade(task.support, perms["support"]) if parts in ("support", "both") else task.support
-    query = _degrade(task.query, perms["query"]) if parts in ("query", "both") else task.query
-    return replace(task, support=support, query=query)
+        x[rng.permutation(batch.n)[:n_hit]] *= 1.0 - dp.alpha
+        degraded[name] = Batch(x, batch.y)
+    return replace(task, **degraded)
 
 
 def _random_rotation(dim: int, scale: float, rng: np.random.Generator) -> np.ndarray:

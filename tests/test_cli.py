@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_asymmetric_problem
-from metainfluence import cli, hessian, metalearn, model, taskgen
+from metainfluence import cli, hessian, influence, metalearn, model, taskgen
 
 
 BASE_CONFIG = {
@@ -229,6 +229,64 @@ def test_protonet_pipeline(tmp_path):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {
+            "learner": {"kind": "protonet"},
+            "tasksets": {"augment": {"count": 2, "transform_scale": 1.0, "seed": 3}},
+            "hessian": {"method": "gn", "capacity": 64, "keep": "all"},
+        },
+    ],
+    ids=["maml-exact", "protonet-gn-groups"],
+)
+def test_stored_records_are_the_ones_the_experiment_stage_recomputes(tmp_path, overrides):
+    # the experiment stage scores from records it recomputes; they must be the stored ones, bit for bit
+    out = pipeline(tmp_path, "out", overrides)
+    mp = metalearn.load_params(out / "params.bin")
+    tasks, _ = taskgen.load_taskset(out / "train_tasks.json")
+    inv = cli._matching_inverse(cli.load_config(tmp_path / "config.json"), out / "hessian.bin", mp, tasks)
+    want = influence.influence_records(inv, mp, tasks)
+    got = influence.load_influence_records(out / "influence.bin")
+    assert [(r.task_id, r.group_id) for r in got] == [(r.task_id, r.group_id) for r in want]
+    assert [r.i_meta.tobytes() for r in got] == [r.i_meta.tobytes() for r in want]
+    assert any(r.group_id is not None for r in got) == bool(overrides)
+
+
+def test_exact_vs_gn_experiment_and_report(tmp_path, capsys):
+    grids = {"keep_grid": [4, 8], "capacity_grid": [4, 8]}
+    cfg = write_config(tmp_path, {"experiments": {"run": ["exact_vs_gn"], "exact_vs_gn": grids}})
+    out = tmp_path / "out"
+    # exact_vs_gn builds its own curvature, so the stage needs no hessian.bin
+    for command in ("gen", "train", "experiment"):
+        assert run(["--config", cfg, "--out", out, command]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert run(["--config", cfg, "--out", out, "report", "--csv"]) == cli.EXIT_OK
+    assert "rows_max_adjacent_fraction" in capsys.readouterr().out
+    cells = json.loads((out / "report.json").read_text())["results"]["exact_vs_gn"]["results"]["cells"]
+    assert len(cells) == 4
+    assert all({"mean_corr", "std_corr", "undefined"} <= set(cell) for cell in cells)
+    lines = (out / "report_exact_vs_gn.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + len(cells)
+
+
+def test_output_dir_comes_from_the_config_without_out(tmp_path):
+    target = tmp_path / "from_config"
+    cfg = write_config(tmp_path, {"output_dir": str(target)})
+    assert run(["--config", cfg, "gen"]) == cli.EXIT_OK
+    assert (target / "train_tasks.json").exists()
+
+
+def test_gen_with_a_center_pool(tmp_path):
+    train = dict(BASE_CONFIG["tasksets"]["train"], center_pool_size=4, pool_seed=7)
+    cfg = write_config(tmp_path, {"tasksets": {"train": train}})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "gen"]) == cli.EXIT_OK
+    _, spec = taskgen.load_taskset(out / "train_tasks.json")
+    assert (spec.center_pool_size, spec.pool_seed) == (4, 7)
+
+
 def test_scores_csv_row_count(tmp_path):
     out = pipeline(tmp_path, "out")
     lines = (out / "scores.csv").read_text().strip().split("\n")
@@ -406,11 +464,14 @@ def test_config_number_of_wrong_type_is_usage_error(trained, tmp_path, capsys, o
         ("hessian", "keep", "-0.5", "gen", "hessian.keep"),
         ("train", "meta_batch", "0", "train", "train"),
         ("train", "steps", "-5", "train", "train"),
+        ("hessian", "keep", "3.0", "gen", "hessian.keep"),
+        ("hessian", "keep", "0", "gen", "hessian.keep"),
     ],
     ids=[
         "keep-nan", "keep-overflow", "keep-minus-infinity", "lr-nan", "inner_lr-nan", "weight_decay-overflow",
         "lr-integer-beyond-float",
         "keep-negative-count", "keep-negative-threshold", "meta_batch-zero", "steps-negative",
+        "keep-threshold-above-one", "keep-zero-count",
     ],
 )
 def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, section, key, literal, stage, names):
@@ -420,6 +481,26 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
     cfg = write_config(tmp_path, {section: {key: 0.125}})
     cfg.write_text(cfg.read_text().replace("0.125", literal))
     assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, repr(names))
+
+
+@pytest.mark.parametrize(
+    "overrides, stage, names",
+    [
+        ({"train": {"meta_batch": 0}}, "train", "'train'"),
+        ({"learner": {"kind": "bogus"}}, "train", "'learner'"),
+        ({"hessian": {"method": "bogus"}}, "hessian", "'hessian.method'"),
+        ({"experiments": {"run": ["bogus"]}}, "experiment", "'experiments.run'"),
+        (
+            {"experiments": {"run": ["self_rank", "degradation"], "degradation": {"alphas": [2.0]}}},
+            "experiment",
+            "'experiments.degradation'",
+        ),
+    ],
+    ids=["meta_batch-zero", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha"],
+)
+def test_config_fault_is_reported_before_any_artifact_is_read(tmp_path, capsys, overrides, stage, names):
+    cfg = write_config(tmp_path, overrides)
+    assert_clean_exit(["--config", cfg, "--out", tmp_path / "empty", stage], capsys, cli.EXIT_USAGE, names)
 
 
 def test_config_integral_float_is_an_integer(tmp_path):

@@ -128,8 +128,7 @@ def test_degradation_reads_each_task_column_by_position(rng):
     inv, alphas, seed = identity_inverse(mp.q), [0.0, 0.5, 1.0], 3
     report = exp.run_degradation(mp, inv, tasks, alphas, [0.0, 1.0], seed)
     degraded = [
-        taskgen.degrade_task(tasks[4], taskgen.DegradeParams(a, exp.DEGRADE_RATIO_FIXED), seed, exp.DEGRADE_PARTS)
-        for a in alphas
+        taskgen.degrade_task(tasks[4], taskgen.DegradeParams(a, exp.DEGRADE_RATIO_FIXED), seed) for a in alphas
     ]
     want = score_pairs(mp, influence_records(inv, mp, tasks), degraded)[:, 4]
     assert report.alpha_sweep["per_task"][4]["self_scores"] == want.tolist()
@@ -235,7 +234,7 @@ def test_stacked_experiment_paths_match_per_task_oracles(kind, inner_lr, rng):
     ):
         assert [row["task_id"] for row in sweep["per_task"]] == [t.task_id for t in train]
         for j, (task, row) in enumerate(zip(train, sweep["per_task"])):
-            degraded = [taskgen.degrade_task(task, make(v), seed, exp.DEGRADE_PARTS) for v in grid]
+            degraded = [taskgen.degrade_task(task, make(v), seed) for v in grid]
             assert row["self_scores"] == score_pairs(mp, records, degraded)[:, j].tolist()
 
 

@@ -231,6 +231,12 @@ def test_invert_factored_refuses_ill_conditioned_count():
     assert invert(h, 1).retained == 1
 
 
+def test_invert_refuses_a_rule_that_retains_no_eigenvalue():
+    h = HessianRep("dense", matrix=np.diag([-1.0, -2.0]))
+    with pytest.raises(ValueError, match="retains none"):
+        invert(h, "positive")
+
+
 def test_invert_factored_clamps_to_live_directions(rng):
     a, b = rng.normal(size=(2, 7))
     f = linalg.FactorMatrix(np.stack([a, b, a], axis=1))

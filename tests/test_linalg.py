@@ -280,7 +280,7 @@ def test_retained_indices_rejects_bool():
         linalg.retained_indices(np.array([1.0]), True)
 
 
-@pytest.mark.parametrize("keep", [-3, -0.5, np.nan, np.inf, "largest"])
+@pytest.mark.parametrize("keep", [-3, -0.5, np.nan, np.inf, "largest", 3.0, 0])
 def test_retained_indices_refuses_a_bad_rule_even_on_an_empty_spectrum(keep):
     for lam in (np.array([2.0, 1.0]), np.empty(0)):
         with pytest.raises(ValueError, match="keep"):

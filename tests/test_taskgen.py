@@ -84,13 +84,6 @@ def test_degrade_subsets_are_nested_in_ratio():
         changed_prev = changed
 
 
-def test_degrade_parts_flag():
-    task = sample_taskset(clustered_spec(seed=5), 1)[0]
-    sup_only = degrade_task(task, DegradeParams(1.0, 1.0), seed=2, parts="support")
-    np.testing.assert_array_equal(sup_only.query.x, task.query.x)
-    np.testing.assert_array_equal(sup_only.support.x, 0.0)
-
-
 def test_augment_group_identity_cases():
     task = sample_taskset(clustered_spec(seed=6), 1)[0]
     only = augment_group(task, count=1, transform_scale=0.0, seed=3)
