@@ -77,6 +77,12 @@ def _names(values) -> list:
     return values
 
 
+def _noise_kind(value) -> str:
+    if value != "noise":
+        raise ValueError(f"a noise taskset's kind is 'noise', not {value!r}")
+    return value
+
+
 def _keep(keep):
     from .linalg import check_keep
 
@@ -98,7 +104,10 @@ CONFIG_KEYS = {
     "learner": {"kind": _verbatim, "inner_lr": _float},
     "tasksets": {
         "train": _TASKSET_KEYS,
-        "noise": _TASKSET_KEYS,
+        "noise": {
+            "kind": _noise_kind, "count": _int, "feature_dim": _int, "n_ways": _int, "k_support": _int,
+            "k_query": _int, "seed": _int,
+        },
         "test": _TASKSET_KEYS,
         "augment": {"count": _int, "transform_scale": _float, "seed": _int},
         "mix_seed": _int,
@@ -223,7 +232,8 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     spec, count = _taskset_spec("tasksets.train", train)
     tasks = taskgen.sample_taskset(spec, count, id_prefix="train")
     if "noise" in sections:
-        nspec, ncount = _taskset_spec("tasksets.noise", {**train, **sections["noise"], "kind": "noise"})
+        inherited = {key: value for key, value in train.items() if key in CONFIG_KEYS["tasksets"]["noise"]}
+        nspec, ncount = _taskset_spec("tasksets.noise", {**inherited, **sections["noise"], "kind": "noise"})
         noise = taskgen.sample_taskset(nspec, ncount, id_prefix="noise")
         tasks = taskgen.mix_tasksets(tasks, noise, sections.get("mix_seed", 0))
     if "augment" in sections:
@@ -322,8 +332,9 @@ def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_
 def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
     """The report of each requested experiment, by name.
 
-    The names and the degradation grid values are checked before any artifact
-    is read, and no artifact is read when no experiment is requested.
+    The names, the degradation values and the exact_vs_gn grids are checked
+    before any artifact is read, and no artifact is read when no experiment
+    is requested.
     """
     from . import experiments as exp
     from . import metalearn, taskgen
@@ -338,6 +349,13 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
             _build("experiments.degradation", taskgen.DegradeParams, alpha=value, ratio=value)
     sizes = [8, 16, 32]
     exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **cfg.experiments.get("exact_vs_gn", {})}
+    if "exact_vs_gn" in requested:
+        for key, values in exact_vs_gn.items():
+            if min(values, default=1) < 1 or len(set(values)) < len(values):
+                raise ConfigError(
+                    f"bad config value 'experiments.exact_vs_gn.{key}': "
+                    f"entries must be at least 1 and distinct, not {values}"
+                )
     if not requested:
         return {}
     mp = metalearn.load_params(_require(out / "params.bin"))

@@ -26,7 +26,7 @@ from .influence import (
     score_pairs,
     score_table,
 )
-from .metalearn import STACK_CHUNK, MetaParams, Task, meta_grads
+from .metalearn import MetaParams, Task, meta_grads
 from .taskgen import DegradeParams, degrade_task
 
 REPORT_SCHEMA_VERSION = 1
@@ -56,25 +56,14 @@ def pearson(xs, ys) -> float | None:
 def binomial_two_sided_p(successes: int, trials: int) -> float:
     """Exact two-sided binomial p-value at p = 1/2.
 
-    Sums the probabilities of all outcomes whose point probability does not
-    exceed that of the observed count, using log-factorials.
+    The outcomes no likelier than k successes in n trials are the two tails
+    beyond min(k, n - k), so p = min(1, 2 * sum_{i <= min(k, n - k)} C(n, i) / 2^n),
+    summed in exact integers and rounded once.
     """
     if not (0 <= successes <= trials):
         raise ValueError("need 0 <= successes <= trials")
-    if trials == 0:
-        return 1.0
-    log_half_n = trials * math.log(0.5)
-    lgamma = math.lgamma
-
-    def log_pmf(k: int) -> float:
-        return lgamma(trials + 1) - lgamma(k + 1) - lgamma(trials - k + 1) + log_half_n
-
-    obs = log_pmf(successes)
-    total = 0.0
-    for k in range(trials + 1):
-        if log_pmf(k) <= obs + 1e-12:
-            total += math.exp(log_pmf(k))
-    return min(1.0, total)
+    tail = sum(math.comb(trials, i) for i in range(min(successes, trials - successes) + 1))
+    return min(1.0, 2 * tail / 2**trials)
 
 
 def _corr_summary(corrs: list[float | None]) -> tuple[float | None, float | None, int]:
@@ -150,33 +139,6 @@ class DegradationReport:
         )
 
 
-def _degraded_scores(
-    mp: MetaParams,
-    records: list[InfluenceRecord],
-    train_tasks: list[Task],
-    values: list[float],
-    make_params,
-    seed: int,
-):
-    """Each training task with the (len(values), records) scores of its degraded grid.
-
-    The grids of several tasks share one stacked meta-gradient call of at
-    most STACK_CHUNK tests. Each task's block is then multiplied by the
-    record stack on its own, as ``score_pairs`` does for that grid alone: one
-    product over every grid would send a trailing one-row chunk through a
-    matrix-vector kernel and change its last bits.
-    """
-    stack = _record_stack(records)
-    k = len(values)
-    per_call = max(1, STACK_CHUNK // max(k, 1))
-    for c in range(0, len(train_tasks), per_call):
-        tasks = train_tasks[c : c + per_call]
-        tests = [degrade_task(t, make_params(v), seed) for t in tasks for v in values]
-        grads = meta_grads(mp, tests)
-        for i, task in enumerate(tasks):
-            yield task, HELPFUL_POSITIVE * (grads[i * k : (i + 1) * k] @ stack)
-
-
 def _degradation_sweep(
     mp: MetaParams,
     records: list[InfluenceRecord],
@@ -185,11 +147,20 @@ def _degradation_sweep(
     make_params,
     seed: int,
 ) -> dict:
-    train_ids = [r.task_id for r in records]
+    """Self ranks and scores of each training task over its degraded grid.
+
+    The meta-gradients of every degraded test come from one ``meta_grads``
+    call. Each task's k-row block is then multiplied by the record stack on
+    its own, as ``score_pairs`` does for that grid alone: one product over
+    every grid would send a trailing one-row chunk through a matrix-vector
+    kernel and change its last bits.
+    """
+    stack, train_ids, k = _record_stack(records), [r.task_id for r in records], len(values)
+    grads = meta_grads(mp, [degrade_task(t, make_params(v), seed) for t in train_tasks for v in values])
     per_task = []
     # records follow train_tasks, so task j's own column is column j
-    scored = _degraded_scores(mp, records, train_tasks, values, make_params, seed)
-    for j, (task, scores) in enumerate(scored):
+    for j, task in enumerate(train_tasks):
+        scores = HELPFUL_POSITIVE * (grads[j * k : (j + 1) * k] @ stack)
         self_ranks = rank_rows(scores, train_ids)[:, j].astype(float)
         self_scores = scores[:, j]
         per_task.append(

@@ -19,11 +19,10 @@ import numpy as np
 
 from .hessian import SpectralInverse
 from .metalearn import (
-    STACK_CHUNK,
     MetaParams,
     MetaTrainConfig,
     Task,
-    _stacked_rows,
+    _kernel_chunks,
     adapt,
     adapt_jacobian_matvec,
     meta_grad,
@@ -139,18 +138,15 @@ def _scored_chunks(
 ):
     """Score matrix (tests x records), and with ``with_loss`` the tests' query losses.
 
-    Test meta-gradients come from the stacked kernel STACK_CHUNK tasks at a
-    time, and each chunk's rows are multiplied by the record stack once.
-    Returns the scores, or (losses, scores) with ``with_loss``.
+    The test meta-gradients of each stacked kernel call are multiplied by the
+    record stack once. Returns the scores, or (losses, scores) with ``with_loss``.
     """
     stack = _record_stack(records)
     losses, scores = np.empty(len(test_tasks)), np.empty((len(test_tasks), len(records)))
-    for c in range(0, len(test_tasks), STACK_CHUNK):
-        chunk = slice(c, c + STACK_CHUNK)
-        rows = _stacked_rows(mp.learner, mp.omega, test_tasks[chunk], with_loss=with_loss)
+    for rows, out in _kernel_chunks(mp.learner, mp.omega, test_tasks, with_loss):
         if with_loss:
-            losses[chunk], rows = rows
-        scores[chunk] = HELPFUL_POSITIVE * (rows @ stack)
+            losses[rows], out = out
+        scores[rows] = HELPFUL_POSITIVE * (out @ stack)
     return (losses, scores) if with_loss else scores
 
 
@@ -160,7 +156,6 @@ def score_pairs(mp: MetaParams, records: list[InfluenceRecord], test_tasks: list
     Relies on the adaptation Jacobian being symmetric (MAML) or the identity
     (protonet), which folds the loss-gradient/adaptation chain into the test
     task's meta-gradient; tests verify agreement with the composed form.
-    Test meta-gradients are computed STACK_CHUNK tasks at a time.
     """
     return _scored_chunks(mp, records, test_tasks)
 

@@ -203,17 +203,6 @@ def meta_grad(mp: MetaParams, task: Task) -> np.ndarray:
     return _meta_grad(mp.learner, mp.omega, task)
 
 
-def _shape_groups(tasks: list[Task]) -> list[list[int]]:
-    """Positions of the tasks sharing each (support, query) shape and class count.
-
-    Groups and the positions in them are in first-seen order.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault((task.support.x.shape, task.query.x.shape, task.n_ways), []).append(i)
-    return list(groups.values())
-
-
 def _stack(tasks: list[Task]) -> tuple[Batch, Batch]:
     """Support and query batches of same-shape tasks, stacked on a leading task axis."""
     return (
@@ -222,23 +211,34 @@ def _stack(tasks: list[Task]) -> tuple[Batch, Batch]:
     )
 
 
+def _kernel_chunks(learner: Learner, omega: np.ndarray, tasks: list[Task], with_loss: bool = False):
+    """(positions, kernel output) of each stacked kernel call over ``tasks``.
+
+    Tasks of one (support, query) shape and class count share calls of at
+    most STACK_CHUNK tasks. Shape groups, and the positions in each, are in
+    first-seen order. This is the only loop that chunks tasks.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault((task.support.x.shape, task.query.x.shape, task.n_ways), []).append(i)
+    kernel = _KERNELS[learner.kind]
+    for group in groups.values():
+        for c in range(0, len(group), STACK_CHUNK):
+            rows = group[c : c + STACK_CHUNK]
+            yield rows, kernel(learner, omega, *_stack([tasks[i] for i in rows]), with_loss=with_loss)
+
+
 def _stacked_rows(learner: Learner, omega: np.ndarray, tasks: list[Task], with_loss: bool = False):
     """Meta-gradients of many tasks, one row per task, and with ``with_loss`` their query losses.
 
-    Tasks of one (support, query) shape and class count go through the
-    learner's stacked kernel STACK_CHUNK at a time. Returns the (len(tasks), q)
-    rows, or (losses, rows) with ``with_loss``.
+    Returns the (len(tasks), q) rows, or (losses, rows) with ``with_loss``.
     """
-    kernel = _KERNELS[learner.kind]
     losses, grads = np.empty(len(tasks)), np.empty((len(tasks), learner.spec.num_params))
-    for group in _shape_groups(tasks):
-        for c in range(0, len(group), STACK_CHUNK):
-            rows = group[c : c + STACK_CHUNK]
-            out = kernel(learner, omega, *_stack([tasks[i] for i in rows]), with_loss=with_loss)
-            if with_loss:
-                losses[rows], grads[rows] = out
-            else:
-                grads[rows] = out
+    for rows, out in _kernel_chunks(learner, omega, tasks, with_loss):
+        if with_loss:
+            losses[rows], grads[rows] = out
+        else:
+            grads[rows] = out
     return (losses, grads) if with_loss else grads
 
 

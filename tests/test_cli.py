@@ -115,6 +115,16 @@ def test_gen_noise_section_may_name_its_kind(tmp_path):
     assert run(["--config", cfg, "--out", tmp_path / "out", "gen"]) == cli.EXIT_OK
 
 
+def test_gen_noise_inherits_only_its_own_keys_from_train(tmp_path):
+    # a noise task draws no class centers, so the train section's pool does not bind it
+    train = dict(BASE_CONFIG["tasksets"]["train"], center_pool_size=4)
+    noise = dict(BASE_CONFIG["tasksets"]["noise"], n_ways=5)
+    cfg = write_config(tmp_path, {"tasksets": {"train": train, "noise": noise}})
+    assert run(["--config", cfg, "--out", tmp_path / "out", "gen"]) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "out" / "train_tasks.json").read_text())
+    assert {max(t["query"]["y"]) + 1 for t in doc["tasks"] if t["provenance"] == "noise"} == {5}
+
+
 def test_gen_zero_count_writes_empty_taskset(tmp_path):
     cfg = write_config(tmp_path, {"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], count=0)}})
     # drop noise/test to keep it minimal
@@ -421,6 +431,13 @@ def test_config_type_error_is_usage_error(trained, tmp_path, capsys, overrides, 
             "experiment",
             "experiments.degradation.alpha_fixed",
         ),
+        # a noise task ignores these, so the noise section refuses them
+        *(
+            ({"tasksets": {"noise": dict(BASE_CONFIG["tasksets"]["noise"], **{key: value})}}, "gen", f"tasksets.noise.{key}")
+            for key, value in (
+                ("class_center_scale", 2.0), ("within_class_noise", 0.1), ("center_pool_size", 8), ("pool_seed", 3)
+            )
+        ),
     ],
 )
 def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, overrides, stage, key):
@@ -495,8 +512,26 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
             "experiment",
             "'experiments.degradation'",
         ),
+        (
+            {"experiments": {"run": ["exact_vs_gn"], "exact_vs_gn": {"keep_grid": [0, 4]}}},
+            "experiment",
+            "'experiments.exact_vs_gn.keep_grid'",
+        ),
+        (
+            {"experiments": {"run": ["exact_vs_gn"], "exact_vs_gn": {"capacity_grid": [4, 4]}}},
+            "experiment",
+            "'experiments.exact_vs_gn.capacity_grid'",
+        ),
+        (
+            {"tasksets": {"noise": dict(BASE_CONFIG["tasksets"]["noise"], kind="clustered")}},
+            "gen",
+            "'tasksets.noise.kind'",
+        ),
     ],
-    ids=["meta_batch-zero", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha"],
+    ids=[
+        "meta_batch-zero", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha",
+        "exact_vs_gn-keep-zero", "exact_vs_gn-capacity-repeat", "noise-kind",
+    ],
 )
 def test_config_fault_is_reported_before_any_artifact_is_read(tmp_path, capsys, overrides, stage, names):
     cfg = write_config(tmp_path, overrides)

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,14 +20,15 @@ def identity_inverse(q):
     return SpectralInverse(vectors=np.eye(q), values=np.ones(q), discarded_negative=0, keep=q)
 
 
+@functools.cache
+def binomial_coefficients(trials):
+    return [math.comb(trials, k) for k in range(trials + 1)]
+
+
 def brute_force_binomial_p(successes, trials):
     """Exact-rational tail sum: include every k with pmf(k) <= pmf(successes)."""
-    comb_obs = math.comb(trials, successes)
-    total = Fraction(0)
-    for k in range(trials + 1):
-        if math.comb(trials, k) <= comb_obs:
-            total += Fraction(math.comb(trials, k), 2**trials)
-    return float(total)
+    combs = binomial_coefficients(trials)
+    return float(Fraction(sum(c for c in combs if c <= combs[successes]), 2**trials))
 
 
 def test_binomial_balanced_is_one():
@@ -43,12 +46,11 @@ def test_binomial_cross_checked_against_brute_force():
     )
 
 
-@pytest.mark.parametrize("trials", [1, 2, 7, 50, 128, 200])
+@pytest.mark.parametrize("trials", [1, 2, 7, 50, 128, 200, 1000])
 def test_binomial_matches_brute_force_across_counts(trials):
-    for successes in range(0, trials + 1, max(1, trials // 7)):
-        got = exp.binomial_two_sided_p(successes, trials)
-        want = brute_force_binomial_p(successes, trials)
-        assert got == pytest.approx(want, abs=1e-10)
+    # both sides round the same rational once, so they agree exactly
+    got = [exp.binomial_two_sided_p(k, trials) for k in range(trials + 1)]
+    assert got == [brute_force_binomial_p(k, trials) for k in range(trials + 1)]
 
 
 def test_binomial_edge_cases():
@@ -225,7 +227,7 @@ def test_stacked_experiment_paths_match_per_task_oracles(kind, inner_lr, rng):
     want.sort(key=lambda r: (r["test_loss"], r["test_id"]))
     assert report.rows == want
 
-    # a grid of 5 does not divide STACK_CHUNK: 6 tasks share each stacked call, the last 5
+    # a grid of 5 does not divide STACK_CHUNK, so some tasks' grids span two stacked calls
     alphas, ratios, seed = [0.0, 0.2, 0.5, 0.8, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], 5
     report = exp.run_degradation(mp, inv, train, alphas, ratios, seed)
     for sweep, grid, make in (
@@ -236,6 +238,52 @@ def test_stacked_experiment_paths_match_per_task_oracles(kind, inner_lr, rng):
         for j, (task, row) in enumerate(zip(train, sweep["per_task"])):
             degraded = [taskgen.degrade_task(task, make(v), seed) for v in grid]
             assert row["self_scores"] == score_pairs(mp, records, degraded)[:, j].tolist()
+
+
+def test_one_stack_chunk_setting_reaches_every_stacked_path(rng, monkeypatch, model_calls):
+    hvp_calls = model_calls("hvp")
+    mp = make_params(rng, inner_lr=0.05)
+    inv = identity_inverse(mp.q)
+    train = two_shape_tasks("reg", 12, seed=3) + two_shape_tasks("noi", 7, seed=9, kind="noise")
+    # 2 * STACK_CHUNK + 1 tests in two shape groups, so chunks of 5 do not line up with chunks of 32
+    tests = two_shape_tasks("test", 2 * STACK_CHUNK + 1, seed=21)
+    grid, seed = [0.0, 0.5, 1.0], 5
+    degraded = [taskgen.degrade_task(t, taskgen.DegradeParams(v, v), seed) for t in train for v in grid]
+
+    def calls(tasks):
+        """Kernel calls of at most 5 tasks over ``tasks``, one shape group at a time."""
+        sizes = Counter((t.support.x.shape, t.query.x.shape, t.n_ways) for t in tasks)
+        return sum(-(-n // 5) for n in sizes.values())
+
+    def counted(path):
+        before = len(hvp_calls)
+        return path(), len(hvp_calls) - before
+
+    def run_paths():
+        """Each stacked path's output and the kernel calls it made."""
+        records = influence_records(inv, mp, train)
+        return [
+            counted(lambda: metalearn.meta_grads(mp, tests)),
+            counted(lambda: score_pairs(mp, records, tests)),
+            counted(lambda: exp.run_distribution_distinction(mp, inv, train, tests).rows),
+            counted(lambda: exp.run_degradation(mp, inv, train, grid, grid, seed).to_dict()["results"]),
+        ]
+
+    want = [out for out, _ in run_paths()]
+    monkeypatch.setattr(metalearn, "STACK_CHUNK", 5)
+    (grads, n_grads), (scores, n_scores), (rows, n_rows), (results, n_degradation) = run_paths()
+    assert n_grads == n_scores == calls(tests)
+    assert n_rows == calls(train) + calls(tests)
+    assert n_degradation == calls(train) + 2 * calls(degraded)
+
+    np.testing.assert_allclose(grads, want[0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(scores, want[1], rtol=1e-12, atol=0)
+    fields = ("test_loss", "mean_regular", "mean_noise", "median_regular", "median_noise")
+    assert [r["test_id"] for r in rows] == [r["test_id"] for r in want[2]]
+    np.testing.assert_allclose([[r[f] for f in fields] for r in rows], [[r[f] for f in fields] for r in want[2]], rtol=1e-12)
+    for key in ("alpha", "ratio"):
+        for row, ref in zip(results[key]["per_task"], want[3][key]["per_task"], strict=True):
+            np.testing.assert_allclose(row["self_scores"], ref["self_scores"], rtol=1e-12)
 
 
 def test_all_equal_scores_is_not_proper_order(rng):
