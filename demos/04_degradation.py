@@ -37,12 +37,12 @@ inv = invert(exact_meta_hessian(mp, tasks), "positive")
 grid = [0.0, 0.25, 0.5, 0.75, 1.0]
 report = run_degradation(mp, inv, tasks, alphas=grid, ratios=grid, seed=104)
 
-one = report.alpha_sweep["per_task"][0]
+one = report["results"]["alpha"]["per_task"][0]
 print(f"example task {one['task_id']}, attenuation sweep {grid}:")
 print(f"  self-score: {np.round(one['self_scores'], 4)}")
 print(f"  self-rank:  {one['self_ranks']}")
 
-for name, sweep in (("alpha", report.alpha_sweep), ("ratio", report.ratio_sweep)):
+for name, sweep in report["results"].items():
     print(
         f"{name:>6} sweep over 32 tasks: "
         f"corr(value, self-score) = {sweep['score_corr_mean']:.3f} +- {sweep['score_corr_std']:.3f}, "

@@ -69,11 +69,11 @@ def build_and_score(label, n_regular, n_noise, aug_count, weight_decay, steps):
     report = run_distribution_distinction(mp, inv, tasks, tests)
     hits = [np.mean(task_logits(mp, t).argmax(axis=1) == t.query.y) for t in tests]
     test_acc = float(np.mean(hits))
-    c = report.counts
+    c = report["results"]["counts"]
     print(
         f"{label}: train acc {log.final_accuracy:.2f}, test acc {test_acc:.2f} | "
         f"proper order {c['proper_order_mean']}/{c['tests']} tests "
-        f"(two-sided binomial p = {report.p_value_mean:.2e})"
+        f"(two-sided binomial p = {report['results']['p_value_mean']:.2e})"
     )
     return report
 

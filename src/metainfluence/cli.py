@@ -228,21 +228,26 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
     sections = cfg.tasksets
     if "train" not in sections:
         raise ConfigError("tasksets section needs a 'train' entry")
+    # every section is checked before anything is sampled or written
     train = {"kind": "clustered", **sections["train"]}
     spec, count = _taskset_spec("tasksets.train", train)
-    tasks = taskgen.sample_taskset(spec, count, id_prefix="train")
     if "noise" in sections:
         inherited = {key: value for key, value in train.items() if key in CONFIG_KEYS["tasksets"]["noise"]}
         nspec, ncount = _taskset_spec("tasksets.noise", {**inherited, **sections["noise"], "kind": "noise"})
+    aug = {"count": 1, "transform_scale": 1.0, "seed": 0, **sections.get("augment", {})}
+    if aug["count"] < 1:
+        raise ConfigError(f"bad config section 'tasksets.augment': count must be >= 1, not {aug['count']}")
+    if "test" in sections:
+        tspec, tcount = _taskset_spec("tasksets.test", {**train, **sections["test"]})
+    tasks = taskgen.sample_taskset(spec, count, id_prefix="train")
+    if "noise" in sections:
         noise = taskgen.sample_taskset(nspec, ncount, id_prefix="noise")
         tasks = taskgen.mix_tasksets(tasks, noise, sections.get("mix_seed", 0))
     if "augment" in sections:
-        aug = {"count": 1, "transform_scale": 1.0, "seed": 0, **sections["augment"]}
         tasks = [v for t in tasks for v in taskgen.augment_group(t, **aug)]
     taskgen.save_taskset(out / "train_tasks.json", tasks, spec)
     print(f"wrote {len(tasks)} training tasks to {out / 'train_tasks.json'}")
     if "test" in sections:
-        tspec, tcount = _taskset_spec("tasksets.test", {**train, **sections["test"]})
         test_tasks = taskgen.sample_taskset(tspec, tcount, id_prefix="test")
         taskgen.save_taskset(out / "test_tasks.json", test_tasks, tspec)
         print(f"wrote {tcount} test tasks to {out / 'test_tasks.json'}")
@@ -280,6 +285,9 @@ def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path
     method = h.get("method", "exact")
     if method not in ("exact", "gn"):
         raise ConfigError(f"bad config value 'hessian.method': unknown method {method!r}; use 'exact' or 'gn'")
+    for key in ("capacity", "dense_cap"):
+        if h.get(key, 1) < 1:
+            raise ConfigError(f"bad config value 'hessian.{key}': expected at least 1, not {h[key]}")
     mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
     if method == "exact":
@@ -296,7 +304,11 @@ def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path
 
 
 def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
-    """Load a stored Hessian, check it was built for these params and this taskset, and invert it."""
+    """Load a stored Hessian, check it was built from these params and this taskset, and invert it.
+
+    The shape checks come first; then the sha256 digests its header records
+    must equal those of the loaded params and training taskset.
+    """
     from . import hessian as hessian_mod
 
     rep = hessian_mod.load_hessian(_require(path))
@@ -307,6 +319,13 @@ def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
             f"hessian {path} was built on {rep.num_tasks} tasks, "
             f"but the training taskset has {len(tasks)}"
         )
+    for key, want in hessian_mod._input_digests(mp, tasks).items():
+        what = "parameters" if key == "params_sha256" else "training taskset"
+        got = getattr(rep, key)
+        if got is None:
+            raise ConfigError(f"hessian {path} records no {key}, so its {what} cannot be checked")
+        if got != want:
+            raise ConfigError(f"hessian {path} was built from other {what}: its {key} differs")
     return hessian_mod.invert(rep, cfg.hessian.get("keep", "positive"))
 
 
@@ -366,12 +385,12 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
         if name == "self_rank":
             reports[name] = exp.run_self_rank(mp, inv, tasks).to_dict()
         elif name == "degradation":
-            reports[name] = exp.run_degradation(mp, inv, tasks, **degradation).to_dict()
+            reports[name] = exp.run_degradation(mp, inv, tasks, **degradation)
         elif name == "distribution_distinction":
             test_tasks = taskgen.load_taskset(_require(out / "test_tasks.json"))[0]
-            reports[name] = exp.run_distribution_distinction(mp, inv, tasks, test_tasks).to_dict()
+            reports[name] = exp.run_distribution_distinction(mp, inv, tasks, test_tasks)
         else:
-            reports[name] = exp.run_exact_vs_gn(mp, tasks, **exact_vs_gn).to_dict()
+            reports[name] = exp.run_exact_vs_gn(mp, tasks, **exact_vs_gn)
     return reports
 
 
@@ -380,15 +399,8 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> None:
 
     requested = cfg.experiments.get("run", [])
     reports = _experiment_results(cfg, out, requested)
-    exp.write_report(
-        out / "report.json",
-        {
-            "schema_version": exp.REPORT_SCHEMA_VERSION,
-            "kind": "experiment_suite" if requested else "empty",
-            "config_echo": cfg.echo,
-            "results": reports,
-        },
-    )
+    doc = exp._report("experiment_suite" if requested else "empty", cfg.echo, reports)
+    exp.write_report(out / "report.json", doc)
     print(f"wrote report with {len(reports)} experiment(s) to {out / 'report.json'}")
 
 

@@ -1,15 +1,18 @@
-"""Experiment protocols over trained artifacts, each yielding a JSON-ready report.
+"""Experiment protocols over trained artifacts, each returning its JSON report document.
 
-Reports are pure functions of (trained parameters, inverse, tasksets, grids,
-seeds): rerunning one reproduces byte-identical JSON. Every report echoes its
-configuration, including the score sign convention (helpful-positive).
+A report is the dict ``write_report`` writes: ``schema_version``, ``kind``,
+``config_echo`` and ``results``, built by ``_report``. Reports are pure
+functions of (trained parameters, inverse, tasksets, grids, seeds): rerunning
+one reproduces byte-identical JSON. Every report echoes its configuration,
+including the score sign convention (helpful-positive). ``run_self_rank``
+alone returns a ``SelfRankReport``, whose ``to_dict()`` gives its document.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,20 +128,6 @@ def run_self_rank(mp: MetaParams, inv: SpectralInverse, train_tasks: list[Task])
     return SelfRankReport(rows=rows, summary=summary)
 
 
-@dataclass
-class DegradationReport:
-    alpha_sweep: dict
-    ratio_sweep: dict
-    config: dict
-
-    def to_dict(self) -> dict:
-        return _report(
-            "degradation",
-            self.config,
-            {"alpha": self.alpha_sweep, "ratio": self.ratio_sweep},
-        )
-
-
 def _degradation_sweep(
     mp: MetaParams,
     records: list[InfluenceRecord],
@@ -186,7 +175,7 @@ def run_degradation(
     alphas: list[float],
     ratios: list[float],
     seed: int,
-) -> DegradationReport:
+) -> dict:
     """Sweep degradation strength and coverage of each self-test task.
 
     For every training task reused as a test task, the alpha grid runs at
@@ -197,12 +186,14 @@ def run_degradation(
     counted.
     """
     records = influence_records(inv, mp, train_tasks)
-    alpha_sweep = _degradation_sweep(
-        mp, records, train_tasks, alphas, lambda a: DegradeParams(a, DEGRADE_RATIO_FIXED), seed
-    )
-    ratio_sweep = _degradation_sweep(
-        mp, records, train_tasks, ratios, lambda r: DegradeParams(DEGRADE_ALPHA_FIXED, r), seed
-    )
+    results = {
+        "alpha": _degradation_sweep(
+            mp, records, train_tasks, alphas, lambda a: DegradeParams(a, DEGRADE_RATIO_FIXED), seed
+        ),
+        "ratio": _degradation_sweep(
+            mp, records, train_tasks, ratios, lambda r: DegradeParams(DEGRADE_ALPHA_FIXED, r), seed
+        ),
+    }
     config = {
         "alphas": [float(a) for a in alphas],
         "ratios": [float(r) for r in ratios],
@@ -213,28 +204,7 @@ def run_degradation(
         "sign_convention": HELPFUL_POSITIVE,
         "keep": repr(inv.keep),
     }
-    return DegradationReport(alpha_sweep=alpha_sweep, ratio_sweep=ratio_sweep, config=config)
-
-
-@dataclass
-class ProperOrderReport:
-    rows: list[dict]
-    counts: dict
-    p_value_mean: float
-    p_value_median: float
-    config: dict
-
-    def to_dict(self) -> dict:
-        return _report(
-            "distribution_distinction",
-            self.config,
-            {
-                "per_test": self.rows,
-                "counts": self.counts,
-                "p_value_mean": self.p_value_mean,
-                "p_value_median": self.p_value_median,
-            },
-        )
+    return _report("degradation", config, results)
 
 
 def _group_records(records: list[InfluenceRecord], train_tasks: list[Task]) -> tuple[list[InfluenceRecord], dict]:
@@ -262,7 +232,7 @@ def run_distribution_distinction(
     inv: SpectralInverse,
     train_tasks: list[Task],
     test_tasks: list[Task],
-) -> ProperOrderReport:
+) -> dict:
     """Compare score distributions of regular vs noise training entities per test.
 
     When the training tasks carry group ids, scoring happens at the group
@@ -326,53 +296,28 @@ def run_distribution_distinction(
         "sign_convention": HELPFUL_POSITIVE,
         "keep": repr(inv.keep),
     }
-    return ProperOrderReport(
-        rows=rows,
-        counts=counts,
-        p_value_mean=binomial_two_sided_p(count_mean, n_tests),
-        p_value_median=binomial_two_sided_p(count_median, n_tests),
-        config=config,
+    results = {
+        "per_test": rows,
+        "counts": counts,
+        "p_value_mean": binomial_two_sided_p(count_mean, n_tests),
+        "p_value_median": binomial_two_sided_p(count_median, n_tests),
+    }
+    return _report("distribution_distinction", config, results)
+
+
+def _rows_max_adjacent_fraction(cells: list[dict], n_keep: int) -> float:
+    """Share of capacity rows whose best keep count sits within one grid step of the diagonal.
+
+    ``cells`` run capacity-major and keep-minor, so row i of the reshaped
+    ``mean_corr`` grid is the i-th capacity. A row with no defined cell has no best.
+    """
+    if not cells:
+        return 0.0
+    grid = np.array([np.nan if c["mean_corr"] is None else c["mean_corr"] for c in cells]).reshape(-1, n_keep)
+    adjacent = sum(
+        not np.all(np.isnan(row)) and abs(int(np.nanargmax(row)) - i) <= 1 for i, row in enumerate(grid)
     )
-
-
-@dataclass
-class ExactVsGnReport:
-    keep_grid: list[int]
-    capacity_grid: list[int]
-    cells: list[dict]
-    config: dict = field(default_factory=dict)
-
-    def mean_grid(self) -> np.ndarray:
-        """Rows indexed by capacity, columns by keep count."""
-        grid = np.full((len(self.capacity_grid), len(self.keep_grid)), np.nan)
-        for cell in self.cells:
-            i = self.capacity_grid.index(cell["capacity"])
-            j = self.keep_grid.index(cell["keep"])
-            grid[i, j] = np.nan if cell["mean_corr"] is None else cell["mean_corr"]
-        return grid
-
-    @property
-    def rows_max_adjacent_fraction(self) -> float:
-        """Share of capacity rows whose best keep count sits within one grid step of the diagonal."""
-        adjacent = 0
-        for i, row in enumerate(self.mean_grid()):
-            if not np.all(np.isnan(row)) and abs(int(np.nanargmax(row)) - i) <= 1:
-                adjacent += 1
-        return adjacent / len(self.capacity_grid) if self.capacity_grid else 0.0
-
-    def to_dict(self) -> dict:
-        return _report(
-            "exact_vs_gn",
-            {
-                "keep_grid": self.keep_grid,
-                "capacity_grid": self.capacity_grid,
-                **self.config,
-            },
-            {
-                "cells": self.cells,
-                "rows_max_adjacent_fraction": self.rows_max_adjacent_fraction,
-            },
-        )
+    return adjacent / len(grid)
 
 
 def run_exact_vs_gn(
@@ -380,7 +325,7 @@ def run_exact_vs_gn(
     train_tasks: list[Task],
     keep_grid: list[int],
     capacity_grid: list[int],
-) -> ExactVsGnReport:
+) -> dict:
     """Correlate exact-curvature scores with factored approximation scores.
 
     The exact path prunes to each keep count; the approximate path rebuilds
@@ -415,9 +360,11 @@ def run_exact_vs_gn(
                     "undefined": undefined,
                 }
             )
-    return ExactVsGnReport(
-        keep_grid=[int(k) for k in keep_grid],
-        capacity_grid=[int(c) for c in capacity_grid],
-        cells=cells,
-        config={"num_tasks": len(train_tasks), "sign_convention": HELPFUL_POSITIVE},
-    )
+    config = {
+        "keep_grid": [int(k) for k in keep_grid],
+        "capacity_grid": [int(c) for c in capacity_grid],
+        "num_tasks": len(train_tasks),
+        "sign_convention": HELPFUL_POSITIVE,
+    }
+    results = {"cells": cells, "rows_max_adjacent_fraction": _rows_max_adjacent_fraction(cells, len(keep_grid))}
+    return _report("exact_vs_gn", config, results)

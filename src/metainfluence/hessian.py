@@ -16,6 +16,7 @@ eigenpairs and returns them as a ``SpectralInverse`` (U, lambda).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ class HessianRep:
     num_tasks: int = 0
     method: str = "exact"  # "exact" | "gauss_newton"
     buffer_capacity: int | None = None
+    # sha256 of the omega and of the training tasks it was built from (``_input_digests``)
+    params_sha256: str | None = None
+    tasks_sha256: str | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in ("dense", "factored"):
@@ -98,6 +102,17 @@ class SpectralInverse:
         return self.vectors @ (coef.T / self.values).T
 
 
+def _input_digests(mp: MetaParams, taskset: list[Task]) -> dict:
+    """sha256 of omega, and one of every task's support and query arrays, each read through its buffer."""
+    tasks = hashlib.sha256()
+    for task in taskset:
+        for a in (task.support.x, task.support.y, task.query.x, task.query.y):
+            tasks.update(repr(a.shape).encode())
+            tasks.update(np.ascontiguousarray(a))
+    params = hashlib.sha256(np.ascontiguousarray(mp.omega)).hexdigest()
+    return {"params_sha256": params, "tasks_sha256": tasks.hexdigest()}
+
+
 def exact_meta_hessian(
     mp: MetaParams, taskset: list[Task], dense_cap: int = DENSE_CAP_DEFAULT
 ) -> HessianRep:
@@ -133,7 +148,8 @@ def exact_meta_hessian(
             f"pre-symmetrization asymmetry {asym:g} exceeds {FD_ASYM_TOL:g} * {scale:g}"
         )
     return HessianRep(
-        variant="dense", matrix=linalg.symmetrize(h_mat), num_tasks=m, method="exact"
+        variant="dense", matrix=linalg.symmetrize(h_mat), num_tasks=m, method="exact",
+        **_input_digests(mp, taskset),
     )
 
 
@@ -194,6 +210,7 @@ def accumulate_gn(mp: MetaParams, taskset: list[Task], capacity: int) -> Hessian
         num_tasks=m,
         method="gauss_newton",
         buffer_capacity=capacity,
+        **_input_digests(mp, taskset),
     )
 
 
@@ -248,10 +265,11 @@ def spectrum_summary(h: HessianRep) -> dict:
 
 
 def save_hessian(path, h: HessianRep) -> None:
-    """Variant, method, task count and capacity in the header; the matrix or factor as the payload."""
+    """Variant, method, task count, capacity and input digests in the header; the matrix or factor as payload."""
     header = {
         "variant": h.variant, "method": h.method,
         "num_tasks": h.num_tasks, "buffer_capacity": h.buffer_capacity,
+        "params_sha256": h.params_sha256, "tasks_sha256": h.tasks_sha256,
     }
     payload = h.matrix if h.variant == "dense" else h.factor.columns
     artifact.save(path, "hessian", header, payload)
@@ -267,6 +285,8 @@ def load_hessian(path) -> HessianRep:
             num_tasks=head["num_tasks"],
             method=head["method"],
             buffer_capacity=head["buffer_capacity"],
+            params_sha256=head.get("params_sha256"),
+            tasks_sha256=head.get("tasks_sha256"),
         )
 
     return artifact.load(path, "hessian", build)

@@ -328,7 +328,7 @@ def test_criterion_6_degradation_trend_pruned_vs_raw(selfrank_pipeline):
     for keep in ("positive", "all"):
         inv = hessian.invert(h, keep)
         report = experiments.run_degradation(mp, inv, tasks, alphas=grid, ratios=grid, seed=104)
-        corr[keep] = report.alpha_sweep["score_corr_mean"]
+        corr[keep] = report["results"]["alpha"]["score_corr_mean"]
     assert corr["positive"] < 0.0  # score decreases as degradation grows
     assert abs(corr["positive"]) > abs(corr["all"])  # pruning strengthens the trend
 
@@ -401,7 +401,7 @@ def _flip_config(n_regular, n_noise, aug_count, weight_decay, steps):
         MetaTrainConfig(steps=steps, meta_batch=32, lr=1e-3, seed=307, weight_decay=weight_decay),
     )
     inv = hessian.invert(hessian.accumulate_gn(mp, tasks, capacity=256), "all")
-    return experiments.run_distribution_distinction(mp, inv, tasks, tests)
+    return experiments.run_distribution_distinction(mp, inv, tasks, tests)["results"]
 
 
 def test_criterion_8_distribution_distinction():
@@ -412,9 +412,9 @@ def test_criterion_8_distribution_distinction():
 
     overfit = _flip_config(n_regular=6, n_noise=48, aug_count=1, weight_decay=0.0, steps=3000)
     generalized = _flip_config(n_regular=42, n_noise=32, aug_count=4, weight_decay=1e-3, steps=2000)
-    n_tests = overfit.counts["tests"]
-    overfit_majority = overfit.counts["proper_order_mean"] > n_tests / 2
-    generalized_majority = generalized.counts["proper_order_mean"] > n_tests / 2
+    n_tests = overfit["counts"]["tests"]
+    overfit_majority = overfit["counts"]["proper_order_mean"] > n_tests / 2
+    generalized_majority = generalized["counts"]["proper_order_mean"] > n_tests / 2
     assert overfit_majority != generalized_majority
     assert generalized_majority  # the regularized regime aligns in proper order
 
@@ -439,7 +439,7 @@ def test_criterion_9_exact_vs_gn_grid():
     )
     grid = [16, 32, 64, 128, 256]
     report = experiments.run_exact_vs_gn(mp, tasks, keep_grid=grid, capacity_grid=grid)
-    assert report.rows_max_adjacent_fraction >= 0.6
+    assert report["results"]["rows_max_adjacent_fraction"] >= 0.6
 
 
 # --- criterion 10: end-to-end determinism --------------------------------------

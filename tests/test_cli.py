@@ -125,6 +125,18 @@ def test_gen_noise_inherits_only_its_own_keys_from_train(tmp_path):
     assert {max(t["query"]["y"]) + 1 for t in doc["tasks"] if t["provenance"] == "noise"} == {5}
 
 
+@pytest.mark.parametrize(
+    "section, values",
+    [("test", {"count": 3, "seed": 17, "n_ways": 1}), ("augment", {"count": 0})],
+    ids=["test-n_ways-one", "augment-count-zero"],
+)
+def test_gen_config_fault_writes_no_taskset(tmp_path, capsys, section, values):
+    cfg = write_config(tmp_path, {"tasksets": {section: values}})
+    out = tmp_path / "empty"
+    assert_clean_exit(["--config", cfg, "--out", out, "gen"], capsys, cli.EXIT_USAGE, f"'tasksets.{section}'")
+    assert list(out.iterdir()) == []
+
+
 def test_gen_zero_count_writes_empty_taskset(tmp_path):
     cfg = write_config(tmp_path, {"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], count=0)}})
     # drop noise/test to keep it minimal
@@ -383,6 +395,34 @@ def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
     assert "built on 8 tasks, but the training taskset has 5" in capsys.readouterr().err
 
 
+def test_hessian_from_another_run_of_the_same_shape_is_usage_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    del doc["tasksets"]["noise"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    runs = {}
+    for seed, stages in ((1, ("gen", "train", "hessian")), (99, ("gen", "train"))):
+        runs[seed] = tmp_path / f"seed{seed}"
+        for stage in stages:
+            assert run(["--config", cfg, "--out", runs[seed], "--seed", seed, stage]) == cli.EXIT_OK
+    crossed = runs[99] / "hessian.bin"
+    shutil.copy(runs[1] / "hessian.bin", crossed)
+    args = ["--config", cfg, "--out", runs[99], "influence"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, crossed, "built from other parameters")
+    # the seed-1 params and Hessian with a training taskset of the same shape from another taskset seed
+    doc["tasksets"]["train"]["seed"] = 12
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    assert run(["--config", other, "--out", tmp_path / "other", "gen"]) == cli.EXIT_OK
+    args = ["--config", cfg, "--out", runs[1], "influence", "--taskset", tmp_path / "other" / "train_tasks.json"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, runs[1] / "hessian.bin", "built from other training taskset")
+    # a header without the params digest cannot be checked
+    rewrite_header(crossed, lambda header: {k: v for k, v in header.items() if k != "params_sha256"})
+    args = ["--config", cfg, "--out", runs[99], "influence"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, crossed, "records no params_sha256")
+    assert not (runs[99] / "influence.bin").exists()
+
+
 def assert_clean_exit(args, capsys, code, *needles):
     """cli.main returns ``code`` with one ``error:`` line, ``numerical failure:`` at exit 2,
     that contains every needle."""
@@ -527,10 +567,14 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
             "gen",
             "'tasksets.noise.kind'",
         ),
+        ({"hessian": {"method": "gn", "capacity": 0}}, "hessian", "'hessian.capacity'"),
+        ({"hessian": {"method": "gn", "capacity": -4}}, "hessian", "'hessian.capacity'"),
+        ({"hessian": {"dense_cap": -1}}, "hessian", "'hessian.dense_cap'"),
     ],
     ids=[
         "meta_batch-zero", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha",
         "exact_vs_gn-keep-zero", "exact_vs_gn-capacity-repeat", "noise-kind",
+        "capacity-zero", "capacity-negative", "dense_cap-negative",
     ],
 )
 def test_config_fault_is_reported_before_any_artifact_is_read(tmp_path, capsys, overrides, stage, names):
@@ -756,11 +800,12 @@ def test_ill_conditioned_keep_is_usage_error(trained, tmp_path, capsys):
     _, done = trained
     out = tmp_path / "out"
     shutil.copytree(done, out)
-    q = metalearn.load_params(out / "params.bin").q
-    num_tasks = len(taskgen.load_taskset(out / "train_tasks.json")[0])
+    mp = metalearn.load_params(out / "params.bin")
+    tasks = taskgen.load_taskset(out / "train_tasks.json")[0]
+    q, num_tasks = mp.q, len(tasks)
     lam = np.ones(q)
     lam[-1] = 1e-14
-    rep = hessian.HessianRep("dense", matrix=np.diag(lam), num_tasks=num_tasks)
+    rep = hessian.HessianRep("dense", matrix=np.diag(lam), num_tasks=num_tasks, **hessian._input_digests(mp, tasks))
     hessian.save_hessian(out / "hessian.bin", rep)
     cfg = write_config(tmp_path, {"hessian": {"keep": q}})
     args = ["--config", cfg, "--out", out, "influence"]

@@ -103,20 +103,21 @@ def test_degradation_all_zero_grid_excludes_everything(rng):
     report = exp.run_degradation(
         mp, identity_inverse(mp.q), tasks, alphas=[0.0, 0.0, 0.0], ratios=[0.0, 0.0, 0.0], seed=3
     )
-    assert report.alpha_sweep["rank_corr_excluded"] == 2
-    assert report.alpha_sweep["rank_corr_mean"] is None
+    alpha = report["results"]["alpha"]
+    assert alpha["rank_corr_excluded"] == 2
+    assert alpha["rank_corr_mean"] is None
     # scores are constant across an all-zero grid, so score correlations are
     # undefined as well
-    assert report.alpha_sweep["score_corr_excluded"] == 2
+    assert alpha["score_corr_excluded"] == 2
 
 
 def test_degradation_report_structure(rng):
     mp = make_params(rng)
     tasks = sample_tasks(count=3)
-    report = exp.run_degradation(
+    doc = exp.run_degradation(
         mp, identity_inverse(mp.q), tasks, alphas=[0.0, 0.5, 1.0], ratios=[0.0, 1.0], seed=3
     )
-    doc = report.to_dict()
+    assert doc["kind"] == "degradation"
     assert doc["results"]["alpha"]["values"] == [0.0, 0.5, 1.0]
     assert len(doc["results"]["alpha"]["per_task"]) == 3
     assert doc["config_echo"]["sign_convention"] == exp.HELPFUL_POSITIVE
@@ -133,7 +134,7 @@ def test_degradation_reads_each_task_column_by_position(rng):
         taskgen.degrade_task(tasks[4], taskgen.DegradeParams(a, exp.DEGRADE_RATIO_FIXED), seed) for a in alphas
     ]
     want = score_pairs(mp, influence_records(inv, mp, tasks), degraded)[:, 4]
-    assert report.alpha_sweep["per_task"][4]["self_scores"] == want.tolist()
+    assert report["results"]["alpha"]["per_task"][4]["self_scores"] == want.tolist()
 
 
 def test_distribution_distinction_requires_noise(rng):
@@ -149,13 +150,13 @@ def test_distribution_distinction_counts_and_rows(rng):
     noise = sample_tasks(count=2, kind="noise", seed=9)
     mixed = taskgen.mix_tasksets(regular, noise, seed=1)
     tests = sample_tasks(count=3, seed=55)
-    report = exp.run_distribution_distinction(mp, identity_inverse(mp.q), mixed, tests)
-    assert report.counts["tests"] == 3
-    assert report.counts["regular_entities"] == 4
-    assert report.counts["noise_entities"] == 2
-    assert 0.0 <= report.p_value_mean <= 1.0
-    assert 0.0 <= report.p_value_median <= 1.0
-    losses = [row["test_loss"] for row in report.rows]
+    results = exp.run_distribution_distinction(mp, identity_inverse(mp.q), mixed, tests)["results"]
+    assert results["counts"]["tests"] == 3
+    assert results["counts"]["regular_entities"] == 4
+    assert results["counts"]["noise_entities"] == 2
+    assert 0.0 <= results["p_value_mean"] <= 1.0
+    assert 0.0 <= results["p_value_median"] <= 1.0
+    losses = [row["test_loss"] for row in results["per_test"]]
     assert losses == sorted(losses)
 
 
@@ -168,9 +169,9 @@ def test_distribution_distinction_group_level(rng):
         grouped.extend(taskgen.augment_group(t, 2, 0.5, seed=8))
     tests = sample_tasks(count=2, seed=66)
     report = exp.run_distribution_distinction(mp, identity_inverse(mp.q), grouped, tests)
-    assert report.config["entity_level"] == "group"
-    assert report.counts["regular_entities"] == 2
-    assert report.counts["noise_entities"] == 1
+    assert report["config_echo"]["entity_level"] == "group"
+    assert report["results"]["counts"]["regular_entities"] == 2
+    assert report["results"]["counts"]["noise_entities"] == 1
 
 
 def test_distribution_distinction_refuses_partly_grouped_training_set(rng):
@@ -225,14 +226,14 @@ def test_stacked_experiment_paths_match_per_task_oracles(kind, inner_lr, rng):
             }
         )
     want.sort(key=lambda r: (r["test_loss"], r["test_id"]))
-    assert report.rows == want
+    assert report["results"]["per_test"] == want
 
     # a grid of 5 does not divide STACK_CHUNK, so some tasks' grids span two stacked calls
     alphas, ratios, seed = [0.0, 0.2, 0.5, 0.8, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0], 5
     report = exp.run_degradation(mp, inv, train, alphas, ratios, seed)
     for sweep, grid, make in (
-        (report.alpha_sweep, alphas, lambda a: taskgen.DegradeParams(a, exp.DEGRADE_RATIO_FIXED)),
-        (report.ratio_sweep, ratios, lambda r: taskgen.DegradeParams(exp.DEGRADE_ALPHA_FIXED, r)),
+        (report["results"]["alpha"], alphas, lambda a: taskgen.DegradeParams(a, exp.DEGRADE_RATIO_FIXED)),
+        (report["results"]["ratio"], ratios, lambda r: taskgen.DegradeParams(exp.DEGRADE_ALPHA_FIXED, r)),
     ):
         assert [row["task_id"] for row in sweep["per_task"]] == [t.task_id for t in train]
         for j, (task, row) in enumerate(zip(train, sweep["per_task"])):
@@ -265,8 +266,8 @@ def test_one_stack_chunk_setting_reaches_every_stacked_path(rng, monkeypatch, mo
         return [
             counted(lambda: metalearn.meta_grads(mp, tests)),
             counted(lambda: score_pairs(mp, records, tests)),
-            counted(lambda: exp.run_distribution_distinction(mp, inv, train, tests).rows),
-            counted(lambda: exp.run_degradation(mp, inv, train, grid, grid, seed).to_dict()["results"]),
+            counted(lambda: exp.run_distribution_distinction(mp, inv, train, tests)["results"]["per_test"]),
+            counted(lambda: exp.run_degradation(mp, inv, train, grid, grid, seed)["results"]),
         ]
 
     want = [out for out, _ in run_paths()]
@@ -295,9 +296,9 @@ def test_all_equal_scores_is_not_proper_order(rng):
     zero_inv = SpectralInverse(
         vectors=np.zeros((mp.q, 0)), values=np.zeros(0), discarded_negative=0, keep=0
     )
-    report = exp.run_distribution_distinction(mp, zero_inv, mixed, tests)
-    assert report.counts["proper_order_mean"] == 0
-    assert report.counts["proper_order_median"] == 0
+    counts = exp.run_distribution_distinction(mp, zero_inv, mixed, tests)["results"]["counts"]
+    assert counts["proper_order_mean"] == 0
+    assert counts["proper_order_median"] == 0
 
 
 def test_exact_vs_gn_self_correlation_is_one(rng):
@@ -318,13 +319,15 @@ def test_exact_vs_gn_self_correlation_is_one(rng):
 def test_exact_vs_gn_report_grid(rng):
     mp = make_params(rng, widths=(4, 4, 3), inner_lr=0.05)
     tasks = sample_tasks(d=4, count=4)
-    report = exp.run_exact_vs_gn(mp, tasks, keep_grid=[4, 8], capacity_grid=[4, 8])
-    assert len(report.cells) == 4
-    grid = report.mean_grid()
-    assert grid.shape == (2, 2)
-    doc = report.to_dict()
+    doc = exp.run_exact_vs_gn(mp, tasks, keep_grid=[4, 8], capacity_grid=[4, 8])
+    cells = doc["results"]["cells"]
+    # capacity-major, keep-minor
+    assert [(c["capacity"], c["keep"]) for c in cells] == [(4, 4), (4, 8), (8, 4), (8, 8)]
     assert doc["kind"] == "exact_vs_gn"
-    assert 0.0 <= report.rows_max_adjacent_fraction <= 1.0
+    assert doc["config_echo"]["keep_grid"] == [4, 8] and doc["config_echo"]["capacity_grid"] == [4, 8]
+    fraction = doc["results"]["rows_max_adjacent_fraction"]
+    assert fraction == exp._rows_max_adjacent_fraction(cells, 2)
+    assert 0.0 <= fraction <= 1.0
     with pytest.raises(ValueError, match="must not repeat"):
         exp.run_exact_vs_gn(mp, tasks, keep_grid=[4, 4], capacity_grid=[4, 8])
 
@@ -335,3 +338,23 @@ def test_reports_are_json_serializable(rng):
     text = exp.canonical_json(report.to_dict())
     parsed = json.loads(text)
     assert parsed["kind"] == "self_rank"
+
+
+def grid_cells(rows):
+    """Cells of a mean_corr grid, capacity-major and keep-minor, as run_exact_vs_gn builds them."""
+    return [{"capacity": i, "keep": j, "mean_corr": r} for i, row in enumerate(rows) for j, r in enumerate(row)]
+
+
+def test_rows_max_adjacent_fraction_counts_rows_peaking_near_the_diagonal():
+    cells = grid_cells(
+        [
+            [0.9, 0.5, 0.1],  # peaks on the diagonal
+            [None, None, None],  # no defined cell, so no peak
+            [0.8, 0.2, 0.3],  # peaks two steps off
+        ]
+    )
+    assert exp._rows_max_adjacent_fraction(cells, 3) == 1 / 3
+    # more keep counts than capacities: rows are 4 long, peaks at 1 (adjacent) and 3 (two off)
+    cells = grid_cells([[0.1, 0.9, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4]])
+    assert exp._rows_max_adjacent_fraction(cells, 4) == 1 / 2
+    assert exp._rows_max_adjacent_fraction([], 0) == 0.0
