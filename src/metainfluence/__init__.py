@@ -26,7 +26,6 @@ from .influence import (
     ScoreTable,
     influence_group,
     influence_meta,
-    influence_perf,
     influence_records,
     load_influence_records,
     loo_retrain_oracle,

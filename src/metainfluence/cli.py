@@ -206,6 +206,8 @@ def _taskset_spec(section: str, values: dict):
 
     if "count" not in values:
         raise ConfigError(f"config section {section!r} is missing required key 'count'")
+    if values["count"] < 0:
+        raise ConfigError(f"bad config section {section!r}: count must be non-negative, not {values['count']}")
     spec = {key: value for key, value in values.items() if key != "count"}
     return _build(section, TaskDistributionSpec, **spec), values["count"]
 
@@ -366,14 +368,20 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
     if "degradation" in requested:
         for value in degradation["alphas"] + degradation["ratios"]:
             _build("experiments.degradation", taskgen.DegradeParams, alpha=value, ratio=value)
+        for key in ("alphas", "ratios"):
+            if len(degradation[key]) < 2:
+                raise ConfigError(
+                    f"bad config value 'experiments.degradation.{key}': "
+                    f"a correlation needs at least 2 values, not {degradation[key]}"
+                )
     sizes = [8, 16, 32]
     exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **cfg.experiments.get("exact_vs_gn", {})}
     if "exact_vs_gn" in requested:
         for key, values in exact_vs_gn.items():
-            if min(values, default=1) < 1 or len(set(values)) < len(values):
+            if not values or min(values) < 1 or len(set(values)) < len(values):
                 raise ConfigError(
                     f"bad config value 'experiments.exact_vs_gn.{key}': "
-                    f"entries must be at least 1 and distinct, not {values}"
+                    f"needs one or more distinct entries of at least 1, not {values}"
                 )
     if not requested:
         return {}
@@ -444,8 +452,12 @@ def cmd_report(out: Path, report_path: str | None, csv: bool) -> None:
 
 
 def _flatten_report_csv(nested: dict, path: Path) -> None:
+    """One CSV per row list: ``per_test`` or ``cells``, and each degradation sweep's ``per_task``."""
+    tables = {}
     for name, res in nested.items():
-        rows = res.get("per_test") or res.get("cells")
+        tables[name] = res.get("per_test") or res.get("cells")
+        tables.update({f"{name}_{key}": res[key].get("per_task") for key in ("alpha", "ratio") if key in res})
+    for name, rows in tables.items():
         if not rows:
             continue
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):

@@ -260,7 +260,7 @@ def run_distribution_distinction(
     if not regular_mask.any():
         raise ValueError("no regular-provenance training entities; comparison undefined")
 
-    losses, scores = _scored_chunks(mp, entities, test_tasks, with_loss=True)
+    losses, scores = _scored_chunks(mp, entities, test_tasks)
     regular, noise = scores[:, regular_mask], scores[:, noise_mask]
     median_regular, median_noise = np.median(regular, axis=1), np.median(noise, axis=1)
     rows = []

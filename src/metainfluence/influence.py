@@ -18,18 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import SpectralInverse
-from .metalearn import (
-    MetaParams,
-    MetaTrainConfig,
-    Task,
-    _kernel_chunks,
-    adapt,
-    adapt_jacobian_matvec,
-    meta_grad,
-    meta_grads,
-    meta_train,
-)
-from . import artifact, model
+from .metalearn import MetaParams, MetaTrainConfig, Task, _kernel_chunks, meta_grads, meta_train
+# not called here: perfbench's test_uninstall_restores_every_binding reads influence.meta_grad
+from .metalearn import meta_grad  # noqa: F401
+from . import artifact
 
 HELPFUL_POSITIVE = -1.0  # score = HELPFUL_POSITIVE * d(test loss)/d(upweight)
 
@@ -71,18 +63,6 @@ def influence_group(records: list[InfluenceRecord], group_id: str) -> InfluenceR
     for rec in members[1:]:
         total = total + rec.i_meta
     return InfluenceRecord(task_id=group_id, i_meta=total, group_id=group_id)
-
-
-def influence_perf(mp: MetaParams, test_task: Task, rec: InfluenceRecord) -> float:
-    """Induced change rate of the test task's query loss (positive = loss rises)."""
-    shift = adapt_jacobian_matvec(mp, test_task, rec.i_meta)
-    if mp.learner.kind == "protonet":
-        # theta passes through adaptation, so the loss derivative w.r.t. the
-        # weights is the full meta-gradient (query features and centroids).
-        g_test = meta_grad(mp, test_task)
-    else:
-        g_test = model.grad(mp.learner.spec, adapt(mp, test_task), test_task.query)
-    return float(g_test @ shift)
 
 
 @dataclass
@@ -133,21 +113,17 @@ def _record_stack(records: list[InfluenceRecord]) -> np.ndarray:
     return np.stack([r.i_meta for r in records], axis=1)
 
 
-def _scored_chunks(
-    mp: MetaParams, records: list[InfluenceRecord], test_tasks: list[Task], with_loss: bool = False
-):
-    """Score matrix (tests x records), and with ``with_loss`` the tests' query losses.
+def _scored_chunks(mp: MetaParams, records: list[InfluenceRecord], test_tasks: list[Task]):
+    """The tests' query losses and their score matrix (tests x records).
 
     The test meta-gradients of each stacked kernel call are multiplied by the
-    record stack once. Returns the scores, or (losses, scores) with ``with_loss``.
+    record stack once.
     """
     stack = _record_stack(records)
     losses, scores = np.empty(len(test_tasks)), np.empty((len(test_tasks), len(records)))
-    for rows, out in _kernel_chunks(mp.learner, mp.omega, test_tasks, with_loss):
-        if with_loss:
-            losses[rows], out = out
-        scores[rows] = HELPFUL_POSITIVE * (out @ stack)
-    return (losses, scores) if with_loss else scores
+    for rows, (chunk_losses, grads) in _kernel_chunks(mp.learner, mp.omega, test_tasks):
+        losses[rows], scores[rows] = chunk_losses, HELPFUL_POSITIVE * (grads @ stack)
+    return losses, scores
 
 
 def score_pairs(mp: MetaParams, records: list[InfluenceRecord], test_tasks: list[Task]) -> np.ndarray:
@@ -157,7 +133,7 @@ def score_pairs(mp: MetaParams, records: list[InfluenceRecord], test_tasks: list
     (protonet), which folds the loss-gradient/adaptation chain into the test
     task's meta-gradient; tests verify agreement with the composed form.
     """
-    return _scored_chunks(mp, records, test_tasks)
+    return _scored_chunks(mp, records, test_tasks)[1]
 
 
 def score_table(

@@ -13,7 +13,9 @@ same length as the model weight vector):
 Each learner has one meta-gradient kernel, ``(learner, omega, support,
 query, with_loss)``, that takes one task's batches or a stack of same-shape
 tasks on a leading task axis. ``meta_grad``, ``meta_grads``, ``meta_train``
-and the curvature and scoring code above them all go through it.
+and the curvature and scoring code above them all go through it. Every
+stacked pass takes the query losses with its rows; the per-task
+``_meta_grad``, which the exact Hessian calls 2*q*m times, takes no loss.
 """
 
 from __future__ import annotations
@@ -123,18 +125,6 @@ def adapt(mp: MetaParams, task: Task) -> np.ndarray:
     return mp.omega - mp.learner.inner_lr * model.grad(mp.learner.spec, mp.omega, task.support)
 
 
-def adapt_jacobian_matvec(mp: MetaParams, task: Task, v: np.ndarray) -> np.ndarray:
-    """(d theta_hat / d omega) @ v without materializing the Jacobian.
-
-    For MAML the Jacobian is symmetric, so this is also the transposed
-    product. Accepts a single vector (p,) or a stack (p, k).
-    """
-    if mp.learner.kind == "protonet":
-        return np.array(v, dtype=float, copy=True)
-    lr = mp.learner.inner_lr
-    return v - lr * model.hvp(mp.learner.spec, mp.omega, task.support, v)
-
-
 def task_logits(mp: MetaParams, task: Task) -> np.ndarray:
     """Query logits after adaptation."""
     spec = mp.learner.spec
@@ -211,8 +201,8 @@ def _stack(tasks: list[Task]) -> tuple[Batch, Batch]:
     )
 
 
-def _kernel_chunks(learner: Learner, omega: np.ndarray, tasks: list[Task], with_loss: bool = False):
-    """(positions, kernel output) of each stacked kernel call over ``tasks``.
+def _kernel_chunks(learner: Learner, omega: np.ndarray, tasks: list[Task]):
+    """(positions, (query losses, meta-gradients)) of each stacked kernel call over ``tasks``.
 
     Tasks of one (support, query) shape and class count share calls of at
     most STACK_CHUNK tasks. Shape groups, and the positions in each, are in
@@ -225,26 +215,20 @@ def _kernel_chunks(learner: Learner, omega: np.ndarray, tasks: list[Task], with_
     for group in groups.values():
         for c in range(0, len(group), STACK_CHUNK):
             rows = group[c : c + STACK_CHUNK]
-            yield rows, kernel(learner, omega, *_stack([tasks[i] for i in rows]), with_loss=with_loss)
+            yield rows, kernel(learner, omega, *_stack([tasks[i] for i in rows]), with_loss=True)
 
 
-def _stacked_rows(learner: Learner, omega: np.ndarray, tasks: list[Task], with_loss: bool = False):
-    """Meta-gradients of many tasks, one row per task, and with ``with_loss`` their query losses.
-
-    Returns the (len(tasks), q) rows, or (losses, rows) with ``with_loss``.
-    """
+def _stacked_rows(learner: Learner, omega: np.ndarray, tasks: list[Task]):
+    """Query losses (len(tasks),) and meta-gradients (len(tasks), q) of many tasks, one row per task."""
     losses, grads = np.empty(len(tasks)), np.empty((len(tasks), learner.spec.num_params))
-    for rows, out in _kernel_chunks(learner, omega, tasks, with_loss):
-        if with_loss:
-            losses[rows], grads[rows] = out
-        else:
-            grads[rows] = out
-    return (losses, grads) if with_loss else grads
+    for rows, out in _kernel_chunks(learner, omega, tasks):
+        losses[rows], grads[rows] = out
+    return losses, grads
 
 
 def meta_grads(mp: MetaParams, tasks: list[Task]) -> np.ndarray:
     """Meta-gradients of many tasks, one row per task: (len(tasks), q)."""
-    return _stacked_rows(mp.learner, mp.omega, tasks)
+    return _stacked_rows(mp.learner, mp.omega, tasks)[1]
 
 
 def meta_output_jacobian(mp: MetaParams, task: Task) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +254,8 @@ def meta_output_jacobian(mp: MetaParams, task: Task) -> tuple[np.ndarray, np.nda
     j_out = model.output_jacobian(spec, theta, task.query.x)
     n, c, p = j_out.shape
     flat = j_out.reshape(n * c, p).T
-    chained = adapt_jacobian_matvec(mp, task, flat)
+    # the adaptation Jacobian I - lr * H_support is symmetric
+    chained = flat - mp.learner.inner_lr * model.hvp(spec, mp.omega, task.support, flat)
     return logits, chained.T.reshape(n, c, p)
 
 
@@ -337,7 +322,7 @@ def meta_train(
 
     for step in range(1, cfg.steps + 1):
         idx = rng.integers(0, m_tasks, size=cfg.meta_batch)
-        losses, grads = _stacked_rows(learner, omega, [taskset[i] for i in idx], with_loss=True)
+        losses, grads = _stacked_rows(learner, omega, [taskset[i] for i in idx])
         g = (weights[idx] @ grads) / cfg.meta_batch
         batch_loss = float(weights[idx] @ losses) / cfg.meta_batch
         if cfg.weight_decay:

@@ -127,8 +127,15 @@ def test_gen_noise_inherits_only_its_own_keys_from_train(tmp_path):
 
 @pytest.mark.parametrize(
     "section, values",
-    [("test", {"count": 3, "seed": 17, "n_ways": 1}), ("augment", {"count": 0})],
-    ids=["test-n_ways-one", "augment-count-zero"],
+    [
+        ("test", {"count": 3, "seed": 17, "n_ways": 1}),
+        ("augment", {"count": 0}),
+        ("train", dict(BASE_CONFIG["tasksets"]["train"], count=-2)),
+        ("noise", {"count": -2, "seed": 13}),
+        ("test", {"count": -2, "seed": 17}),
+    ],
+    ids=["test-n_ways-one", "augment-count-zero", "train-count-negative", "noise-count-negative",
+         "test-count-negative"],
 )
 def test_gen_config_fault_writes_no_taskset(tmp_path, capsys, section, values):
     cfg = write_config(tmp_path, {"tasksets": {section: values}})
@@ -570,11 +577,27 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
         ({"hessian": {"method": "gn", "capacity": 0}}, "hessian", "'hessian.capacity'"),
         ({"hessian": {"method": "gn", "capacity": -4}}, "hessian", "'hessian.capacity'"),
         ({"hessian": {"dense_cap": -1}}, "hessian", "'hessian.dense_cap'"),
+        (
+            {"experiments": {"run": ["degradation"], "degradation": {"alphas": [0.5]}}},
+            "experiment",
+            "'experiments.degradation.alphas'",
+        ),
+        (
+            {"experiments": {"run": ["degradation"], "degradation": {"ratios": []}}},
+            "experiment",
+            "'experiments.degradation.ratios'",
+        ),
+        (
+            {"experiments": {"run": ["exact_vs_gn"], "exact_vs_gn": {"keep_grid": []}}},
+            "experiment",
+            "'experiments.exact_vs_gn.keep_grid'",
+        ),
     ],
     ids=[
         "meta_batch-zero", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha",
         "exact_vs_gn-keep-zero", "exact_vs_gn-capacity-repeat", "noise-kind",
         "capacity-zero", "capacity-negative", "dense_cap-negative",
+        "degradation-alphas-one", "degradation-ratios-empty", "exact_vs_gn-keep-empty",
     ],
 )
 def test_config_fault_is_reported_before_any_artifact_is_read(tmp_path, capsys, overrides, stage, names):
@@ -695,6 +718,21 @@ def test_truncated_taskset_is_usage_error(trained, tmp_path, capsys):
     path.write_text(text[: len(text) // 2])
     needles = [path, "is not valid JSON at char"]
     assert_clean_exit(["--config", cfg, "--out", out, "hessian"], capsys, cli.EXIT_USAGE, *needles)
+
+
+def test_report_csv_writes_both_degradation_tables(trained, tmp_path):
+    _, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    degradation = {"alphas": [0.0, 1.0], "ratios": [0.0, 0.5, 1.0], "seed": 3}
+    cfg = write_config(tmp_path, {"experiments": {"run": ["degradation"], "degradation": degradation}})
+    assert run(["--config", cfg, "--out", out, "experiment"]) == cli.EXIT_OK
+    assert run(["--config", cfg, "--out", out, "report", "--csv"]) == cli.EXIT_OK
+    n_train = len(json.loads((out / "train_tasks.json").read_text())["tasks"])
+    for sweep in ("alpha", "ratio"):
+        lines = (out / f"report_degradation_{sweep}.csv").read_text().splitlines()
+        assert len(lines) == 1 + n_train
+        assert lines[0] == "rank_corr,score_corr,self_ranks,self_scores,task_id"
 
 
 @pytest.mark.parametrize(

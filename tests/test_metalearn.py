@@ -10,7 +10,6 @@ from metainfluence.metalearn import (
     Task,
     TrainingDivergedError,
     adapt,
-    adapt_jacobian_matvec,
     load_params,
     meta_grad,
     meta_grads,
@@ -38,7 +37,6 @@ def test_adapt_zero_inner_lr_is_identity(rng):
     task = sample_tasks()[0]
     np.testing.assert_array_equal(adapt(mp, task), mp.omega)
     np.testing.assert_array_equal(adaptation_jacobian(mp, task), np.eye(mp.q))
-    np.testing.assert_array_equal(adapt_jacobian_matvec(mp, task, np.eye(mp.q)), np.eye(mp.q))
 
 
 def test_adapt_stationary_point_fixed():
@@ -61,20 +59,17 @@ def test_adapt_matches_fd_gradient_step(seed):
     assert rel_err(adapt(mp, task), mp.omega - 0.07 * fd) < 1e-5
 
 
-def test_adapt_jacobian_symmetric_and_matvec(rng):
+def test_adapt_jacobian_symmetric(rng):
     mp = make_params(rng, widths=(6, 5, 3), inner_lr=0.05)
     task = sample_tasks()[1]
     jac = adaptation_jacobian(mp, task)
     assert np.abs(jac - jac.T).max() <= 1e-9
-    v = rng.normal(size=mp.q)
-    np.testing.assert_allclose(jac @ v, adapt_jacobian_matvec(mp, task, v), atol=1e-10)
 
 
 def test_protonet_adapt_passthrough_and_empty_class(rng):
     mp = make_params(rng, widths=(6, 5, 3), kind="protonet")
     task = sample_tasks()[0]
     np.testing.assert_array_equal(adapt(mp, task), mp.omega)
-    np.testing.assert_array_equal(adapt_jacobian_matvec(mp, task, np.eye(mp.q)), np.eye(mp.q))
     # remove class 0 from support
     keep = task.support.y != 0
     broken = Task(
