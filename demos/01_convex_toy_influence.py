@@ -18,10 +18,9 @@ from metainfluence import (
     MlpSpec,
     TaskDistributionSpec,
     exact_meta_hessian,
-    influence_meta,
+    influence_records,
     invert,
-    loo_retrain_oracle,
-    meta_grad,
+    meta_grads,
     meta_train,
     sample_taskset,
     total_meta_gradient_norm,
@@ -51,22 +50,28 @@ print(
     f"alone accounts for {spec.input_dim + 1} flat directions)"
 )
 
+
+def retrained_shift(j: int, eps: float) -> np.ndarray:
+    """Retrain with task j's weight raised by eps * M under the same seed; (omega_eps - omega) / eps."""
+    weights = np.ones(len(tasks))
+    weights[j] += eps * len(tasks)
+    return (meta_train(warm, tasks, cfg, weights)[0].omega - mp.omega) / eps
+
+
 eps = 1e-3
-records = [influence_meta(inv, mp, t) for t in tasks]
+records = influence_records(inv, mp, tasks)
+shifts = [retrained_shift(j, eps) for j in range(len(tasks))]
 print(f"\n{'task':>12} {'cosine(pred, actual)':>22} {'|shift|':>10}")
-for j, task in enumerate(tasks):
-    shift = loo_retrain_oracle(warm, tasks, cfg, j, eps, base_omega=mp.omega)
-    pred = inv.vectors @ (inv.vectors.T @ records[j].i_meta)  # H^+ H i_meta
+for task, record, shift in zip(tasks, records, shifts):
+    pred = inv.vectors @ (inv.vectors.T @ record.i_meta)  # H^+ H i_meta
     cos = pred @ shift / (np.linalg.norm(pred) * np.linalg.norm(shift))
     print(f"{task.task_id:>12} {cos:22.4f} {np.linalg.norm(shift):10.4f}")
 
 # the same records predict per-test loss changes: compare rankings
 test_task = tasks[2]
-g_test = meta_grad(mp, test_task)
+g_test = meta_grads(mp, [test_task])[0]
 predicted = np.array([g_test @ r.i_meta for r in records])
-actual = np.array(
-    [g_test @ loo_retrain_oracle(warm, tasks, cfg, j, eps, base_omega=mp.omega) for j in range(8)]
-)
+actual = np.array([g_test @ shift for shift in shifts])
 rank_p = np.argsort(np.argsort(predicted))
 rank_a = np.argsort(np.argsort(actual))
 rho = np.corrcoef(rank_p, rank_a)[0, 1]

@@ -28,7 +28,6 @@ from .influence import (
     influence_meta,
     influence_records,
     load_influence_records,
-    loo_retrain_oracle,
     save_influence_records,
     score_table,
 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hessian import SpectralInverse
-from .metalearn import MetaParams, MetaTrainConfig, Task, _kernel_chunks, meta_grads, meta_train
+from .metalearn import MetaParams, Task, _kernel_chunks, meta_grads
 # not called here: perfbench's test_uninstall_restores_every_binding reads influence.meta_grad
 from .metalearn import meta_grad  # noqa: F401
 from . import artifact
@@ -155,27 +155,6 @@ def score_table(
         scores=scores,
         ranks=ranks,
     )
-
-
-def loo_retrain_oracle(
-    mp0: MetaParams,
-    taskset: list[Task],
-    cfg: MetaTrainConfig,
-    j: int,
-    epsilon: float,
-    base_omega: np.ndarray | None = None,
-) -> np.ndarray:
-    """Finite-difference ground truth for the parameter influence of task j.
-
-    Re-runs meta-training with task j upweighted by ``epsilon`` under the
-    identical seed and schedule and returns (omega_eps - omega) / epsilon.
-    ``base_omega`` may carry the unperturbed run's result to avoid repeating
-    it across calls; it must come from the same (mp0, taskset, cfg).
-    """
-    if base_omega is None:
-        base_omega = meta_train(mp0, taskset, cfg)[0].omega
-    bumped, _ = meta_train(mp0, taskset, cfg, upweight=(j, epsilon))
-    return (bumped.omega - base_omega) / epsilon
 
 
 def save_influence_records(path, records: list[InfluenceRecord]) -> None:

@@ -272,6 +272,8 @@ class MetaTrainConfig:
             raise ValueError(f"steps must be non-negative, not {self.steps}")
         if self.meta_batch < 1:
             raise ValueError(f"meta_batch must be at least 1, not {self.meta_batch}")
+        if not (self.lr > 0 and self.weight_decay >= 0):
+            raise ValueError(f"need lr > 0 and weight_decay >= 0, not {self.lr} and {self.weight_decay}")
 
 
 @dataclass
@@ -292,27 +294,25 @@ class TrainLog:
 
 
 def meta_train(
-    mp0: MetaParams,
-    taskset: list[Task],
-    cfg: MetaTrainConfig,
-    upweight: tuple[int, float] | None = None,
+    mp0: MetaParams, taskset: list[Task], cfg: MetaTrainConfig, weights: np.ndarray | None = None
 ) -> tuple[MetaParams, TrainLog]:
-    """Adam on the mean adapted query loss over sampled meta-batches.
+    """Adam on the mean weighted adapted query loss over sampled meta-batches.
 
     Tasks are sampled with replacement per batch from a PCG64 generator
     seeded with ``cfg.seed``, so a run is a pure function of its inputs.
-    ``upweight=(j, eps)`` multiplies task j's loss by (1 + eps * M) whenever
-    it is sampled, which in expectation adds eps * L_j to the objective.
-    Weight decay adds wd * |omega|^2 / 2.
+    ``weights`` holds one finite weight per task, ones by default; a sampled
+    task's loss and gradient are multiplied by its weight. Raising w[j] by
+    eps * M adds eps * L_j to the objective in expectation; w[j] = 0 removes
+    task j without changing the sampled indices. Weight decay adds
+    wd * |omega|^2 / 2.
     """
     if not taskset:
         raise ValueError("taskset must be nonempty")
     learner = mp0.learner
     m_tasks = len(taskset)
-    weights = np.ones(m_tasks)
-    if upweight is not None:
-        j, eps = upweight
-        weights[j] += eps * m_tasks
+    weights = np.ones(m_tasks) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (m_tasks,) or not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must be {m_tasks} finite numbers, one per task")
 
     rng = np.random.default_rng(cfg.seed)
     omega = mp0.omega.copy()

@@ -59,6 +59,8 @@ class TaskDistributionSpec:
             raise ValueError("n_ways must be >= 2")
         if min(self.feature_dim, self.k_support, self.k_query) < 1:
             raise ValueError("dims and shot counts must be positive")
+        if not (self.class_center_scale >= 0 and self.within_class_noise >= 0):
+            raise ValueError("class_center_scale and within_class_noise must be non-negative")
         if self.center_pool_size is not None and self.center_pool_size < self.n_ways:
             raise ValueError("center pool must hold at least n_ways centers")
 

@@ -133,9 +133,14 @@ def test_gen_noise_inherits_only_its_own_keys_from_train(tmp_path):
         ("train", dict(BASE_CONFIG["tasksets"]["train"], count=-2)),
         ("noise", {"count": -2, "seed": 13}),
         ("test", {"count": -2, "seed": 17}),
+        ("train", dict(BASE_CONFIG["tasksets"]["train"], within_class_noise=-1.0)),
+        ("train", dict(BASE_CONFIG["tasksets"]["train"], class_center_scale=-2.0)),
+        ("test", {"count": 3, "seed": 17, "within_class_noise": -1.0}),
+        ("test", {"count": 3, "seed": 17, "class_center_scale": -2.0}),
     ],
     ids=["test-n_ways-one", "augment-count-zero", "train-count-negative", "noise-count-negative",
-         "test-count-negative"],
+         "test-count-negative", "train-noise-negative", "train-scale-negative", "test-noise-negative",
+         "test-scale-negative"],
 )
 def test_gen_config_fault_writes_no_taskset(tmp_path, capsys, section, values):
     cfg = write_config(tmp_path, {"tasksets": {section: values}})
@@ -551,6 +556,9 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
     "overrides, stage, names",
     [
         ({"train": {"meta_batch": 0}}, "train", "'train'"),
+        ({"train": {"lr": -0.01}}, "train", "'train'"),
+        ({"train": {"lr": 0.0}}, "train", "'train'"),
+        ({"train": {"weight_decay": -0.5}}, "train", "'train'"),
         ({"learner": {"kind": "bogus"}}, "train", "'learner'"),
         ({"hessian": {"method": "bogus"}}, "hessian", "'hessian.method'"),
         ({"experiments": {"run": ["bogus"]}}, "experiment", "'experiments.run'"),
@@ -594,7 +602,7 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
         ),
     ],
     ids=[
-        "meta_batch-zero", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha",
+        "meta_batch-zero", "lr-negative", "lr-zero", "weight_decay-negative", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha",
         "exact_vs_gn-keep-zero", "exact_vs_gn-capacity-repeat", "noise-kind",
         "capacity-zero", "capacity-negative", "dense_cap-negative",
         "degradation-alphas-one", "degradation-ratios-empty", "exact_vs_gn-keep-empty",

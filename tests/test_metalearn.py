@@ -290,10 +290,8 @@ def test_protonet_more_ways_than_embedding_width(rng):
     assert np.all(np.isfinite(rep.factor.columns))
 
 
-def reference_meta_train(mp0, tasks, cfg, upweight):
-    """Adam with one meta_grad call per sampled task, summed in order."""
-    weights = np.ones(len(tasks))
-    weights[upweight[0]] += upweight[1] * len(tasks)
+def reference_meta_train(mp0, tasks, cfg, weights):
+    """Adam with one meta_grad call per sampled task, times its weight, summed in order."""
     rng = np.random.default_rng(cfg.seed)
     omega = mp0.omega.copy()
     m = np.zeros_like(omega)
@@ -318,10 +316,12 @@ def test_meta_train_upweight_matches_per_task_loop(ragged, rng):
     cfg = MetaTrainConfig(
         steps=5, meta_batch=metalearn.STACK_CHUNK + 8, lr=0.02, seed=3, weight_decay=1e-3
     )
+    weights = np.ones(len(tasks))
+    weights[2] += 0.3 * len(tasks)
     for kind in ("maml", "protonet"):
         mp0 = make_params(rng, kind=kind)
-        mp, _ = meta_train(mp0, tasks, cfg, upweight=(2, 0.3))
-        want = reference_meta_train(mp0, tasks, cfg, (2, 0.3))
+        mp, _ = meta_train(mp0, tasks, cfg, weights)
+        want = reference_meta_train(mp0, tasks, cfg, weights)
         assert rel_err(mp.omega, want) <= 1e-10
 
 
@@ -355,8 +355,36 @@ def test_meta_train_upweight_zero_eps_matches_base(rng):
     tasks = sample_tasks()
     cfg = MetaTrainConfig(steps=25, meta_batch=4, lr=0.02, seed=11)
     base, _ = meta_train(mp0, tasks, cfg)
-    same, _ = meta_train(mp0, tasks, cfg, upweight=(1, 0.0))
+    weights = np.ones(len(tasks))
+    weights[1] += 0.0 * len(tasks)
+    same, _ = meta_train(mp0, tasks, cfg, weights)
     np.testing.assert_array_equal(base.omega, same.omega)
+
+
+@pytest.mark.parametrize("kind", ["maml", "protonet"])
+def test_meta_train_zero_weight_removes_the_task(kind, rng):
+    tasks = sample_tasks(count=5)
+    other = sample_tasks(seed=8, count=5)
+    swapped = tasks[:3] + [Task(tasks[3].task_id, other[3].support, other[3].query)] + tasks[4:]
+    weights = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+    # meta_batch above twice STACK_CHUNK, so a step runs three chunks
+    cfg = MetaTrainConfig(
+        steps=6, meta_batch=2 * metalearn.STACK_CHUNK + 8, lr=0.02, seed=3, weight_decay=1e-3
+    )
+    mp0 = make_params(rng, kind=kind)
+    mp, _ = meta_train(mp0, tasks, cfg, weights)
+    np.testing.assert_array_equal(meta_train(mp0, swapped, cfg, weights)[0].omega, mp.omega)
+    assert not np.array_equal(meta_train(mp0, swapped, cfg)[0].omega, meta_train(mp0, tasks, cfg)[0].omega)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.ones(4), np.ones(6), np.ones((5, 1)), [1.0, 1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0, 1.0]],
+    ids=["short", "long", "column", "nan", "inf"],
+)
+def test_meta_train_refuses_bad_weights(weights, rng):
+    with pytest.raises(ValueError, match="weights"):
+        meta_train(make_params(rng), sample_tasks(count=5), MetaTrainConfig(steps=1, meta_batch=2), weights)
 
 
 def test_params_roundtrip(tmp_path, rng):
