@@ -32,6 +32,7 @@ from metainfluence import (
     mix_tasksets,
     run_distribution_distinction,
     sample_taskset,
+    score_table,
 )
 from metainfluence.metalearn import task_logits
 from metainfluence.taskgen import augment_group
@@ -66,7 +67,7 @@ def build_and_score(label, n_regular, n_noise, aug_count, weight_decay, steps):
         MetaTrainConfig(steps=steps, meta_batch=32, lr=1e-3, seed=307, weight_decay=weight_decay),
     )
     inv = invert(accumulate_gn(mp, tasks, capacity=256), "all")
-    report = run_distribution_distinction(mp, inv, tasks, tests)
+    report = run_distribution_distinction(score_table(mp, inv, tasks, tests), tasks)
     hits = [np.mean(task_logits(mp, t).argmax(axis=1) == t.query.y) for t in tests]
     test_acc = float(np.mean(hits))
     c = report["results"]["counts"]

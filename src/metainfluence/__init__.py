@@ -28,7 +28,9 @@ from .influence import (
     influence_meta,
     influence_records,
     load_influence_records,
+    load_score_table,
     save_influence_records,
+    save_score_table,
     score_table,
 )
 from .linalg import (

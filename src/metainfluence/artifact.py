@@ -1,4 +1,4 @@
-"""The one binary layout of the stored arrays: parameters, curvature, influence records.
+"""The one binary layout of the stored arrays: parameters, curvature, influence records, scores.
 
 A file is a ``<4sIQ`` prefix (magic, format version, header length), then a
 sorted-key JSON header that names the payload's ``shape`` next to the
@@ -24,6 +24,7 @@ _KINDS = {
     "params": (b"MIMP", "a MetaParams file"),
     "hessian": (b"MIHS", "a Hessian file"),
     "influence": (b"MIIR", "an influence store"),
+    "scores": (b"MIST", "a score table"),
 }
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage/config, 2 numerical failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -305,6 +306,37 @@ def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path
     print(f"wrote {out / 'hessian.bin'}")
 
 
+# provenance header key -> the input its digest is taken of
+_DIGESTED = {
+    "params_sha256": "parameters",
+    "tasks_sha256": "training taskset",
+    "hessian_sha256": "hessian.bin",
+    "test_tasks_sha256": "test taskset",
+}
+
+
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _check_digests(what: str, path: Path, recorded: dict, want: dict) -> None:
+    """Each digest ``want`` names must be the one the artifact's header recorded."""
+    for key, digest in want.items():
+        got = recorded.get(key)
+        if got is None:
+            raise ConfigError(f"{what} {path} records no {key}, so its {_DIGESTED[key]} cannot be checked")
+        if got != digest:
+            raise ConfigError(f"{what} {path} was built from other {_DIGESTED[key]}: its {key} differs")
+
+
+def _keep_rule(cfg: RunConfig):
+    return cfg.hessian.get("keep", "positive")
+
+
 def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
     """Load a stored Hessian, check it was built from these params and this taskset, and invert it.
 
@@ -321,33 +353,65 @@ def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
             f"hessian {path} was built on {rep.num_tasks} tasks, "
             f"but the training taskset has {len(tasks)}"
         )
-    for key, want in hessian_mod._input_digests(mp, tasks).items():
-        what = "parameters" if key == "params_sha256" else "training taskset"
-        got = getattr(rep, key)
-        if got is None:
-            raise ConfigError(f"hessian {path} records no {key}, so its {what} cannot be checked")
-        if got != want:
-            raise ConfigError(f"hessian {path} was built from other {what}: its {key} differs")
-    return hessian_mod.invert(rep, cfg.hessian.get("keep", "positive"))
+    recorded = {"params_sha256": rep.params_sha256, "tasks_sha256": rep.tasks_sha256}
+    _check_digests("hessian", path, recorded, hessian_mod._input_digests(mp, tasks))
+    return hessian_mod.invert(rep, _keep_rule(cfg))
 
 
 def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_path, test_path) -> None:
+    from . import hessian as hessian_mod
     from . import influence as influence_mod
     from . import metalearn, taskgen
 
     mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
     tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
-    inv = _matching_inverse(cfg, Path(hessian_path or out / "hessian.bin"), mp, tasks)
+    hessian_file = Path(hessian_path or out / "hessian.bin")
+    inv = _matching_inverse(cfg, hessian_file, mp, tasks)
     test_file = _require(Path(test_path)) if test_path else out / "test_tasks.json"
-    test_tasks = taskgen.load_taskset(test_file)[0] if test_file.exists() else tasks
+    # without a test taskset the training tasks are scored, and scores.bin records no test digest
+    test_file = test_file if test_file.exists() else None
+    test_tasks = taskgen.load_taskset(test_file)[0] if test_file else tasks
     records = influence_mod.influence_records(inv, mp, tasks)
     influence_mod.save_influence_records(out / "influence.bin", records)
     table = influence_mod.score_table(mp, inv, tasks, test_tasks, records=records)
     table.to_csv(out / "scores.csv")
+    provenance = {
+        **hessian_mod._input_digests(mp, tasks),
+        "hessian_sha256": _file_sha256(hessian_file),
+        "test_tasks_sha256": _file_sha256(test_file) if test_file else None,
+    }
+    influence_mod.save_score_table(out / "scores.bin", table, provenance)
     print(
         f"wrote {len(records)} influence records and a "
         f"{len(table.test_ids)}x{len(table.train_ids)} score table to {out}"
     )
+
+
+def _matching_scores(cfg: RunConfig, out: Path, mp, tasks):
+    """Load ``scores.bin`` and check it scored ``out/test_tasks.json`` from these inputs.
+
+    Every file is required before any is read. The keep rule must be the
+    configured one; the digests of the params, the training taskset and the
+    bytes of ``hessian.bin`` and of the test taskset must be those recorded.
+    """
+    from . import hessian as hessian_mod
+    from . import influence as influence_mod
+
+    names = ("scores.bin", "hessian.bin", "test_tasks.json")
+    path, hessian_file, test_file = (_require(out / name) for name in names)
+    table, provenance = influence_mod.load_score_table(path)
+    keep = _keep_rule(cfg)
+    if repr(table.keep) != repr(keep):
+        raise ConfigError(f"scores {path} were scored under keep {table.keep!r}, but hessian.keep is {keep!r}")
+    if "test_tasks_sha256" in provenance and provenance["test_tasks_sha256"] is None:
+        raise ConfigError(f"scores {path} scored the training tasks, not the test taskset {test_file}")
+    want = {
+        **hessian_mod._input_digests(mp, tasks),
+        "hessian_sha256": _file_sha256(hessian_file),
+        "test_tasks_sha256": _file_sha256(test_file),
+    }
+    _check_digests("scores", path, provenance, want)
+    return table
 
 
 def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
@@ -355,7 +419,8 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
 
     The names, the degradation values and the exact_vs_gn grids are checked
     before any artifact is read, and no artifact is read when no experiment
-    is requested.
+    is requested. Self-rank and degradation score from the stored Hessian;
+    distribution distinction reads the table the influence stage stored.
     """
     from . import experiments as exp
     from . import metalearn, taskgen
@@ -387,7 +452,9 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
         return {}
     mp = metalearn.load_params(_require(out / "params.bin"))
     tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
-    inv = _matching_inverse(cfg, out / "hessian.bin", mp, tasks) if set(requested) - {"exact_vs_gn"} else None
+    recompute = {"self_rank", "degradation"} & set(requested)
+    inv = _matching_inverse(cfg, out / "hessian.bin", mp, tasks) if recompute else None
+    table = _matching_scores(cfg, out, mp, tasks) if "distribution_distinction" in requested else None
     reports = {}
     for name in requested:
         if name == "self_rank":
@@ -395,8 +462,7 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
         elif name == "degradation":
             reports[name] = exp.run_degradation(mp, inv, tasks, **degradation)
         elif name == "distribution_distinction":
-            test_tasks = taskgen.load_taskset(_require(out / "test_tasks.json"))[0]
-            reports[name] = exp.run_distribution_distinction(mp, inv, tasks, test_tasks)
+            reports[name] = exp.run_distribution_distinction(table, tasks)
         else:
             reports[name] = exp.run_exact_vs_gn(mp, tasks, **exact_vs_gn)
     return reports

@@ -2,10 +2,11 @@
 
 A report is the dict ``write_report`` writes: ``schema_version``, ``kind``,
 ``config_echo`` and ``results``, built by ``_report``. Reports are pure
-functions of (trained parameters, inverse, tasksets, grids, seeds): rerunning
-one reproduces byte-identical JSON. Every report echoes its configuration,
-including the score sign convention (helpful-positive). ``run_self_rank``
-alone returns a ``SelfRankReport``, whose ``to_dict()`` gives its document.
+functions of their inputs (trained parameters and an inverse, or a score
+table; tasksets, grids, seeds): rerunning one reproduces byte-identical
+JSON. Every report echoes its configuration, including the score sign
+convention (helpful-positive). ``run_self_rank`` alone returns a
+``SelfRankReport``, whose ``to_dict()`` gives its document.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .hessian import SpectralInverse
 from .influence import (
     HELPFUL_POSITIVE,
     InfluenceRecord,
+    ScoreTable,
     _record_stack,
-    _scored_chunks,
-    influence_group,
     influence_records,
     rank_rows,
     score_pairs,
@@ -207,50 +207,49 @@ def run_degradation(
     return _report("degradation", config, results)
 
 
-def _group_records(records: list[InfluenceRecord], train_tasks: list[Task]) -> tuple[list[InfluenceRecord], dict]:
-    """Collapse records into group records (first-occurrence order) with provenance."""
-    provenance_by_group: dict[str, str] = {}
-    order: list[str] = []
-    for task in train_tasks:
+def _group_columns(scores: np.ndarray, train_tasks: list[Task]) -> tuple[np.ndarray, list[str]]:
+    """Each group's score column and provenance, groups in first-occurrence order.
+
+    A group's column is the sum of its members' columns, added in training
+    order: first-order group influence is additive.
+    """
+    columns: dict[str, np.ndarray] = {}
+    provenance: dict[str, str] = {}
+    for j, task in enumerate(train_tasks):
         gid = task.group_id
         if gid is None:
             raise ValueError(
                 f"training task {task.task_id!r} has no group id while others have one; "
                 "group every training task or none"
             )
-        if gid not in provenance_by_group:
-            provenance_by_group[gid] = task.provenance
-            order.append(gid)
-        elif provenance_by_group[gid] != task.provenance:
+        if gid not in columns:
+            columns[gid], provenance[gid] = scores[:, j].copy(), task.provenance
+        elif provenance[gid] != task.provenance:
             raise ValueError(f"group {gid!r} mixes provenances")
-    grouped = [influence_group(records, gid) for gid in order]
-    return grouped, provenance_by_group
+        else:
+            columns[gid] += scores[:, j]
+    return np.stack(list(columns.values()), axis=1), list(provenance.values())
 
 
-def run_distribution_distinction(
-    mp: MetaParams,
-    inv: SpectralInverse,
-    train_tasks: list[Task],
-    test_tasks: list[Task],
-) -> dict:
+def run_distribution_distinction(table: ScoreTable, train_tasks: list[Task]) -> dict:
     """Compare score distributions of regular vs noise training entities per test.
 
-    When the training tasks carry group ids, scoring happens at the group
-    level (summed member influence); otherwise per task. A training set in
-    which only some tasks carry a group id raises ValueError. Each test's
-    loss and scores come from one stacked kernel pass. A test is in proper
-    order when the regular mean (or median) strictly exceeds the noise one;
-    the counts feed an exact two-sided binomial test against chance. Rows are
-    ordered by ascending test loss.
+    ``table`` scores the test tasks against ``train_tasks``, in their order;
+    its losses order the rows. When the training tasks carry group ids, an
+    entity is a group, whose column is the sum of its members' columns;
+    otherwise it is a task. A training set in which only some tasks carry a
+    group id raises ValueError. A test is in proper order when the regular
+    mean (or median) strictly exceeds the noise one; the counts feed an exact
+    two-sided binomial test against chance. Rows are ordered by ascending
+    test loss.
     """
-    records = influence_records(inv, mp, train_tasks)
+    if table.train_ids != [t.task_id for t in train_tasks]:
+        raise ValueError("the score table's training ids are not those of the training tasks, in order")
     if any(t.group_id is not None for t in train_tasks):
-        entities, provenance_of = _group_records(records, train_tasks)
-        provenance = [provenance_of[r.task_id] for r in entities]
+        scores, provenance = _group_columns(table.scores, train_tasks)
         level = "group"
     else:
-        entities = records
-        provenance = [t.provenance for t in train_tasks]
+        scores, provenance = table.scores, [t.provenance for t in train_tasks]
         level = "task"
     provenance_arr = np.asarray(provenance, dtype=object)
     regular_mask = provenance_arr == "regular"
@@ -260,18 +259,17 @@ def run_distribution_distinction(
     if not regular_mask.any():
         raise ValueError("no regular-provenance training entities; comparison undefined")
 
-    losses, scores = _scored_chunks(mp, entities, test_tasks)
     regular, noise = scores[:, regular_mask], scores[:, noise_mask]
     median_regular, median_noise = np.median(regular, axis=1), np.median(noise, axis=1)
     rows = []
-    for i, task in enumerate(test_tasks):
+    for i, (test_id, loss) in enumerate(zip(table.test_ids, table.losses.tolist())):
         # a mean over axis 1 sums in another order than each row's own mean
         means = float(regular[i].mean()), float(noise[i].mean())
         medians = float(median_regular[i]), float(median_noise[i])
         rows.append(
             {
-                "test_id": task.task_id,
-                "test_loss": float(losses[i]),
+                "test_id": test_id,
+                "test_loss": loss,
                 "mean_regular": means[0],
                 "mean_noise": means[1],
                 "median_regular": medians[0],
@@ -294,7 +292,7 @@ def run_distribution_distinction(
     config = {
         "entity_level": level,
         "sign_convention": HELPFUL_POSITIVE,
-        "keep": repr(inv.keep),
+        "keep": repr(table.keep),
     }
     results = {
         "per_test": rows,

@@ -14,6 +14,7 @@ report and table header.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,30 +72,37 @@ class ScoreTable:
 
     ``scores[i, j]`` is the helpful-positive score of train entity j on test
     task i; ``ranks[i, j]`` its rank in test i's descending-score order (0 =
-    most helpful), ties broken by ascending train id.
+    most helpful), ties broken by ascending train id. ``losses[i]`` is test
+    i's query loss and ``keep`` the pruning rule of the inverse that scored
+    the table.
     """
 
     test_ids: list[str]
     train_ids: list[str]
     scores: np.ndarray
-    ranks: np.ndarray
+    losses: np.ndarray
+    keep: int | float | str
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return rank_rows(self.scores, self.train_ids)
 
     def to_csv(self, path) -> None:
         """One line per pair; a score is written as the repr of its Python float.
 
         Each test row is converted with ``tolist`` and written as one string,
-        so the whole table is never held as Python objects at once.
+        so the whole table is never held as Python objects at once. A line is
+        joined from the test id, a prebuilt ``,{train_id},`` piece, the score
+        and a prebuilt ``,{rank}`` line end.
         """
+        middles = [f",{jid}," for jid in self.train_ids]
+        ends = [f",{r}\n" for r in range(len(self.train_ids))]
         with open(path, "w", newline="") as fh:
             fh.write(f"# sign_convention={HELPFUL_POSITIVE:g} (positive = helpful)\n")
             fh.write("test_id,train_id,score,rank\n")
             for tid, scores, ranks in zip(self.test_ids, self.scores, self.ranks):
-                fh.write(
-                    "".join(
-                        f"{tid},{jid},{s!r},{r}\n"
-                        for jid, s, r in zip(self.train_ids, scores.tolist(), ranks.tolist())
-                    )
-                )
+                rows = zip(middles, scores.tolist(), ranks.tolist())
+                fh.write("".join([f"{tid}{middle}{s!r}{ends[r]}" for middle, s, r in rows]))
 
 
 def rank_rows(scores: np.ndarray, train_ids: list[str]) -> np.ndarray:
@@ -146,14 +154,13 @@ def score_table(
     """Full influence score table; records are computed when not supplied."""
     if records is None:
         records = influence_records(inv, mp, train_tasks)
-    train_ids = [r.task_id for r in records]
-    scores = score_pairs(mp, records, test_tasks)
-    ranks = rank_rows(scores, train_ids)
+    losses, scores = _scored_chunks(mp, records, test_tasks)
     return ScoreTable(
         test_ids=[t.task_id for t in test_tasks],
-        train_ids=train_ids,
+        train_ids=[r.task_id for r in records],
         scores=scores,
-        ranks=ranks,
+        losses=losses,
+        keep=inv.keep,
     )
 
 
@@ -173,3 +180,25 @@ def load_influence_records(path) -> list[InfluenceRecord]:
         return [InfluenceRecord(tid, row, gid) for tid, row, gid in rows]
 
     return artifact.load(path, "influence", build)
+
+
+def save_score_table(path, table: ScoreTable, provenance: dict) -> None:
+    """Ids, test losses, the keep rule and ``provenance`` in the header; the (tests, train) scores as payload."""
+    header = {
+        "test_ids": table.test_ids, "train_ids": table.train_ids,
+        "losses": table.losses.tolist(), "keep": table.keep, **provenance,
+    }
+    artifact.save(path, "scores", header, table.scores)
+
+
+def load_score_table(path) -> tuple[ScoreTable, dict]:
+    """The stored table and the provenance it was saved with."""
+
+    def build(head: dict, scores: np.ndarray) -> tuple[ScoreTable, dict]:
+        ids = head.pop("test_ids"), head.pop("train_ids")
+        losses = np.array(head.pop("losses"), dtype=float)
+        if scores.shape != tuple(map(len, ids)) or losses.shape != scores.shape[:1]:
+            raise ValueError(f"scores of shape {scores.shape} and {losses.size} losses do not fit the ids")
+        return ScoreTable(*ids, scores, losses, head.pop("keep")), head
+
+    return artifact.load(path, "scores", build)

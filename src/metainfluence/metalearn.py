@@ -304,7 +304,8 @@ def meta_train(
     task's loss and gradient are multiplied by its weight. Raising w[j] by
     eps * M adds eps * L_j to the objective in expectation; w[j] = 0 removes
     task j without changing the sampled indices. Weight decay adds
-    wd * |omega|^2 / 2.
+    wd * |omega|^2 / 2. The weights must have a positive sum; the log's final
+    loss and accuracy are their weighted means over the taskset.
     """
     if not taskset:
         raise ValueError("taskset must be nonempty")
@@ -313,6 +314,8 @@ def meta_train(
     weights = np.ones(m_tasks) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (m_tasks,) or not np.all(np.isfinite(weights)):
         raise ValueError(f"weights must be {m_tasks} finite numbers, one per task")
+    if not weights.sum() > 0:
+        raise ValueError(f"weights must have a positive sum, not {weights.sum()!r}")
 
     rng = np.random.default_rng(cfg.seed)
     omega = mp0.omega.copy()
@@ -342,8 +345,8 @@ def meta_train(
 
     mp = MetaParams(omega, learner)
     scored = [(task_logits(mp, t), t.query.y) for t in taskset]
-    log.final_loss = float(np.mean([model.cross_entropy(z, y) for z, y in scored]))
-    log.final_accuracy = float(np.mean([_accuracy(z, y) for z, y in scored]))
+    log.final_loss = float(np.average([model.cross_entropy(z, y) for z, y in scored], weights=weights))
+    log.final_accuracy = float(np.average([_accuracy(z, y) for z, y in scored], weights=weights))
     return mp, log
 
 

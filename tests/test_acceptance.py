@@ -406,7 +406,7 @@ def _flip_config(n_regular, n_noise, aug_count, weight_decay, steps):
         MetaTrainConfig(steps=steps, meta_batch=32, lr=1e-3, seed=307, weight_decay=weight_decay),
     )
     inv = hessian.invert(hessian.accumulate_gn(mp, tasks, capacity=256), "all")
-    return experiments.run_distribution_distinction(mp, inv, tasks, tests)["results"]
+    return experiments.run_distribution_distinction(infl.score_table(mp, inv, tasks, tests), tasks)["results"]
 
 
 def test_criterion_8_distribution_distinction():

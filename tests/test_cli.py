@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_asymmetric_problem
-from metainfluence import cli, hessian, influence, metalearn, model, taskgen
+from metainfluence import cli, experiments, hessian, influence, metalearn, model, taskgen
 
 
 BASE_CONFIG = {
@@ -84,10 +84,27 @@ def test_full_pipeline_and_determinism(tmp_path):
         "spectrum.json",
         "influence.bin",
         "scores.csv",
+        "scores.bin",
         "report.json",
     }
     assert expected <= set(digest_tree(out_a))
     assert digest_tree(out_a) == digest_tree(out_b)
+
+
+PROTONET_GN_GROUPS = {
+    "learner": {"kind": "protonet"},
+    "tasksets": {"augment": {"count": 2, "transform_scale": 1.0, "seed": 3}},
+    "hessian": {"method": "gn", "capacity": 64, "keep": "all"},
+}
+
+
+def test_grouped_gauss_newton_pipeline_determinism(tmp_path):
+    # criterion 10 reruns an exact-MAML config; this reruns the Gauss-Newton path with group-level distinction
+    runs = [pipeline(tmp_path, name, PROTONET_GN_GROUPS) for name in ("run_a", "run_b")]
+    report = json.loads((runs[0] / "report.json").read_text())
+    assert report["results"]["distribution_distinction"]["config_echo"]["entity_level"] == "group"
+    assert {"hessian.bin", "influence.bin", "scores.csv", "scores.bin", "report.json"} <= set(digest_tree(runs[0]))
+    assert digest_tree(runs[0]) == digest_tree(runs[1])
 
 
 def test_report_command_and_csv(tmp_path, capsys):
@@ -263,18 +280,7 @@ def test_protonet_pipeline(tmp_path):
     assert (out / "report.json").exists()
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {
-            "learner": {"kind": "protonet"},
-            "tasksets": {"augment": {"count": 2, "transform_scale": 1.0, "seed": 3}},
-            "hessian": {"method": "gn", "capacity": 64, "keep": "all"},
-        },
-    ],
-    ids=["maml-exact", "protonet-gn-groups"],
-)
+@pytest.mark.parametrize("overrides", [{}, PROTONET_GN_GROUPS], ids=["maml-exact", "protonet-gn-groups"])
 def test_stored_records_are_the_ones_the_experiment_stage_recomputes(tmp_path, overrides):
     # the experiment stage scores from records it recomputes; they must be the stored ones, bit for bit
     out = pipeline(tmp_path, "out", overrides)
@@ -765,7 +771,7 @@ def test_malformed_report_is_usage_error(tmp_path, capsys, doc, flags):
 
 
 @pytest.mark.parametrize(
-    "stage, loads", [("train", 1), ("hessian", 1), ("influence", 2), ("experiment", 2)]
+    "stage, loads", [("train", 1), ("hessian", 1), ("influence", 2), ("experiment", 1)]
 )
 def test_each_stage_parses_each_taskset_once(trained, tmp_path, monkeypatch, stage, loads):
     from metainfluence import taskgen
@@ -773,7 +779,10 @@ def test_each_stage_parses_each_taskset_once(trained, tmp_path, monkeypatch, sta
     cfg, done = trained
     out = tmp_path / "out"
     shutil.copytree(done, out)
+    # distinction reads the influence stage's scores.bin, not the test taskset
     assert "distribution_distinction" in BASE_CONFIG["experiments"]["run"]
+    if stage == "experiment":
+        assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
     paths = []
     real_load = taskgen.load_taskset
 
@@ -785,6 +794,7 @@ def test_each_stage_parses_each_taskset_once(trained, tmp_path, monkeypatch, sta
     assert run(["--config", cfg, "--out", out, stage]) == cli.EXIT_OK
     assert len(paths) == loads
     assert len(set(paths)) == loads
+    assert (out / "test_tasks.json" in paths) == (stage == "influence")
 
 
 GN_HESSIAN = {"hessian": {"method": "gn", "capacity": 32, "keep": "all"}}
@@ -871,3 +881,99 @@ def test_explicit_test_taskset_must_exist(trained, tmp_path, capsys):
     assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
     lines = (out / "scores.csv").read_text().strip().split("\n")
     assert len(lines) == 2 + 8 * 8
+
+
+DISTINCTION_ONLY = {"experiments": {"run": ["distribution_distinction"]}}
+
+
+@pytest.fixture(scope="module")
+def scored(trained, tmp_path_factory):
+    """The trained output directory after the influence stage as well."""
+    cfg, done = trained
+    out = tmp_path_factory.mktemp("scored") / "out"
+    shutil.copytree(done, out)
+    assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
+    return cfg, out
+
+
+def _perturb_first_feature(path):
+    doc = json.loads(path.read_text())
+    doc["tasks"][0]["query"]["x"][0][0] += 0.5
+    path.write_text(json.dumps(doc))
+
+
+def _retrain(cfg, out):
+    assert run(["--config", cfg, "--out", out, "--seed", 5, "train"]) == cli.EXIT_OK
+
+
+def _rescore_training_tasks(cfg, out):
+    shutil.move(out / "test_tasks.json", out / "held.json")
+    assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
+    shutil.move(out / "held.json", out / "test_tasks.json")
+
+
+def _score_other_tests(cfg, out):
+    other = json.loads(json.dumps(BASE_CONFIG))
+    other["tasksets"]["test"]["seed"] = 18
+    other_cfg = out.parent / "other.json"
+    other_cfg.write_text(json.dumps(other))
+    assert run(["--config", other_cfg, "--out", out.parent / "other", "gen"]) == cli.EXIT_OK
+    args = ["--config", cfg, "--out", out, "influence", "--test-taskset", out.parent / "other" / "test_tasks.json"]
+    assert run(args) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "corrupt, overrides, needles",
+    [
+        (lambda cfg, out: _retrain(cfg, out), {}, ["built from other parameters"]),
+        (lambda cfg, out: _perturb_first_feature(out / "train_tasks.json"), {}, ["built from other training taskset"]),
+        (
+            lambda cfg, out: rewrite_header(out / "hessian.bin", lambda header: dict(header, note="edited")),
+            {},
+            ["built from other hessian.bin", "hessian_sha256"],
+        ),
+        (lambda cfg, out: None, {"hessian": {"keep": "all"}}, ["scored under keep 'positive'", "hessian.keep is 'all'"]),
+        (lambda cfg, out: _perturb_first_feature(out / "test_tasks.json"), {}, ["built from other test taskset"]),
+        (_score_other_tests, {}, ["built from other test taskset"]),
+        (_rescore_training_tasks, {}, ["scored the training tasks", "test_tasks.json"]),
+        (
+            lambda cfg, out: rewrite_header(out / "scores.bin", lambda h: {k: v for k, v in h.items() if k != "tasks_sha256"}),
+            {},
+            ["records no tasks_sha256"],
+        ),
+    ],
+    ids=["params", "training-taskset", "hessian", "keep", "test-taskset", "test-taskset-flag", "no-test-taskset",
+         "no-digest"],
+)
+def test_scores_from_other_inputs_are_refused(scored, tmp_path, capsys, corrupt, overrides, needles):
+    base_cfg, done = scored
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    corrupt(base_cfg, out)
+    cfg = write_config(tmp_path, {**DISTINCTION_ONLY, **overrides}, name="distinction.json")
+    assert_clean_exit(["--config", cfg, "--out", out, "experiment"], capsys, cli.EXIT_USAGE, out / "scores.bin", *needles)
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("missing", ["scores.bin", "test_tasks.json"])
+def test_distinction_without_its_inputs_is_io_error(scored, tmp_path, capsys, missing):
+    _, done = scored
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    (out / missing).unlink()
+    cfg = write_config(tmp_path, DISTINCTION_ONLY, name="distinction.json")
+    assert_clean_exit(["--config", cfg, "--out", out, "experiment"], capsys, cli.EXIT_IO, out / missing)
+
+
+def test_distinction_reads_the_stored_table(scored, tmp_path):
+    # the report is the one run_distribution_distinction gives for the stored table
+    cfg, done = scored
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    distinction_cfg = write_config(tmp_path, DISTINCTION_ONLY, name="distinction.json")
+    assert run(["--config", distinction_cfg, "--out", out, "experiment"]) == cli.EXIT_OK
+    got = json.loads((out / "report.json").read_text())["results"]["distribution_distinction"]
+    tasks, _ = taskgen.load_taskset(out / "train_tasks.json")
+    table, _ = influence.load_score_table(out / "scores.bin")
+    assert got == json.loads(json.dumps(experiments.run_distribution_distinction(table, tasks)))
+    assert table.test_ids == [t.task_id for t in taskgen.load_taskset(out / "test_tasks.json")[0]]

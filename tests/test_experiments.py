@@ -12,7 +12,7 @@ from conftest import gn_dense, make_params, meta_loss
 from metainfluence import experiments as exp
 from metainfluence import hessian, metalearn, taskgen
 from metainfluence.hessian import SpectralInverse
-from metainfluence.influence import influence_records, score_pairs
+from metainfluence.influence import influence_group, influence_records, score_pairs, score_table
 from metainfluence.metalearn import STACK_CHUNK
 
 
@@ -141,7 +141,7 @@ def test_distribution_distinction_requires_noise(rng):
     mp = make_params(rng)
     regular = sample_tasks(count=3)
     with pytest.raises(ValueError):
-        exp.run_distribution_distinction(mp, identity_inverse(mp.q), regular, regular[:2])
+        exp.run_distribution_distinction(score_table(mp, identity_inverse(mp.q), regular, regular[:2]), regular)
 
 
 def test_distribution_distinction_counts_and_rows(rng):
@@ -150,7 +150,7 @@ def test_distribution_distinction_counts_and_rows(rng):
     noise = sample_tasks(count=2, kind="noise", seed=9)
     mixed = taskgen.mix_tasksets(regular, noise, seed=1)
     tests = sample_tasks(count=3, seed=55)
-    results = exp.run_distribution_distinction(mp, identity_inverse(mp.q), mixed, tests)["results"]
+    results = exp.run_distribution_distinction(score_table(mp, identity_inverse(mp.q), mixed, tests), mixed)["results"]
     assert results["counts"]["tests"] == 3
     assert results["counts"]["regular_entities"] == 4
     assert results["counts"]["noise_entities"] == 2
@@ -168,10 +168,43 @@ def test_distribution_distinction_group_level(rng):
     for t in taskgen.mix_tasksets(regular, noise, seed=4):
         grouped.extend(taskgen.augment_group(t, 2, 0.5, seed=8))
     tests = sample_tasks(count=2, seed=66)
-    report = exp.run_distribution_distinction(mp, identity_inverse(mp.q), grouped, tests)
+    report = exp.run_distribution_distinction(score_table(mp, identity_inverse(mp.q), grouped, tests), grouped)
     assert report["config_echo"]["entity_level"] == "group"
     assert report["results"]["counts"]["regular_entities"] == 2
     assert report["results"]["counts"]["noise_entities"] == 1
+
+
+@pytest.mark.parametrize("kind,inner_lr", [("maml", 0.05), ("protonet", 0.0)])
+def test_group_column_is_the_sum_of_its_member_columns(kind, inner_lr, rng):
+    mp = make_params(rng, kind=kind, inner_lr=inner_lr)
+    inv = hessian.invert(gn_dense(mp, sample_tasks(count=4)), "all")
+    regular, noise = sample_tasks(count=3), sample_tasks(count=2, kind="noise", seed=9)
+    train = [v for t in taskgen.mix_tasksets(regular, noise, seed=4) for v in taskgen.augment_group(t, 3, 0.5, seed=8)]
+    tests = sample_tasks(count=6, seed=66)
+    table = score_table(mp, inv, train, tests)
+    columns, provenance = exp._group_columns(table.scores, train)
+    gids = list(dict.fromkeys(t.group_id for t in train))
+    assert provenance == [next(t.provenance for t in train if t.group_id == gid) for gid in gids]
+    for column, gid in zip(columns.T, gids, strict=True):
+        members = [j for j, t in enumerate(train) if t.group_id == gid]
+        want = table.scores[:, members[0]].copy()
+        for j in members[1:]:
+            want = want + table.scores[:, j]
+        assert np.array_equal(column, want)
+    # first-order group influence is additive: the scores of the summed group records agree to rounding
+    records = influence_records(inv, mp, train)
+    oracle = score_pairs(mp, [influence_group(records, gid) for gid in gids], tests)
+    np.testing.assert_allclose(columns, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+    counts = exp.run_distribution_distinction(table, train)["results"]["counts"]
+    assert (counts["regular_entities"], counts["noise_entities"]) == (3, 2)
+
+
+def test_distribution_distinction_refuses_a_table_of_other_training_tasks(rng):
+    mp = make_params(rng)
+    mixed = sample_tasks(count=3) + sample_tasks(count=2, kind="noise", seed=9)
+    table = score_table(mp, identity_inverse(mp.q), mixed, sample_tasks(count=2, seed=66))
+    with pytest.raises(ValueError, match="training ids"):
+        exp.run_distribution_distinction(table, mixed[::-1])
 
 
 def test_distribution_distinction_refuses_partly_grouped_training_set(rng):
@@ -180,12 +213,14 @@ def test_distribution_distinction_refuses_partly_grouped_training_set(rng):
     grouped = taskgen.augment_group(regular[0], 2, 0.5, seed=8) + regular[1:]
     noise = [replace(t, group_id=f"g-{t.task_id}") for t in sample_tasks(count=2, kind="noise", seed=9)]
     tests = sample_tasks(count=2, seed=66)
+    train = grouped + noise
     with pytest.raises(ValueError, match=f"{regular[1].task_id!r} has no group id"):
-        exp.run_distribution_distinction(mp, identity_inverse(mp.q), grouped + noise, tests)
+        exp.run_distribution_distinction(score_table(mp, identity_inverse(mp.q), train, tests), train)
     # ungrouped noise tasks next to grouped regular ones name the first of them
     ungrouped = sample_tasks(count=2, kind="noise", seed=9)
+    train = grouped[:2] + ungrouped
     with pytest.raises(ValueError, match=f"{ungrouped[0].task_id!r} has no group id"):
-        exp.run_distribution_distinction(mp, identity_inverse(mp.q), grouped[:2] + ungrouped, tests)
+        exp.run_distribution_distinction(score_table(mp, identity_inverse(mp.q), train, tests), train)
 
 
 def two_shape_tasks(prefix, count, seed, kind="clustered"):
@@ -204,7 +239,7 @@ def test_stacked_experiment_paths_match_per_task_oracles(kind, inner_lr, rng):
     # 2 * STACK_CHUNK + 1 tests: two full chunks of two shape groups each, then a 1-task chunk
     tests = two_shape_tasks("test", 2 * STACK_CHUNK + 1, seed=21)
 
-    report = exp.run_distribution_distinction(mp, inv, train, tests)
+    report = exp.run_distribution_distinction(score_table(mp, inv, train, tests), train)
     records = influence_records(inv, mp, train)
     scores = score_pairs(mp, records, tests)
     regular = np.array([t.provenance == "regular" for t in train])
@@ -266,7 +301,9 @@ def test_one_stack_chunk_setting_reaches_every_stacked_path(rng, monkeypatch, mo
         return [
             counted(lambda: metalearn.meta_grads(mp, tests)),
             counted(lambda: score_pairs(mp, records, tests)),
-            counted(lambda: exp.run_distribution_distinction(mp, inv, train, tests)["results"]["per_test"]),
+            counted(
+                lambda: exp.run_distribution_distinction(score_table(mp, inv, train, tests), train)["results"]["per_test"]
+            ),
             counted(lambda: exp.run_degradation(mp, inv, train, grid, grid, seed)["results"]),
         ]
 
@@ -296,7 +333,7 @@ def test_all_equal_scores_is_not_proper_order(rng):
     zero_inv = SpectralInverse(
         vectors=np.zeros((mp.q, 0)), values=np.zeros(0), discarded_negative=0, keep=0
     )
-    counts = exp.run_distribution_distinction(mp, zero_inv, mixed, tests)["results"]["counts"]
+    counts = exp.run_distribution_distinction(score_table(mp, zero_inv, mixed, tests), mixed)["results"]["counts"]
     assert counts["proper_order_mean"] == 0
     assert counts["proper_order_median"] == 0
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import adaptation_jacobian, make_params, project
+from conftest import adaptation_jacobian, make_params, meta_loss, project
 from metainfluence import hessian, metalearn, model, taskgen
 from metainfluence.hessian import SpectralInverse, exact_meta_hessian, invert
 from metainfluence.influence import (
@@ -13,8 +13,10 @@ from metainfluence.influence import (
     influence_meta,
     influence_records,
     load_influence_records,
+    load_score_table,
     rank_rows,
     save_influence_records,
+    save_score_table,
     score_pairs,
     score_table,
 )
@@ -270,9 +272,10 @@ def test_score_csv_round_trips_scores(tmp_path, rng):
 
 def test_score_csv_writes_shortest_repr_bytes(tmp_path):
     scores = np.array([[1e-05, -0.0, 0.1], [1e16, -2.5, 0.1 + 0.2]])
-    ranks = np.array([[1, 2, 0], [0, 2, 1]])
     path = tmp_path / "scores.csv"
-    ScoreTable(["t0", "t1"], ["a", "b", "c"], scores, ranks).to_csv(path)
+    table = ScoreTable(["t0", "t1"], ["a", "b", "c"], scores, np.zeros(2), "all")
+    np.testing.assert_array_equal(table.ranks, [[1, 2, 0], [0, 2, 1]])
+    table.to_csv(path)
     assert path.read_bytes() == (
         b"# sign_convention=-1 (positive = helpful)\n"
         b"test_id,train_id,score,rank\n"
@@ -283,6 +286,39 @@ def test_score_csv_writes_shortest_repr_bytes(tmp_path):
         b"t1,b,-2.5,2\n"
         b"t1,c,0.30000000000000004,1\n"
     )
+
+
+@pytest.mark.parametrize("kind", ["maml", "protonet"])
+def test_score_table_keeps_each_test_loss_and_the_keep_rule(kind, rng):
+    mp = make_params(rng, kind=kind, inner_lr=0.05 if kind == "maml" else 0.0)
+    train, test = sample_tasks(count=3), sample_tasks(seed=5, count=4)
+    table = score_table(mp, identity_inverse(mp.q), train, test)
+    np.testing.assert_allclose(table.losses, [meta_loss(mp, t) for t in test], rtol=1e-12)
+    assert table.keep == mp.q
+    np.testing.assert_array_equal(table.scores, score_pairs(mp, influence_records(identity_inverse(mp.q), mp, train), test))
+
+
+def test_score_table_store_round_trips_bitwise(tmp_path, rng):
+    mp = make_params(rng)
+    table = score_table(mp, identity_inverse(mp.q), sample_tasks(count=3), sample_tasks(seed=5, count=4))
+    provenance = {"params_sha256": "ab" * 32, "test_tasks_sha256": None}
+    save_score_table(tmp_path / "scores.bin", table, provenance)
+    loaded, got = load_score_table(tmp_path / "scores.bin")
+    assert got == provenance
+    assert (loaded.test_ids, loaded.train_ids, loaded.keep) == (table.test_ids, table.train_ids, table.keep)
+    assert loaded.scores.tobytes() == table.scores.tobytes()
+    assert loaded.losses.tobytes() == table.losses.tobytes()
+    save_score_table(tmp_path / "again.bin", loaded, got)
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "scores.bin").read_bytes()
+
+
+def test_score_table_store_refuses_ids_that_do_not_fit(tmp_path):
+    table = ScoreTable(["t0", "t1"], ["a", "b", "c"], np.zeros((2, 3)), np.zeros(2), "all")
+    short = ScoreTable(["t0"], ["a", "b", "c"], np.zeros((2, 3)), np.zeros(2), "all")
+    for bad in (short, ScoreTable(table.test_ids, table.train_ids, table.scores, np.zeros(3), "all")):
+        save_score_table(tmp_path / "scores.bin", bad, {})
+        with pytest.raises(ValueError, match="a score table"):
+            load_score_table(tmp_path / "scores.bin")
 
 
 def test_score_csv_row_count(tmp_path, rng):

@@ -1,10 +1,10 @@
-"""Corrupt artifacts against the four loaders.
+"""Corrupt artifacts against the five loaders.
 
-A truncated or byte-flipped ``params.bin``, ``hessian.bin``, ``influence.bin``
-or taskset JSON, in the compact layout ``save_taskset`` writes or in an
-indented one, must either load or raise ValueError or OSError, the two
-failures the CLI maps to exit 1 and exit 3. Examples are derandomized and
-bounded, so every run draws the same corruptions.
+A truncated or byte-flipped ``params.bin``, ``hessian.bin``, ``influence.bin``,
+``scores.bin`` or taskset JSON, in the compact layout ``save_taskset``
+writes or in an indented one, must either load or raise ValueError or
+OSError, the two failures the CLI maps to exit 1 and exit 3. Examples are
+derandomized and bounded, so every run draws the same corruptions.
 """
 
 import json
@@ -29,6 +29,7 @@ LOADERS = {
     "hessian-dense": hessian.load_hessian,
     "hessian-factored": hessian.load_hessian,
     "influence": influence.load_influence_records,
+    "scores": influence.load_score_table,
     "taskset": taskgen.load_taskset,
     "taskset-indented": taskgen.load_taskset,
 }
@@ -51,6 +52,8 @@ def artifacts(tmp_path_factory):
     hessian.save_hessian(root / "hessian-factored", factored)
     records = [influence.InfluenceRecord(t.task_id, rng.normal(size=mp.q), "g") for t in tasks]
     influence.save_influence_records(root / "influence", records)
+    table = influence.ScoreTable(["u", "v"], [t.task_id for t in tasks], rng.normal(size=(2, 2)), rng.normal(size=2), 3)
+    influence.save_score_table(root / "scores", table, {"params_sha256": "0" * 64, "test_tasks_sha256": None})
     taskgen.save_taskset(root / "taskset", tasks, dist)
     doc = json.loads((root / "taskset").read_text())
     (root / "taskset-indented").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")

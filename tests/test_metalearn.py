@@ -372,15 +372,21 @@ def test_meta_train_zero_weight_removes_the_task(kind, rng):
         steps=6, meta_batch=2 * metalearn.STACK_CHUNK + 8, lr=0.02, seed=3, weight_decay=1e-3
     )
     mp0 = make_params(rng, kind=kind)
-    mp, _ = meta_train(mp0, tasks, cfg, weights)
-    np.testing.assert_array_equal(meta_train(mp0, swapped, cfg, weights)[0].omega, mp.omega)
+    mp, log = meta_train(mp0, tasks, cfg, weights)
+    mp_swapped, log_swapped = meta_train(mp0, swapped, cfg, weights)
+    np.testing.assert_array_equal(mp_swapped.omega, mp.omega)
+    # the final loss and accuracy are weighted too, so the removed task's data does not reach them
+    assert (log_swapped.final_loss, log_swapped.final_accuracy) == (log.final_loss, log.final_accuracy)
     assert not np.array_equal(meta_train(mp0, swapped, cfg)[0].omega, meta_train(mp0, tasks, cfg)[0].omega)
 
 
 @pytest.mark.parametrize(
     "weights",
-    [np.ones(4), np.ones(6), np.ones((5, 1)), [1.0, 1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0, 1.0]],
-    ids=["short", "long", "column", "nan", "inf"],
+    [
+        np.ones(4), np.ones(6), np.ones((5, 1)), [1.0, 1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0, 1.0],
+        np.zeros(5), [1.0, -1.0, 0.0, 0.0, -0.5],
+    ],
+    ids=["short", "long", "column", "nan", "inf", "zero-sum", "negative-sum"],
 )
 def test_meta_train_refuses_bad_weights(weights, rng):
     with pytest.raises(ValueError, match="weights"):
