@@ -24,7 +24,6 @@ from .influence import (
     HELPFUL_POSITIVE,
     InfluenceRecord,
     ScoreTable,
-    influence_group,
     influence_meta,
     influence_records,
     load_influence_records,

@@ -1,9 +1,12 @@
 """Pipeline command line: gen -> train -> hessian -> influence -> experiment -> report.
 
-Each stage persists its artifact under the output directory so expensive
-stages are computed once and reused. All randomness comes from explicit
-seeds in the JSON config; two runs of the same config produce byte-identical
-artifacts on one platform.
+Every stage reads its inputs from the output directory (``--out``, default
+``out``) and writes its artifact there, so expensive stages are computed
+once and reused. The config is checked in full when it is read: a fault
+exits 1 before any stage runs or any file is made. All randomness comes
+from explicit seeds in the JSON config. Two runs of the same config produce
+byte-identical artifacts on one machine at one BLAS thread count; across
+thread counts the Gauss-Newton artifacts differ at about 1.5e-14.
 
 Exit codes: 0 ok, 1 usage/config, 2 numerical failure, 3 I/O.
 """
@@ -15,8 +18,17 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+
+from . import experiments as exp
+from . import hessian as hessian_mod
+from . import influence as influence_mod
+from . import linalg, metalearn, taskgen
+from .metalearn import Learner, MetaParams, MetaTrainConfig
+from .model import MlpSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,12 +41,6 @@ class ConfigError(ValueError):
 
 
 def _verbatim(value):
-    return value
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, not {type(value).__name__}")
     return value
 
 
@@ -64,68 +70,96 @@ def _optional_int(value) -> int | None:
     return None if value is None else _int(value)
 
 
-def _floats(values) -> list[float]:
-    return [_float(v) for v in values]
+def _at_least(low: int):
+    """A converter to an integer of at least ``low``."""
+
+    def convert(value) -> int:
+        value = _int(value)
+        if value < low:
+            raise ValueError(f"expected at least {low}, not {value}")
+        return value
+
+    return convert
 
 
-def _ints(values) -> list[int]:
-    return [_int(v) for v in values]
+def _one_of(*names):
+    """A converter that passes one of ``names`` and refuses anything else."""
+
+    def convert(value):
+        if value not in names:
+            raise ValueError(f"expected {' or '.join(map(repr, names))}, not {value!r}")
+        return value
+
+    return convert
 
 
-def _names(values) -> list:
-    if not isinstance(values, list):
-        raise TypeError(f"expected a list of experiment names, not {type(values).__name__}")
-    return values
+def _list(item, length: int = 0, distinct: bool = False):
+    """A converter to a list of at least ``length`` entries, each through ``item``."""
+
+    def convert(values) -> list:
+        if not isinstance(values, list):
+            raise TypeError(f"expected a list, not {type(values).__name__}")
+        values = [item(value) for value in values]
+        if len(values) < length:
+            raise ValueError(f"expected at least {length} entries, not {values}")
+        if distinct and len(set(values)) < len(values):
+            raise ValueError(f"expected distinct entries, not {values}")
+        return values
+
+    return convert
 
 
-def _noise_kind(value) -> str:
-    if value != "noise":
-        raise ValueError(f"a noise taskset's kind is 'noise', not {value!r}")
+def _fraction(value) -> float:
+    """A degradation alpha or ratio; ``DegradeParams`` owns its range."""
+    value = _float(value)
+    taskgen.DegradeParams(alpha=value, ratio=value)
     return value
 
 
 def _keep(keep):
-    from .linalg import check_keep
-
-    check_keep(keep)
+    linalg.check_keep(keep)
     return keep
 
 
+EXPERIMENTS = ("self_rank", "degradation", "distribution_distinction", "exact_vs_gn")
 _TASKSET_KEYS = {
-    "kind": _verbatim, "count": _int, "feature_dim": _int, "n_ways": _int, "k_support": _int, "k_query": _int,
-    "class_center_scale": _float, "within_class_noise": _float, "seed": _int,
+    "kind": _verbatim, "count": _at_least(0), "feature_dim": _int, "n_ways": _int, "k_support": _int,
+    "k_query": _int, "class_center_scale": _float, "within_class_noise": _float, "seed": _int,
     "center_pool_size": _optional_int, "pool_seed": _int,
 }
+_SIZE_GRID = _list(_at_least(1), 1, distinct=True)
+# each degradation sweep reports a correlation, so its grid needs two values
+_DEGRADE_GRID = _list(_fraction, 2)
 
 # Every key a config may set, with the converter its value goes through; a
 # nested table is a subsection. A key the config leaves out stays out, so the
 # dataclass or function it configures applies its own default.
 CONFIG_KEYS = {
-    "model": {"layer_widths": _ints, "activation": _activation},
+    "model": {"layer_widths": _list(_int), "activation": _activation},
     "learner": {"kind": _verbatim, "inner_lr": _float},
     "tasksets": {
         "train": _TASKSET_KEYS,
         "noise": {
-            "kind": _noise_kind, "count": _int, "feature_dim": _int, "n_ways": _int, "k_support": _int,
-            "k_query": _int, "seed": _int,
+            "kind": _one_of("noise"), "count": _at_least(0), "feature_dim": _int, "n_ways": _int,
+            "k_support": _int, "k_query": _int, "seed": _int,
         },
         "test": _TASKSET_KEYS,
-        "augment": {"count": _int, "transform_scale": _float, "seed": _int},
+        "augment": {"count": _at_least(1), "transform_scale": _float, "seed": _int},
         "mix_seed": _int,
     },
     "train": {
         "steps": _int, "meta_batch": _int, "lr": _float, "weight_decay": _float, "seed": _int, "init_seed": _int,
     },
-    "hessian": {"method": _verbatim, "dense_cap": _int, "capacity": _int, "keep": _keep},
-    "experiments": {
-        "run": _names,
-        "degradation": {"alphas": _floats, "ratios": _floats, "seed": _int},
-        "exact_vs_gn": {"keep_grid": _ints, "capacity_grid": _ints},
+    "hessian": {
+        "method": _one_of("exact", "gn"), "dense_cap": _at_least(1), "capacity": _at_least(1), "keep": _keep,
     },
-    "output_dir": _text,
+    "experiments": {
+        "run": _list(_one_of(*EXPERIMENTS)),
+        "degradation": {"alphas": _DEGRADE_GRID, "ratios": _DEGRADE_GRID, "seed": _int},
+        "exact_vs_gn": {"keep_grid": _SIZE_GRID, "capacity_grid": _SIZE_GRID},
+    },
 }
 REQUIRED_SECTIONS = ("model", "learner", "tasksets", "train", "hessian")
-EXPERIMENTS = ("self_rank", "degradation", "distribution_distinction", "exact_vs_gn")
 
 
 def _read(doc, table: dict, where: str = "") -> dict:
@@ -161,19 +195,48 @@ def _build(section: str, make, **values):
         raise ConfigError(f"bad config section {section!r}: {exc}") from exc
 
 
+def _tasksets(sections: dict) -> dict:
+    """``sections`` with each of train, noise and test built into ``(TaskDistributionSpec, count)``.
+
+    Noise and test inherit what they leave out from train; noise inherits
+    only the keys of its own table.
+    """
+    if "train" not in sections:
+        raise ConfigError("config section 'tasksets' is missing required key 'train'")
+    train = {"kind": "clustered", **sections["train"]}
+    merged = {"train": train}
+    if "noise" in sections:
+        inherited = {key: value for key, value in train.items() if key in CONFIG_KEYS["tasksets"]["noise"]}
+        merged["noise"] = {**inherited, **sections["noise"], "kind": "noise"}
+    if "test" in sections:
+        merged["test"] = {**train, **sections["test"]}
+    built = dict(sections)
+    for name, values in merged.items():
+        if "count" not in values:
+            raise ConfigError(f"config section 'tasksets.{name}' is missing required key 'count'")
+        spec = {key: value for key, value in values.items() if key != "count"}
+        built[name] = _build(f"tasksets.{name}", taskgen.TaskDistributionSpec, **spec), values["count"]
+    return built
+
+
 @dataclass
 class RunConfig:
-    """A config read through CONFIG_KEYS; each section holds the keys it sets."""
+    """A config read through CONFIG_KEYS, with the library objects it configures.
 
-    model: dict
-    learner: dict
-    tasksets: dict
-    train: dict
+    The learner, the training config and the taskset specs are built when
+    the config is read, so a value one of them refuses is a config fault
+    before any stage runs. ``hessian`` holds the keys it sets over the CLI's
+    defaults; ``experiments`` holds the keys it sets.
+    """
+
+    learner: Learner
+    train: MetaTrainConfig
+    init_seed: int
+    tasksets: dict  # as read, with "train", "noise" and "test" as (TaskDistributionSpec, count)
     hessian: dict
-    experiments: dict = field(default_factory=dict)
-    output_dir: str = "out"
+    experiments: dict
     # The experiments section as written, which reports echo byte for byte.
-    echo: dict = field(default_factory=dict)
+    echo: dict
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
@@ -181,7 +244,19 @@ class RunConfig:
         for key in REQUIRED_SECTIONS:
             if key not in values:
                 raise ConfigError(f"config is missing required section {key!r}")
-        return RunConfig(**values, echo=doc.get("experiments", {}))
+        learner = _build("learner", Learner, spec=_build("model", MlpSpec, **values["model"]), **values["learner"])
+        train = dict(values["train"])
+        init_seed = train.pop("init_seed", None)
+        train_cfg = _build("train", MetaTrainConfig, **train)
+        return RunConfig(
+            learner=learner,
+            train=train_cfg,
+            init_seed=train_cfg.seed + 1 if init_seed is None else init_seed,
+            tasksets=_tasksets(values["tasksets"]),
+            hessian={"method": "exact", "capacity": 1024, "keep": "positive", **values["hessian"]},
+            experiments=values.get("experiments", {}),
+            echo=doc.get("experiments", {}),
+        )
 
 
 def load_config(path: str) -> RunConfig:
@@ -195,30 +270,6 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
-def _learner(cfg: RunConfig):
-    from .metalearn import Learner
-    from .model import MlpSpec
-
-    return _build("learner", Learner, spec=_build("model", MlpSpec, **cfg.model), **cfg.learner)
-
-
-def _taskset_spec(section: str, values: dict):
-    from .taskgen import TaskDistributionSpec
-
-    if "count" not in values:
-        raise ConfigError(f"config section {section!r} is missing required key 'count'")
-    if values["count"] < 0:
-        raise ConfigError(f"bad config section {section!r}: count must be non-negative, not {values['count']}")
-    spec = {key: value for key, value in values.items() if key != "count"}
-    return _build(section, TaskDistributionSpec, **spec), values["count"]
-
-
-def _out_dir(cfg: RunConfig, override: str | None) -> Path:
-    out = Path(override) if override else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _require(path: Path) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"missing prerequisite artifact {path}")
@@ -226,82 +277,51 @@ def _require(path: Path) -> Path:
 
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
-    from . import taskgen
-
     sections = cfg.tasksets
-    if "train" not in sections:
-        raise ConfigError("tasksets section needs a 'train' entry")
-    # every section is checked before anything is sampled or written
-    train = {"kind": "clustered", **sections["train"]}
-    spec, count = _taskset_spec("tasksets.train", train)
-    if "noise" in sections:
-        inherited = {key: value for key, value in train.items() if key in CONFIG_KEYS["tasksets"]["noise"]}
-        nspec, ncount = _taskset_spec("tasksets.noise", {**inherited, **sections["noise"], "kind": "noise"})
-    aug = {"count": 1, "transform_scale": 1.0, "seed": 0, **sections.get("augment", {})}
-    if aug["count"] < 1:
-        raise ConfigError(f"bad config section 'tasksets.augment': count must be >= 1, not {aug['count']}")
-    if "test" in sections:
-        tspec, tcount = _taskset_spec("tasksets.test", {**train, **sections["test"]})
+    spec, count = sections["train"]
     tasks = taskgen.sample_taskset(spec, count, id_prefix="train")
     if "noise" in sections:
-        noise = taskgen.sample_taskset(nspec, ncount, id_prefix="noise")
+        noise = taskgen.sample_taskset(*sections["noise"], id_prefix="noise")
         tasks = taskgen.mix_tasksets(tasks, noise, sections.get("mix_seed", 0))
     if "augment" in sections:
+        aug = {"count": 1, "transform_scale": 1.0, "seed": 0, **sections["augment"]}
         tasks = [v for t in tasks for v in taskgen.augment_group(t, **aug)]
     taskgen.save_taskset(out / "train_tasks.json", tasks, spec)
     print(f"wrote {len(tasks)} training tasks to {out / 'train_tasks.json'}")
     if "test" in sections:
+        tspec, tcount = sections["test"]
         test_tasks = taskgen.sample_taskset(tspec, tcount, id_prefix="test")
         taskgen.save_taskset(out / "test_tasks.json", test_tasks, tspec)
         print(f"wrote {tcount} test tasks to {out / 'test_tasks.json'}")
 
 
-def cmd_train(cfg: RunConfig, out: Path, taskset_path: str | None) -> None:
-    import numpy as np
-
-    from . import metalearn, taskgen
-    from .metalearn import MetaParams
-
-    learner = _learner(cfg)
-    train = dict(cfg.train)
-    init_seed = train.pop("init_seed", None)
-    train_cfg = _build("train", metalearn.MetaTrainConfig, **train)
-    tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
-    rng = np.random.default_rng(train_cfg.seed + 1 if init_seed is None else init_seed)
-    mp0 = MetaParams(learner.spec.init_weights(rng), learner)
-    mp, log = metalearn.meta_train(mp0, tasks, train_cfg)
+def cmd_train(cfg: RunConfig, out: Path) -> None:
+    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
+    rng = np.random.default_rng(cfg.init_seed)
+    mp0 = MetaParams(cfg.learner.spec.init_weights(rng), cfg.learner)
+    mp, log = metalearn.meta_train(mp0, tasks, cfg.train)
     metalearn.save_params(out / "params.bin", mp)
     with open(out / "train_log.jsonl", "w") as fh:
         fh.write(log.to_jsonl())
     print(
-        f"trained {train_cfg.steps} steps; final mean loss {log.final_loss:.6f}, "
+        f"trained {cfg.train.steps} steps; final mean loss {log.final_loss:.6f}, "
         f"accuracy {log.final_accuracy:.4f}; wrote {out / 'params.bin'}"
     )
 
 
-def cmd_hessian(cfg: RunConfig, out: Path, params_path: str | None, taskset_path: str | None) -> None:
-    from . import hessian as hessian_mod
-    from . import metalearn, taskgen
-    from .experiments import canonical_json
-
+def cmd_hessian(cfg: RunConfig, out: Path) -> None:
     h = cfg.hessian
-    method = h.get("method", "exact")
-    if method not in ("exact", "gn"):
-        raise ConfigError(f"bad config value 'hessian.method': unknown method {method!r}; use 'exact' or 'gn'")
-    for key in ("capacity", "dense_cap"):
-        if h.get(key, 1) < 1:
-            raise ConfigError(f"bad config value 'hessian.{key}': expected at least 1, not {h[key]}")
-    mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
-    tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
-    if method == "exact":
+    mp = metalearn.load_params(_require(out / "params.bin"))
+    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
+    if h["method"] == "exact":
         cap = {"dense_cap": h["dense_cap"]} if "dense_cap" in h else {}
         rep = hessian_mod.exact_meta_hessian(mp, tasks, **cap)
     else:
-        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=h.get("capacity", 1024))
+        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=h["capacity"])
     hessian_mod.save_hessian(out / "hessian.bin", rep)
     summary = hessian_mod.spectrum_summary(rep)
     with open(out / "spectrum.json", "w") as fh:
-        fh.write(canonical_json(summary))
+        fh.write(exp.canonical_json(summary))
     print(json.dumps(summary, sort_keys=True))
     print(f"wrote {out / 'hessian.bin'}")
 
@@ -333,18 +353,12 @@ def _check_digests(what: str, path: Path, recorded: dict, want: dict) -> None:
             raise ConfigError(f"{what} {path} was built from other {_DIGESTED[key]}: its {key} differs")
 
 
-def _keep_rule(cfg: RunConfig):
-    return cfg.hessian.get("keep", "positive")
-
-
 def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
     """Load a stored Hessian, check it was built from these params and this taskset, and invert it.
 
     The shape checks come first; then the sha256 digests its header records
     must equal those of the loaded params and training taskset.
     """
-    from . import hessian as hessian_mod
-
     rep = hessian_mod.load_hessian(_require(path))
     if rep.dim != mp.q:
         raise ConfigError(f"hessian dim {rep.dim} does not match params q {mp.q}")
@@ -355,22 +369,18 @@ def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
         )
     recorded = {"params_sha256": rep.params_sha256, "tasks_sha256": rep.tasks_sha256}
     _check_digests("hessian", path, recorded, hessian_mod._input_digests(mp, tasks))
-    return hessian_mod.invert(rep, _keep_rule(cfg))
+    return hessian_mod.invert(rep, cfg.hessian["keep"])
 
 
-def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_path, test_path) -> None:
-    from . import hessian as hessian_mod
-    from . import influence as influence_mod
-    from . import metalearn, taskgen
-
-    mp = metalearn.load_params(_require(Path(params_path or out / "params.bin")))
-    tasks, _ = taskgen.load_taskset(_require(Path(taskset_path or out / "train_tasks.json")))
-    hessian_file = Path(hessian_path or out / "hessian.bin")
+def cmd_influence(cfg: RunConfig, out: Path) -> None:
+    mp = metalearn.load_params(_require(out / "params.bin"))
+    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
+    hessian_file = out / "hessian.bin"
     inv = _matching_inverse(cfg, hessian_file, mp, tasks)
-    test_file = _require(Path(test_path)) if test_path else out / "test_tasks.json"
     # without a test taskset the training tasks are scored, and scores.bin records no test digest
-    test_file = test_file if test_file.exists() else None
-    test_tasks = taskgen.load_taskset(test_file)[0] if test_file else tasks
+    test_file = out / "test_tasks.json"
+    has_tests = test_file.exists()
+    test_tasks = taskgen.load_taskset(test_file)[0] if has_tests else tasks
     records = influence_mod.influence_records(inv, mp, tasks)
     influence_mod.save_influence_records(out / "influence.bin", records)
     table = influence_mod.score_table(mp, inv, tasks, test_tasks, records=records)
@@ -378,7 +388,7 @@ def cmd_influence(cfg: RunConfig, out: Path, params_path, hessian_path, taskset_
     provenance = {
         **hessian_mod._input_digests(mp, tasks),
         "hessian_sha256": _file_sha256(hessian_file),
-        "test_tasks_sha256": _file_sha256(test_file) if test_file else None,
+        "test_tasks_sha256": _file_sha256(test_file) if has_tests else None,
     }
     influence_mod.save_score_table(out / "scores.bin", table, provenance)
     print(
@@ -394,13 +404,10 @@ def _matching_scores(cfg: RunConfig, out: Path, mp, tasks):
     configured one; the digests of the params, the training taskset and the
     bytes of ``hessian.bin`` and of the test taskset must be those recorded.
     """
-    from . import hessian as hessian_mod
-    from . import influence as influence_mod
-
     names = ("scores.bin", "hessian.bin", "test_tasks.json")
     path, hessian_file, test_file = (_require(out / name) for name in names)
     table, provenance = influence_mod.load_score_table(path)
-    keep = _keep_rule(cfg)
+    keep = cfg.hessian["keep"]
     if repr(table.keep) != repr(keep):
         raise ConfigError(f"scores {path} were scored under keep {table.keep!r}, but hessian.keep is {keep!r}")
     if "test_tasks_sha256" in provenance and provenance["test_tasks_sha256"] is None:
@@ -417,39 +424,16 @@ def _matching_scores(cfg: RunConfig, out: Path, mp, tasks):
 def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
     """The report of each requested experiment, by name.
 
-    The names, the degradation values and the exact_vs_gn grids are checked
-    before any artifact is read, and no artifact is read when no experiment
-    is requested. Self-rank and degradation score from the stored Hessian;
-    distribution distinction reads the table the influence stage stored.
+    No artifact is read when no experiment is requested. Self-rank and
+    degradation score from the stored Hessian; distribution distinction
+    reads the table the influence stage stored.
     """
-    from . import experiments as exp
-    from . import metalearn, taskgen
-
-    for name in requested:
-        if name not in EXPERIMENTS:
-            raise ConfigError(f"bad config value 'experiments.run': unknown experiment {name!r}")
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    degradation = {"alphas": grid, "ratios": grid, "seed": 0, **cfg.experiments.get("degradation", {})}
-    if "degradation" in requested:
-        for value in degradation["alphas"] + degradation["ratios"]:
-            _build("experiments.degradation", taskgen.DegradeParams, alpha=value, ratio=value)
-        for key in ("alphas", "ratios"):
-            if len(degradation[key]) < 2:
-                raise ConfigError(
-                    f"bad config value 'experiments.degradation.{key}': "
-                    f"a correlation needs at least 2 values, not {degradation[key]}"
-                )
-    sizes = [8, 16, 32]
-    exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **cfg.experiments.get("exact_vs_gn", {})}
-    if "exact_vs_gn" in requested:
-        for key, values in exact_vs_gn.items():
-            if not values or min(values) < 1 or len(set(values)) < len(values):
-                raise ConfigError(
-                    f"bad config value 'experiments.exact_vs_gn.{key}': "
-                    f"needs one or more distinct entries of at least 1, not {values}"
-                )
     if not requested:
         return {}
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    degradation = {"alphas": grid, "ratios": grid, "seed": 0, **cfg.experiments.get("degradation", {})}
+    sizes = [8, 16, 32]
+    exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **cfg.experiments.get("exact_vs_gn", {})}
     mp = metalearn.load_params(_require(out / "params.bin"))
     tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
     recompute = {"self_rank", "degradation"} & set(requested)
@@ -469,8 +453,6 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
 
 
 def cmd_experiment(cfg: RunConfig, out: Path) -> None:
-    from . import experiments as exp
-
     requested = cfg.experiments.get("run", [])
     reports = _experiment_results(cfg, out, requested)
     doc = exp._report("experiment_suite" if requested else "empty", cfg.echo, reports)
@@ -478,8 +460,8 @@ def cmd_experiment(cfg: RunConfig, out: Path) -> None:
     print(f"wrote report with {len(reports)} experiment(s) to {out / 'report.json'}")
 
 
-def cmd_report(out: Path, report_path: str | None, csv: bool) -> None:
-    path = _require(Path(report_path or out / "report.json"))
+def cmd_report(cfg: RunConfig, out: Path, csv: bool) -> None:
+    path = _require(out / "report.json")
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("results", {}), dict):
@@ -552,46 +534,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Task-level influence pipeline for meta-learned classifiers",
     )
     parser.add_argument("--config", required=True, help="path to the run config JSON")
-    parser.add_argument("--out", default=None, help="output directory (default: config output_dir)")
-    parser.add_argument("--seed", type=int, default=None, help="override the training seed")
+    parser.add_argument("--out", default="out", help="the directory every stage reads and writes (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen", help="generate taskset files")
-    p = sub.add_parser("train", help="meta-train and persist parameters")
-    p.add_argument("--taskset", default=None)
-    p = sub.add_parser("hessian", help="build and persist the curvature representation")
-    p.add_argument("--params", default=None)
-    p.add_argument("--taskset", default=None)
-    p = sub.add_parser("influence", help="compute influence records and the score table")
-    p.add_argument("--params", default=None)
-    p.add_argument("--hessian", default=None)
-    p.add_argument("--taskset", default=None)
-    p.add_argument("--test-taskset", default=None)
+    sub.add_parser("train", help="meta-train and persist parameters")
+    sub.add_parser("hessian", help="build and persist the curvature representation")
+    sub.add_parser("influence", help="compute influence records and the score table")
     sub.add_parser("experiment", help="run the configured experiment protocols")
-    p = sub.add_parser("report", help="summarize a report JSON")
-    p.add_argument("--report", default=None)
+    p = sub.add_parser("report", help="summarize out/report.json")
     p.add_argument("--csv", action="store_true", help="also flatten tables to CSV")
     return parser
 
 
+_STAGES = {"gen": cmd_gen, "train": cmd_train, "hessian": cmd_hessian, "influence": cmd_influence,
+           "experiment": cmd_experiment}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the code of a numerical failure here
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.train = dict(cfg.train, seed=args.seed)
-        out = _out_dir(cfg, args.out)
-        if args.command == "gen":
-            cmd_gen(cfg, out)
-        elif args.command == "train":
-            cmd_train(cfg, out, args.taskset)
-        elif args.command == "hessian":
-            cmd_hessian(cfg, out, args.params, args.taskset)
-        elif args.command == "influence":
-            cmd_influence(cfg, out, args.params, args.hessian, args.taskset, args.test_taskset)
-        elif args.command == "experiment":
-            cmd_experiment(cfg, out)
-        elif args.command == "report":
-            cmd_report(out, args.report, args.csv)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        if args.command == "report":
+            cmd_report(cfg, out, args.csv)
+        else:
+            _STAGES[args.command](cfg, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

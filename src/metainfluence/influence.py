@@ -55,17 +55,6 @@ def influence_meta(inv: SpectralInverse, mp: MetaParams, train_task: Task) -> In
     return influence_records(inv, mp, [train_task])[0]
 
 
-def influence_group(records: list[InfluenceRecord], group_id: str) -> InfluenceRecord:
-    """Summed influence of all records carrying ``group_id``, in list order."""
-    members = [r for r in records if r.group_id == group_id]
-    if not members:
-        raise ValueError(f"no records with group_id {group_id!r}")
-    total = members[0].i_meta.copy()
-    for rec in members[1:]:
-        total = total + rec.i_meta
-    return InfluenceRecord(task_id=group_id, i_meta=total, group_id=group_id)
-
-
 @dataclass
 class ScoreTable:
     """Scores and per-test rankings for every (test, train) pair.

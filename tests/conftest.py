@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from metainfluence import hessian, linalg, model, taskgen
-from metainfluence.metalearn import Learner, MetaParams, meta_output_jacobian, task_logits
+from metainfluence.influence import InfluenceRecord
+from metainfluence.metalearn import Learner, MetaParams, Task, meta_output_jacobian, task_logits
 from metainfluence.model import Batch, MlpSpec
 
 
@@ -94,6 +95,21 @@ def make_params(rng, widths=(6, 5, 3), kind="maml", inner_lr=0.05, jitter=0.2):
     learner = Learner(kind, spec, inner_lr)
     omega = spec.init_weights(rng) + jitter * rng.normal(size=spec.num_params)
     return MetaParams(omega, learner)
+
+
+def group_record(records, group_id):
+    """The summed record of the records carrying ``group_id``, added in list order."""
+    members = [r.i_meta for r in records if r.group_id == group_id]
+    total = members[0].copy()
+    for i_meta in members[1:]:
+        total = total + i_meta
+    return InfluenceRecord(group_id, total, group_id)
+
+
+def grouped_tasks(groups):
+    """One placeholder task per entry of ``groups``, carrying it as its group id."""
+    batch = Batch(np.zeros((1, 1)), np.zeros(1, dtype=int))
+    return [Task(f"t{i}", batch, batch, group_id=gid) for i, gid in enumerate(groups)]
 
 
 def fd_asymmetric_problem():

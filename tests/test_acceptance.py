@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import gn_dense, gram, meta_loss, project, rebuild
+from conftest import gn_dense, gram, grouped_tasks, meta_loss, project, rebuild
 from metainfluence import cli, experiments, hessian, linalg, metalearn, model, taskgen
 from metainfluence import influence as infl
 from metainfluence.metalearn import Learner, MetaParams, MetaTrainConfig
@@ -342,23 +342,20 @@ def test_criterion_6_degradation_trend_pruned_vs_raw(selfrank_pipeline):
 
 
 def test_criterion_7_group_linearity_bitwise():
+    # a group's score column, as distinction builds it, is its members' columns added in training order
     rng = np.random.default_rng(9300)
-    q = 37
+    n_tests = 37
     for trial in range(100):
         n = int(rng.integers(2, 12))
         groups = [f"g{int(rng.integers(0, 3))}" for _ in range(n)]
-        records = [
-            infl.InfluenceRecord(f"t{i}", rng.normal(size=q), group_id=groups[i])
-            for i in range(n)
-        ]
-        target = groups[int(rng.integers(0, n))]
-        combined = infl.influence_group(records, target)
-        expected = None
-        for rec in records:
-            if rec.group_id != target:
-                continue
-            expected = rec.i_meta.copy() if expected is None else expected + rec.i_meta
-        assert np.array_equal(combined.i_meta, expected)
+        scores = rng.normal(size=(n_tests, n))
+        columns, _ = experiments._group_columns(scores, grouped_tasks(groups))
+        for column, target in zip(columns.T, dict.fromkeys(groups), strict=True):
+            expected = None
+            for j, gid in enumerate(groups):
+                if gid == target:
+                    expected = scores[:, j].copy() if expected is None else expected + scores[:, j]
+            assert np.array_equal(column, expected)
 
 
 # --- criterion 8: distribution-distinction machinery ---------------------------

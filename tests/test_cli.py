@@ -143,27 +143,27 @@ def test_gen_noise_inherits_only_its_own_keys_from_train(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "section, values",
+    "section, values, names",
     [
-        ("test", {"count": 3, "seed": 17, "n_ways": 1}),
-        ("augment", {"count": 0}),
-        ("train", dict(BASE_CONFIG["tasksets"]["train"], count=-2)),
-        ("noise", {"count": -2, "seed": 13}),
-        ("test", {"count": -2, "seed": 17}),
-        ("train", dict(BASE_CONFIG["tasksets"]["train"], within_class_noise=-1.0)),
-        ("train", dict(BASE_CONFIG["tasksets"]["train"], class_center_scale=-2.0)),
-        ("test", {"count": 3, "seed": 17, "within_class_noise": -1.0}),
-        ("test", {"count": 3, "seed": 17, "class_center_scale": -2.0}),
+        ("test", {"count": 3, "seed": 17, "n_ways": 1}, "'tasksets.test'"),
+        ("augment", {"count": 0}, "'tasksets.augment.count'"),
+        ("train", dict(BASE_CONFIG["tasksets"]["train"], count=-2), "'tasksets.train.count'"),
+        ("noise", {"count": -2, "seed": 13}, "'tasksets.noise.count'"),
+        ("test", {"count": -2, "seed": 17}, "'tasksets.test.count'"),
+        ("train", dict(BASE_CONFIG["tasksets"]["train"], within_class_noise=-1.0), "'tasksets.train'"),
+        ("train", dict(BASE_CONFIG["tasksets"]["train"], class_center_scale=-2.0), "'tasksets.train'"),
+        ("test", {"count": 3, "seed": 17, "within_class_noise": -1.0}, "'tasksets.test'"),
+        ("test", {"count": 3, "seed": 17, "class_center_scale": -2.0}, "'tasksets.test'"),
     ],
     ids=["test-n_ways-one", "augment-count-zero", "train-count-negative", "noise-count-negative",
          "test-count-negative", "train-noise-negative", "train-scale-negative", "test-noise-negative",
          "test-scale-negative"],
 )
-def test_gen_config_fault_writes_no_taskset(tmp_path, capsys, section, values):
+def test_gen_config_fault_writes_no_taskset(tmp_path, capsys, section, values, names):
     cfg = write_config(tmp_path, {"tasksets": {section: values}})
     out = tmp_path / "empty"
-    assert_clean_exit(["--config", cfg, "--out", out, "gen"], capsys, cli.EXIT_USAGE, f"'tasksets.{section}'")
-    assert list(out.iterdir()) == []
+    assert_clean_exit(["--config", cfg, "--out", out, "gen"], capsys, cli.EXIT_USAGE, names)
+    assert not out.exists()
 
 
 def test_gen_zero_count_writes_empty_taskset(tmp_path):
@@ -197,6 +197,42 @@ def test_missing_config_is_usage_error(tmp_path):
     assert run(["--config", tmp_path / "nope.json", "gen"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen"],
+        ["--config", "{cfg}", "--out", "{out}", "bogus"],
+        ["--config", "{cfg}", "--out", "{out}", "train", "--tasket", "x"],
+        ["--config", "{cfg}", "--out", "{out}", "--seed", "abc", "gen"],
+        ["--config", "{cfg}", "--out", "{out}", "influence", "--test-taskset", "x"],
+    ],
+    ids=["missing-config", "unknown-command", "unknown-flag", "removed-seed", "removed-test-taskset"],
+)
+def test_command_line_usage_error_exits_1(tmp_path, capsys, args):
+    # argparse exits 2 on its own, which is the code of a numerical failure here
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    capsys.readouterr()
+    assert run([a.format(cfg=cfg, out=out) for a in args]) == cli.EXIT_USAGE
+    assert "metainfluence: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert run(["--help"]) == cli.EXIT_OK
+    assert "--config" in capsys.readouterr().out
+
+
+def test_readme_example_config_loads(tmp_path):
+    # the README's config section documents what load_config accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## Command line", 1)[1]
+    path = tmp_path / "readme.json"
+    path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = cli.load_config(path)
+    assert cfg.experiments["run"] == ["self_rank", "degradation", "distribution_distinction"]
+    top_row = next(line for line in readme.splitlines() if line.startswith("| top level |"))
+    assert top_row.split("|")[2].replace("`", "").strip().split(", ") == list(cli.CONFIG_KEYS)
+
+
 def test_invalid_config_section_is_usage_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, bogus={})))
@@ -217,7 +253,7 @@ def test_dense_cap_violation_is_usage_error(tmp_path):
     assert run(["--config", cfg, "--out", out, "hessian"]) == cli.EXIT_USAGE
 
 
-def test_mismatched_hessian_params_is_usage_error(tmp_path):
+def test_mismatched_hessian_params_is_usage_error(tmp_path, capsys):
     out = pipeline(tmp_path, "out")
     other_cfg = write_config(
         tmp_path, {"model": {"layer_widths": [6, 4, 3]}}, name="other.json"
@@ -225,21 +261,10 @@ def test_mismatched_hessian_params_is_usage_error(tmp_path):
     out2 = tmp_path / "out2"
     assert run(["--config", other_cfg, "--out", out2, "gen"]) == cli.EXIT_OK
     assert run(["--config", other_cfg, "--out", out2, "train"]) == cli.EXIT_OK
-    # mix params from out2 with hessian from out
-    assert (
-        run(
-            [
-                "--config",
-                other_cfg,
-                "--out",
-                out2,
-                "influence",
-                "--hessian",
-                out / "hessian.bin",
-            ]
-        )
-        == cli.EXIT_USAGE
-    )
+    # plant the hessian of out next to the params of out2
+    shutil.copy(out / "hessian.bin", out2 / "hessian.bin")
+    args = ["--config", other_cfg, "--out", out2, "influence"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, "does not match params q")
 
 
 def test_empty_experiment_list_writes_empty_report(tmp_path):
@@ -311,13 +336,6 @@ def test_exact_vs_gn_experiment_and_report(tmp_path, capsys):
     assert len(lines) == 1 + len(cells)
 
 
-def test_output_dir_comes_from_the_config_without_out(tmp_path):
-    target = tmp_path / "from_config"
-    cfg = write_config(tmp_path, {"output_dir": str(target)})
-    assert run(["--config", cfg, "gen"]) == cli.EXIT_OK
-    assert (target / "train_tasks.json").exists()
-
-
 def test_gen_with_a_center_pool(tmp_path):
     train = dict(BASE_CONFIG["tasksets"]["train"], center_pool_size=4, pool_seed=7)
     cfg = write_config(tmp_path, {"tasksets": {"train": train}})
@@ -332,18 +350,6 @@ def test_scores_csv_row_count(tmp_path):
     lines = (out / "scores.csv").read_text().strip().split("\n")
     # header comment + column header + |test| * |train| rows
     assert len(lines) == 2 + 3 * 8
-
-
-def test_seed_override_decides_params(tmp_path):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert run(["--config", cfg, "--out", out, "gen"]) == cli.EXIT_OK
-    params = []
-    for seed in (5, 5, 6):
-        assert run(["--config", cfg, "--out", out, "--seed", seed, "train"]) == cli.EXIT_OK
-        params.append((out / "params.bin").read_bytes())
-    assert params[0] == params[1]
-    assert params[0] != params[2]
 
 
 @pytest.fixture(scope="module")
@@ -398,45 +404,43 @@ def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
     out5 = tmp_path / "out5"
     for command in ("gen", "train", "hessian"):
         assert run(["--config", cfg5, "--out", out5, command]) == cli.EXIT_OK
+    # plant each run's hessian.bin in a copy of the other's output directory
     for cfg, out, foreign, built, has in ((cfg5, out5, out8, 8, 5), (cfg8, out8, out5, 5, 8)):
-        capsys.readouterr()
-        args = ["--config", cfg, "--out", out, "influence", "--hessian", foreign / "hessian.bin"]
-        assert run(args) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"built on {built} tasks, but the training taskset has {has}" in err
-    # experiment reads hessian.bin from its own directory; plant the foreign one there
-    crossed = tmp_path / "crossed"
-    shutil.copytree(out5, crossed)
-    shutil.copy(out8 / "hessian.bin", crossed / "hessian.bin")
-    capsys.readouterr()
-    assert run(["--config", cfg5, "--out", crossed, "experiment"]) == cli.EXIT_USAGE
-    assert "built on 8 tasks, but the training taskset has 5" in capsys.readouterr().err
+        crossed = tmp_path / f"crossed{has}"
+        shutil.copytree(out, crossed)
+        shutil.copy(foreign / "hessian.bin", crossed / "hessian.bin")
+        for stage in ("influence", "experiment"):
+            needle = f"built on {built} tasks, but the training taskset has {has}"
+            assert_clean_exit(["--config", cfg, "--out", crossed, stage], capsys, cli.EXIT_USAGE, needle)
 
 
 def test_hessian_from_another_run_of_the_same_shape_is_usage_error(tmp_path, capsys):
     doc = json.loads(json.dumps(BASE_CONFIG))
     del doc["tasksets"]["noise"]
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(doc))
-    runs = {}
+    cfgs, runs = {}, {}
     for seed, stages in ((1, ("gen", "train", "hessian")), (99, ("gen", "train"))):
-        runs[seed] = tmp_path / f"seed{seed}"
+        doc["train"]["seed"] = seed
+        cfgs[seed], runs[seed] = tmp_path / f"seed{seed}.json", tmp_path / f"seed{seed}"
+        cfgs[seed].write_text(json.dumps(doc))
         for stage in stages:
-            assert run(["--config", cfg, "--out", runs[seed], "--seed", seed, stage]) == cli.EXIT_OK
+            assert run(["--config", cfgs[seed], "--out", runs[seed], stage]) == cli.EXIT_OK
     crossed = runs[99] / "hessian.bin"
     shutil.copy(runs[1] / "hessian.bin", crossed)
-    args = ["--config", cfg, "--out", runs[99], "influence"]
+    args = ["--config", cfgs[99], "--out", runs[99], "influence"]
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, crossed, "built from other parameters")
     # the seed-1 params and Hessian with a training taskset of the same shape from another taskset seed
     doc["tasksets"]["train"]["seed"] = 12
     other = tmp_path / "other.json"
     other.write_text(json.dumps(doc))
     assert run(["--config", other, "--out", tmp_path / "other", "gen"]) == cli.EXIT_OK
-    args = ["--config", cfg, "--out", runs[1], "influence", "--taskset", tmp_path / "other" / "train_tasks.json"]
-    assert_clean_exit(args, capsys, cli.EXIT_USAGE, runs[1] / "hessian.bin", "built from other training taskset")
+    planted = tmp_path / "planted"
+    shutil.copytree(runs[1], planted)
+    shutil.copy(tmp_path / "other" / "train_tasks.json", planted / "train_tasks.json")
+    args = ["--config", cfgs[1], "--out", planted, "influence"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, planted / "hessian.bin", "built from other training taskset")
     # a header without the params digest cannot be checked
     rewrite_header(crossed, lambda header: {k: v for k, v in header.items() if k != "params_sha256"})
-    args = ["--config", cfg, "--out", runs[99], "influence"]
+    args = ["--config", cfgs[99], "--out", runs[99], "influence"]
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, crossed, "records no params_sha256")
     assert not (runs[99] / "influence.bin").exists()
 
@@ -496,6 +500,8 @@ def test_config_type_error_is_usage_error(trained, tmp_path, capsys, overrides, 
                 ("class_center_scale", 2.0), ("within_class_noise", 0.1), ("center_pool_size", 8), ("pool_seed", 3)
             )
         ),
+        # the output directory is --out alone
+        ({"output_dir": "elsewhere"}, "gen", "output_dir"),
     ],
 )
 def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, overrides, stage, key):
@@ -571,7 +577,7 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
         (
             {"experiments": {"run": ["self_rank", "degradation"], "degradation": {"alphas": [2.0]}}},
             "experiment",
-            "'experiments.degradation'",
+            "'experiments.degradation.alphas'",
         ),
         (
             {"experiments": {"run": ["exact_vs_gn"], "exact_vs_gn": {"keep_grid": [0, 4]}}},
@@ -606,21 +612,36 @@ def test_config_number_out_of_range_is_usage_error(trained, tmp_path, capsys, se
             "experiment",
             "'experiments.exact_vs_gn.keep_grid'",
         ),
+        # a grid is checked whether or not its experiment is requested
+        (
+            {"experiments": {"run": ["self_rank"], "degradation": {"ratios": [0.0, 1.5]}}},
+            "experiment",
+            "'experiments.degradation.ratios'",
+        ),
+        (
+            {"experiments": {"run": [], "exact_vs_gn": {"capacity_grid": [8, 0]}}},
+            "experiment",
+            "'experiments.exact_vs_gn.capacity_grid'",
+        ),
     ],
     ids=[
         "meta_batch-zero", "lr-negative", "lr-zero", "weight_decay-negative", "learner-kind", "hessian-method", "experiment-name", "degradation-alpha",
         "exact_vs_gn-keep-zero", "exact_vs_gn-capacity-repeat", "noise-kind",
         "capacity-zero", "capacity-negative", "dense_cap-negative",
         "degradation-alphas-one", "degradation-ratios-empty", "exact_vs_gn-keep-empty",
+        "degradation-unrequested", "exact_vs_gn-unrequested",
     ],
 )
 def test_config_fault_is_reported_before_any_artifact_is_read(tmp_path, capsys, overrides, stage, names):
+    # every stage reads the whole config first, so gen refuses the fault too, and nothing is created
     cfg = write_config(tmp_path, overrides)
-    assert_clean_exit(["--config", cfg, "--out", tmp_path / "empty", stage], capsys, cli.EXIT_USAGE, names)
+    for command in (stage, "gen"):
+        assert_clean_exit(["--config", cfg, "--out", tmp_path / "empty", command], capsys, cli.EXIT_USAGE, names)
+        assert not (tmp_path / "empty").exists()
 
 
 def test_config_integral_float_is_an_integer(tmp_path):
-    steps = cli.load_config(write_config(tmp_path, {"train": {"steps": 3.0}})).train["steps"]
+    steps = cli.load_config(write_config(tmp_path, {"train": {"steps": 3.0}})).train.steps
     assert steps == 3 and isinstance(steps, int)
 
 
@@ -764,9 +785,11 @@ def test_report_csv_writes_both_degradation_tables(trained, tmp_path):
 )
 def test_malformed_report_is_usage_error(tmp_path, capsys, doc, flags):
     cfg = write_config(tmp_path)
-    path = tmp_path / "report.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "report.json"
     path.write_text(json.dumps(doc))
-    args = ["--config", cfg, "--out", tmp_path, "report", "--report", path, *flags]
+    args = ["--config", cfg, "--out", out, "report", *flags]
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, path, "is not a report")
 
 
@@ -868,19 +891,15 @@ def test_ill_conditioned_keep_is_usage_error(trained, tmp_path, capsys):
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, "ill-conditioned inversion requested")
 
 
-def test_explicit_test_taskset_must_exist(trained, tmp_path, capsys):
+def test_influence_without_test_tasks_scores_the_training_tasks(trained, tmp_path):
     cfg, done = trained
     out = tmp_path / "out"
     shutil.copytree(done, out)
-    missing = tmp_path / "no_such_file.json"
-    args = ["--config", cfg, "--out", out, "influence", "--test-taskset", missing]
-    assert_clean_exit(args, capsys, cli.EXIT_IO, missing)
-    assert not (out / "scores.csv").exists()
-    # without the flag, a missing default test taskset still falls back to the training tasks
     (out / "test_tasks.json").unlink()
     assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
     lines = (out / "scores.csv").read_text().strip().split("\n")
     assert len(lines) == 2 + 8 * 8
+    assert influence.load_score_table(out / "scores.bin")[1]["test_tasks_sha256"] is None
 
 
 DISTINCTION_ONLY = {"experiments": {"run": ["distribution_distinction"]}}
@@ -903,7 +922,8 @@ def _perturb_first_feature(path):
 
 
 def _retrain(cfg, out):
-    assert run(["--config", cfg, "--out", out, "--seed", 5, "train"]) == cli.EXIT_OK
+    other = write_config(out.parent, {"train": {"seed": 5}}, name="retrain.json")
+    assert run(["--config", other, "--out", out, "train"]) == cli.EXIT_OK
 
 
 def _rescore_training_tasks(cfg, out):
@@ -913,13 +933,13 @@ def _rescore_training_tasks(cfg, out):
 
 
 def _score_other_tests(cfg, out):
-    other = json.loads(json.dumps(BASE_CONFIG))
-    other["tasksets"]["test"]["seed"] = 18
-    other_cfg = out.parent / "other.json"
-    other_cfg.write_text(json.dumps(other))
+    # score a foreign test taskset planted in out, then put the run's own one back
+    other_cfg = write_config(out.parent, {"tasksets": {"test": {"count": 3, "seed": 18}}}, name="other.json")
     assert run(["--config", other_cfg, "--out", out.parent / "other", "gen"]) == cli.EXIT_OK
-    args = ["--config", cfg, "--out", out, "influence", "--test-taskset", out.parent / "other" / "test_tasks.json"]
-    assert run(args) == cli.EXIT_OK
+    shutil.move(out / "test_tasks.json", out / "held.json")
+    shutil.copy(out.parent / "other" / "test_tasks.json", out / "test_tasks.json")
+    assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
+    shutil.move(out / "held.json", out / "test_tasks.json")
 
 
 @pytest.mark.parametrize(
@@ -942,7 +962,7 @@ def _score_other_tests(cfg, out):
             ["records no tasks_sha256"],
         ),
     ],
-    ids=["params", "training-taskset", "hessian", "keep", "test-taskset", "test-taskset-flag", "no-test-taskset",
+    ids=["params", "training-taskset", "hessian", "keep", "test-taskset", "other-test-taskset", "no-test-taskset",
          "no-digest"],
 )
 def test_scores_from_other_inputs_are_refused(scored, tmp_path, capsys, corrupt, overrides, needles):

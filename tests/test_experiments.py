@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import gn_dense, make_params, meta_loss
+from conftest import gn_dense, group_record, grouped_tasks, make_params, meta_loss
 from metainfluence import experiments as exp
 from metainfluence import hessian, metalearn, taskgen
 from metainfluence.hessian import SpectralInverse
-from metainfluence.influence import influence_group, influence_records, score_pairs, score_table
+from metainfluence.influence import influence_records, score_pairs, score_table
 from metainfluence.metalearn import STACK_CHUNK
 
 
@@ -193,10 +193,26 @@ def test_group_column_is_the_sum_of_its_member_columns(kind, inner_lr, rng):
         assert np.array_equal(column, want)
     # first-order group influence is additive: the scores of the summed group records agree to rounding
     records = influence_records(inv, mp, train)
-    oracle = score_pairs(mp, [influence_group(records, gid) for gid in gids], tests)
+    oracle = score_pairs(mp, [group_record(records, gid) for gid in gids], tests)
     np.testing.assert_allclose(columns, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
     counts = exp.run_distribution_distinction(table, train)["results"]["counts"]
     assert (counts["regular_entities"], counts["noise_entities"]) == (3, 2)
+
+
+def test_group_columns_singleton_and_partition(rng):
+    scores = rng.normal(size=(4, 6))
+    columns, _ = exp._group_columns(scores, grouped_tasks(["g0", "g1", "g0", "g1", "g0", "lone"]))
+    np.testing.assert_array_equal(columns[:, 2], scores[:, 5])
+    np.testing.assert_allclose(columns.sum(axis=1), scores.sum(axis=1), rtol=0, atol=1e-12)
+
+
+def test_group_columns_bitwise_ordered_sum(rng):
+    scores = rng.normal(size=(3, 5))
+    columns, _ = exp._group_columns(scores, grouped_tasks(["g"] * 5))
+    expected = scores[:, 0].copy()
+    for j in range(1, 5):
+        expected = expected + scores[:, j]
+    assert np.array_equal(columns[:, 0], expected)
 
 
 def test_distribution_distinction_refuses_a_table_of_other_training_tasks(rng):

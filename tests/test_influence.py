@@ -9,7 +9,6 @@ from metainfluence.hessian import SpectralInverse, exact_meta_hessian, invert
 from metainfluence.influence import (
     InfluenceRecord,
     ScoreTable,
-    influence_group,
     influence_meta,
     influence_records,
     load_influence_records,
@@ -60,45 +59,6 @@ def test_influence_meta_zero_at_task_stationarity():
     assert np.linalg.norm(meta_grad(mp, task)) <= 1e-15
     rec = influence_meta(identity_inverse(mp.q), mp, task)
     np.testing.assert_allclose(rec.i_meta, 0.0, atol=1e-12)
-
-
-def test_influence_group_singleton_and_partition(rng):
-    mp = make_params(rng)
-    tasks = sample_tasks(count=6)
-    inv = identity_inverse(mp.q)
-    records = []
-    for i, t in enumerate(tasks):
-        rec = influence_meta(inv, mp, t)
-        rec.group_id = f"g{i % 2}"
-        records.append(rec)
-    single = [r for r in records if r.group_id == "g0"][:1]
-    lone = influence_group(single, "g0")
-    np.testing.assert_array_equal(lone.i_meta, single[0].i_meta)
-
-    g0 = influence_group(records, "g0")
-    g1 = influence_group(records, "g1")
-    total_by_groups = g0.i_meta + g1.i_meta
-    total_all = records[0].i_meta.copy()
-    for r in records[1:]:
-        total_all = total_all + r.i_meta
-    np.testing.assert_allclose(total_by_groups, total_all, atol=1e-12)
-
-
-def test_influence_group_bitwise_ordered_sum(rng):
-    q = 9
-    records = [
-        InfluenceRecord(f"t{i}", rng.normal(size=q), group_id="g") for i in range(5)
-    ]
-    combined = influence_group(records, "g")
-    expected = records[0].i_meta.copy()
-    for r in records[1:]:
-        expected = expected + r.i_meta
-    assert np.array_equal(combined.i_meta, expected)
-
-
-def test_influence_group_unknown_id(rng):
-    with pytest.raises(ValueError):
-        influence_group([InfluenceRecord("t", np.zeros(3), "a")], "missing")
 
 
 def test_influence_adapt_matches_jacobian_and_fd(rng):
