@@ -35,7 +35,7 @@ CONFIG = {
         "mix_seed": 19,
     },
     "train": {"steps": 150, "meta_batch": 8, "lr": 0.005, "seed": 23, "init_seed": 29},
-    "hessian": {"method": "exact", "keep": "positive", "dense_cap": 500},
+    "hessian": {"method": "exact", "keep": "positive"},
     "experiments": {"run": ["self_rank", "distribution_distinction"]},
 }
 

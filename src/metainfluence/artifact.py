@@ -5,7 +5,8 @@ sorted-key JSON header that names the payload's ``shape`` next to the
 fields its owner stores, then the payload as row-major little-endian
 float64. Every length is checked against the bytes left in the file before
 anything is allocated, so a corrupt length raises ``TruncatedFileError``
-instead of allocating what it declares.
+instead of allocating what it declares. The parameter, curvature and score
+files also hold ``inputs`` in their header, which ``inputs`` reads alone.
 """
 
 from __future__ import annotations
@@ -47,6 +48,26 @@ def _check_remaining(fh, n: int) -> None:
         raise TruncatedFileError(f"{fh.name} is truncated: expected {n} more bytes, found {remaining}")
 
 
+def _read_header(fh, kind: str) -> tuple[dict, list]:
+    """The header of an open ``kind`` file and the payload shape it declares."""
+    magic, what = _KINDS[kind]
+    _check_remaining(fh, _PREFIX.size)
+    got, version, size = _PREFIX.unpack(fh.read(_PREFIX.size))
+    if got != magic:
+        raise ValueError(f"{fh.name} is not {what}: bad magic {got!r}")
+    if version != _VERSION:
+        raise ValueError(f"{fh.name}: unsupported version {version} of {what}")
+    _check_remaining(fh, size)
+    try:
+        header = json.loads(fh.read(size))
+    except ValueError:
+        header = None
+    shape = header.pop("shape", None) if isinstance(header, dict) else None
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{fh.name}: the header of {what} is not a JSON object with a non-negative shape")
+    return header, shape
+
+
 def load(path, kind: str, build):
     """``build(header, payload)`` of a ``kind`` file; the payload is read straight into its array.
 
@@ -54,22 +75,8 @@ def load(path, kind: str, build):
     non-negative integer ``shape``, or a header ``build`` rejects with
     KeyError, TypeError or ValueError raises ValueError naming the file.
     """
-    magic, what = _KINDS[kind]
     with open(path, "rb") as fh:
-        _check_remaining(fh, _PREFIX.size)
-        got, version, size = _PREFIX.unpack(fh.read(_PREFIX.size))
-        if got != magic:
-            raise ValueError(f"{fh.name} is not {what}: bad magic {got!r}")
-        if version != _VERSION:
-            raise ValueError(f"{fh.name}: unsupported version {version} of {what}")
-        _check_remaining(fh, size)
-        try:
-            header = json.loads(fh.read(size))
-        except ValueError:
-            header = None
-        shape = header.pop("shape", None) if isinstance(header, dict) else None
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError(f"{fh.name}: the header of {what} is not a JSON object with a non-negative shape")
+        header, shape = _read_header(fh, kind)
         _check_remaining(fh, 8 * math.prod(shape))
         payload = np.empty(shape, dtype="<f8")
         if fh.readinto(payload) != payload.nbytes:
@@ -78,4 +85,18 @@ def load(path, kind: str, build):
         return build(header, payload.astype(float, copy=False))
     except (KeyError, TypeError, ValueError) as exc:
         missing = "no field " if isinstance(exc, KeyError) else ""
-        raise ValueError(f"{path}: bad header of {what}: {missing}{exc}") from None
+        raise ValueError(f"{path}: bad header of {_KINDS[kind][1]}: {missing}{exc}") from None
+
+
+def inputs(path, kind: str) -> dict:
+    """The ``inputs`` a ``kind`` file's header records: file name -> sha256 of the file it was built from.
+
+    The header is checked as ``load`` checks it and the payload is not read.
+    A header whose ``inputs`` is missing or is not an object of strings
+    raises ValueError naming the file.
+    """
+    with open(path, "rb") as fh:
+        recorded = _read_header(fh, kind)[0].get("inputs")
+    if not isinstance(recorded, dict) or not all(isinstance(v, str) for v in recorded.values()):
+        raise ValueError(f"{path}: the header of {_KINDS[kind][1]} records no object of input digests")
+    return recorded

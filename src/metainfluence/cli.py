@@ -2,11 +2,15 @@
 
 Every stage reads its inputs from the output directory (``--out``, default
 ``out``) and writes its artifact there, so expensive stages are computed
-once and reused. The config is checked in full when it is read: a fault
-exits 1 before any stage runs or any file is made. All randomness comes
-from explicit seeds in the JSON config. Two runs of the same config produce
-byte-identical artifacts on one machine at one BLAS thread count; across
-thread counts the Gauss-Newton artifacts differ at about 1.5e-14.
+once and reused. ``params.bin``, ``hessian.bin`` and ``scores.bin`` record
+in their header the sha256 of the bytes of each file they were built from
+(``INPUTS``); a stage that loads one refuses it when a file it names
+differs from the one the directory holds. The config is checked in full
+when it is read: a fault exits 1 before any stage runs or any file is made.
+All randomness comes from explicit seeds in the JSON config. Two runs of
+the same config produce byte-identical artifacts on one machine at one BLAS
+thread count; across thread counts the Gauss-Newton artifacts differ at
+about 1.5e-14.
 
 Exit codes: 0 ok, 1 usage/config, 2 numerical failure, 3 I/O.
 """
@@ -23,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from . import experiments as exp
 from . import hessian as hessian_mod
 from . import influence as influence_mod
@@ -151,7 +156,7 @@ CONFIG_KEYS = {
         "steps": _int, "meta_batch": _int, "lr": _float, "weight_decay": _float, "seed": _int, "init_seed": _int,
     },
     "hessian": {
-        "method": _one_of("exact", "gn"), "dense_cap": _at_least(1), "capacity": _at_least(1), "keep": _keep,
+        "method": _one_of("exact", "gn"), "capacity": _at_least(1), "keep": _keep,
     },
     "experiments": {
         "run": _list(_one_of(*EXPERIMENTS)),
@@ -295,43 +300,11 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
         print(f"wrote {tcount} test tasks to {out / 'test_tasks.json'}")
 
 
-def cmd_train(cfg: RunConfig, out: Path) -> None:
-    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
-    rng = np.random.default_rng(cfg.init_seed)
-    mp0 = MetaParams(cfg.learner.spec.init_weights(rng), cfg.learner)
-    mp, log = metalearn.meta_train(mp0, tasks, cfg.train)
-    metalearn.save_params(out / "params.bin", mp)
-    with open(out / "train_log.jsonl", "w") as fh:
-        fh.write(log.to_jsonl())
-    print(
-        f"trained {cfg.train.steps} steps; final mean loss {log.final_loss:.6f}, "
-        f"accuracy {log.final_accuracy:.4f}; wrote {out / 'params.bin'}"
-    )
-
-
-def cmd_hessian(cfg: RunConfig, out: Path) -> None:
-    h = cfg.hessian
-    mp = metalearn.load_params(_require(out / "params.bin"))
-    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
-    if h["method"] == "exact":
-        cap = {"dense_cap": h["dense_cap"]} if "dense_cap" in h else {}
-        rep = hessian_mod.exact_meta_hessian(mp, tasks, **cap)
-    else:
-        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=h["capacity"])
-    hessian_mod.save_hessian(out / "hessian.bin", rep)
-    summary = hessian_mod.spectrum_summary(rep)
-    with open(out / "spectrum.json", "w") as fh:
-        fh.write(exp.canonical_json(summary))
-    print(json.dumps(summary, sort_keys=True))
-    print(f"wrote {out / 'hessian.bin'}")
-
-
-# provenance header key -> the input its digest is taken of
-_DIGESTED = {
-    "params_sha256": "parameters",
-    "tasks_sha256": "training taskset",
-    "hessian_sha256": "hessian.bin",
-    "test_tasks_sha256": "test taskset",
+# artifact -> the files of --out it is built from; its header records the sha256 of each under "inputs"
+INPUTS = {
+    "params.bin": ("train_tasks.json",),
+    "hessian.bin": ("params.bin", "train_tasks.json"),
+    "scores.bin": ("params.bin", "train_tasks.json", "hessian.bin", "test_tasks.json"),
 }
 
 
@@ -343,23 +316,73 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _check_digests(what: str, path: Path, recorded: dict, want: dict) -> None:
-    """Each digest ``want`` names must be the one the artifact's header recorded."""
-    for key, digest in want.items():
-        got = recorded.get(key)
-        if got is None:
-            raise ConfigError(f"{what} {path} records no {key}, so its {_DIGESTED[key]} cannot be checked")
-        if got != digest:
-            raise ConfigError(f"{what} {path} was built from other {_DIGESTED[key]}: its {key} differs")
+def _inputs(out: Path, name: str) -> dict:
+    """The ``inputs`` of ``out/name``: the sha256 of each file it is built from that ``out`` holds.
 
-
-def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
-    """Load a stored Hessian, check it was built from these params and this taskset, and invert it.
-
-    The shape checks come first; then the sha256 digests its header records
-    must equal those of the loaded params and training taskset.
+    Only the test taskset can be absent: then the influence stage scores the
+    training tasks, and ``scores.bin`` records no test taskset.
     """
-    rep = hessian_mod.load_hessian(_require(path))
+    return {source: _file_sha256(out / source) for source in INPUTS[name] if (out / source).exists()}
+
+
+def _check_inputs(out: Path, name: str) -> None:
+    """``out/name`` must record the sha256 of each file INPUTS names, as ``out`` holds it now."""
+    path = out / name
+    recorded = artifact.inputs(path, Path(name).stem)
+    current = {source: _file_sha256(_require(out / source)) for source in INPUTS[name]}
+    unrecorded = [source for source in current if source not in recorded]
+    if unrecorded:
+        raise ConfigError(f"{path} records no sha256 of {' or '.join(unrecorded)} in its header")
+    stale = [source for source in current if recorded[source] != current[source]]
+    if stale:
+        raise ConfigError(f"{path} was built from another {' and '.join(stale)} than {out} holds")
+
+
+def _trained(out: Path):
+    """The params and training tasks ``out`` holds, once params.bin is checked to be trained on those tasks."""
+    mp = metalearn.load_params(_require(out / "params.bin"))
+    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
+    _check_inputs(out, "params.bin")
+    return mp, tasks
+
+
+def cmd_train(cfg: RunConfig, out: Path) -> None:
+    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
+    inputs = _inputs(out, "params.bin")
+    rng = np.random.default_rng(cfg.init_seed)
+    mp0 = MetaParams(cfg.learner.spec.init_weights(rng), cfg.learner)
+    mp, log = metalearn.meta_train(mp0, tasks, cfg.train)
+    metalearn.save_params(out / "params.bin", mp, inputs)
+    with open(out / "train_log.jsonl", "w") as fh:
+        fh.write(log.to_jsonl())
+    print(
+        f"trained {cfg.train.steps} steps; final mean loss {log.final_loss:.6f}, "
+        f"accuracy {log.final_accuracy:.4f}; wrote {out / 'params.bin'}"
+    )
+
+
+def cmd_hessian(cfg: RunConfig, out: Path) -> None:
+    mp, tasks = _trained(out)
+    inputs = _inputs(out, "hessian.bin")
+    if cfg.hessian["method"] == "exact":
+        rep = hessian_mod.exact_meta_hessian(mp, tasks)
+    else:
+        rep = hessian_mod.accumulate_gn(mp, tasks, capacity=cfg.hessian["capacity"])
+    hessian_mod.save_hessian(out / "hessian.bin", rep, inputs)
+    summary = hessian_mod.spectrum_summary(rep)
+    with open(out / "spectrum.json", "w") as fh:
+        fh.write(exp.canonical_json(summary))
+    print(json.dumps(summary, sort_keys=True))
+    print(f"wrote {out / 'hessian.bin'}")
+
+
+def _matching_inverse(cfg: RunConfig, out: Path, mp, tasks):
+    """Load ``out/hessian.bin``, check it was built from these params and this taskset, and invert it.
+
+    The shape checks come first, then the check of its ``inputs``.
+    """
+    path = _require(out / "hessian.bin")
+    rep = hessian_mod.load_hessian(path)
     if rep.dim != mp.q:
         raise ConfigError(f"hessian dim {rep.dim} does not match params q {mp.q}")
     if rep.num_tasks != len(tasks):
@@ -367,57 +390,38 @@ def _matching_inverse(cfg: RunConfig, path: Path, mp, tasks):
             f"hessian {path} was built on {rep.num_tasks} tasks, "
             f"but the training taskset has {len(tasks)}"
         )
-    recorded = {"params_sha256": rep.params_sha256, "tasks_sha256": rep.tasks_sha256}
-    _check_digests("hessian", path, recorded, hessian_mod._input_digests(mp, tasks))
+    _check_inputs(out, "hessian.bin")
     return hessian_mod.invert(rep, cfg.hessian["keep"])
 
 
 def cmd_influence(cfg: RunConfig, out: Path) -> None:
-    mp = metalearn.load_params(_require(out / "params.bin"))
-    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
-    hessian_file = out / "hessian.bin"
-    inv = _matching_inverse(cfg, hessian_file, mp, tasks)
-    # without a test taskset the training tasks are scored, and scores.bin records no test digest
+    mp, tasks = _trained(out)
+    inv = _matching_inverse(cfg, out, mp, tasks)
     test_file = out / "test_tasks.json"
-    has_tests = test_file.exists()
-    test_tasks = taskgen.load_taskset(test_file)[0] if has_tests else tasks
+    test_tasks = taskgen.load_taskset(test_file)[0] if test_file.exists() else tasks
+    inputs = _inputs(out, "scores.bin")
     records = influence_mod.influence_records(inv, mp, tasks)
     influence_mod.save_influence_records(out / "influence.bin", records)
     table = influence_mod.score_table(mp, inv, tasks, test_tasks, records=records)
     table.to_csv(out / "scores.csv")
-    provenance = {
-        **hessian_mod._input_digests(mp, tasks),
-        "hessian_sha256": _file_sha256(hessian_file),
-        "test_tasks_sha256": _file_sha256(test_file) if has_tests else None,
-    }
-    influence_mod.save_score_table(out / "scores.bin", table, provenance)
+    influence_mod.save_score_table(out / "scores.bin", table, inputs)
     print(
         f"wrote {len(records)} influence records and a "
         f"{len(table.test_ids)}x{len(table.train_ids)} score table to {out}"
     )
 
 
-def _matching_scores(cfg: RunConfig, out: Path, mp, tasks):
-    """Load ``scores.bin`` and check it scored ``out/test_tasks.json`` from these inputs.
+def _matching_scores(cfg: RunConfig, out: Path):
+    """Load ``scores.bin`` and check it scored ``out/test_tasks.json`` from the inputs ``out`` holds.
 
-    Every file is required before any is read. The keep rule must be the
-    configured one; the digests of the params, the training taskset and the
-    bytes of ``hessian.bin`` and of the test taskset must be those recorded.
+    The keep rule must be the configured one, and its ``inputs`` those of ``out``.
     """
-    names = ("scores.bin", "hessian.bin", "test_tasks.json")
-    path, hessian_file, test_file = (_require(out / name) for name in names)
-    table, provenance = influence_mod.load_score_table(path)
+    path = _require(out / "scores.bin")
+    table = influence_mod.load_score_table(path)
     keep = cfg.hessian["keep"]
     if repr(table.keep) != repr(keep):
         raise ConfigError(f"scores {path} were scored under keep {table.keep!r}, but hessian.keep is {keep!r}")
-    if "test_tasks_sha256" in provenance and provenance["test_tasks_sha256"] is None:
-        raise ConfigError(f"scores {path} scored the training tasks, not the test taskset {test_file}")
-    want = {
-        **hessian_mod._input_digests(mp, tasks),
-        "hessian_sha256": _file_sha256(hessian_file),
-        "test_tasks_sha256": _file_sha256(test_file),
-    }
-    _check_digests("scores", path, provenance, want)
+    _check_inputs(out, "scores.bin")
     return table
 
 
@@ -434,11 +438,10 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
     degradation = {"alphas": grid, "ratios": grid, "seed": 0, **cfg.experiments.get("degradation", {})}
     sizes = [8, 16, 32]
     exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **cfg.experiments.get("exact_vs_gn", {})}
-    mp = metalearn.load_params(_require(out / "params.bin"))
-    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
+    mp, tasks = _trained(out)
     recompute = {"self_rank", "degradation"} & set(requested)
-    inv = _matching_inverse(cfg, out / "hessian.bin", mp, tasks) if recompute else None
-    table = _matching_scores(cfg, out, mp, tasks) if "distribution_distinction" in requested else None
+    inv = _matching_inverse(cfg, out, mp, tasks) if recompute else None
+    table = _matching_scores(cfg, out) if "distribution_distinction" in requested else None
     reports = {}
     for name in requested:
         if name == "self_rank":

@@ -16,7 +16,6 @@ eigenpairs and returns them as a ``SpectralInverse`` (U, lambda).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import artifact, linalg, model
 from .linalg import FactorMatrix
 from .metalearn import MetaParams, Task, _meta_grad, meta_output_jacobian
 
-DENSE_CAP_DEFAULT = 2000
+DENSE_CAP = 2000
 FD_STEP_SCALE = 1e-4
 FD_ASYM_TOL = 1e-5
 
@@ -44,9 +43,6 @@ class HessianRep:
     num_tasks: int = 0
     method: str = "exact"  # "exact" | "gauss_newton"
     buffer_capacity: int | None = None
-    # sha256 of the omega and of the training tasks it was built from (``_input_digests``)
-    params_sha256: str | None = None
-    tasks_sha256: str | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in ("dense", "factored"):
@@ -102,32 +98,19 @@ class SpectralInverse:
         return self.vectors @ (coef.T / self.values).T
 
 
-def _input_digests(mp: MetaParams, taskset: list[Task]) -> dict:
-    """sha256 of omega, and one of every task's support and query arrays, each read through its buffer."""
-    tasks = hashlib.sha256()
-    for task in taskset:
-        for a in (task.support.x, task.support.y, task.query.x, task.query.y):
-            tasks.update(repr(a.shape).encode())
-            tasks.update(np.ascontiguousarray(a))
-    params = hashlib.sha256(np.ascontiguousarray(mp.omega)).hexdigest()
-    return {"params_sha256": params, "tasks_sha256": tasks.hexdigest()}
-
-
-def exact_meta_hessian(
-    mp: MetaParams, taskset: list[Task], dense_cap: int = DENSE_CAP_DEFAULT
-) -> HessianRep:
+def exact_meta_hessian(mp: MetaParams, taskset: list[Task]) -> HessianRep:
     """Task-mean curvature of the adapted query loss at the current omega.
 
     Column j is the central difference of the mean meta-gradient along
     coordinate j with step ``FD_STEP_SCALE * (1 + |omega_j|)``. The result is
     symmetrized after checking the raw asymmetry stays below FD_ASYM_TOL
-    relative.
+    relative. A q above DENSE_CAP raises ValueError before any work.
     """
     if not taskset:
         raise ValueError("taskset must be nonempty")
     q = mp.q
-    if q > dense_cap:
-        raise ValueError(f"q={q} exceeds dense cap {dense_cap}")
+    if q > DENSE_CAP:
+        raise ValueError(f"q={q} exceeds dense cap {DENSE_CAP}")
     learner = mp.learner
     omega = mp.omega
     work = omega.copy()
@@ -147,10 +130,7 @@ def exact_meta_hessian(
         raise FdAsymmetryError(
             f"pre-symmetrization asymmetry {asym:g} exceeds {FD_ASYM_TOL:g} * {scale:g}"
         )
-    return HessianRep(
-        variant="dense", matrix=linalg.symmetrize(h_mat), num_tasks=m, method="exact",
-        **_input_digests(mp, taskset),
-    )
+    return HessianRep(variant="dense", matrix=linalg.symmetrize(h_mat), num_tasks=m, method="exact")
 
 
 def _mean_meta_grad_checked(learner, omega, taskset, coord: int) -> np.ndarray:
@@ -210,7 +190,6 @@ def accumulate_gn(mp: MetaParams, taskset: list[Task], capacity: int) -> Hessian
         num_tasks=m,
         method="gauss_newton",
         buffer_capacity=capacity,
-        **_input_digests(mp, taskset),
     )
 
 
@@ -264,12 +243,11 @@ def spectrum_summary(h: HessianRep) -> dict:
     }
 
 
-def save_hessian(path, h: HessianRep) -> None:
-    """Variant, method, task count, capacity and input digests in the header; the matrix or factor as payload."""
+def save_hessian(path, h: HessianRep, inputs: dict) -> None:
+    """Variant, method, task count, capacity and ``inputs`` in the header; the matrix or factor as payload."""
     header = {
         "variant": h.variant, "method": h.method,
-        "num_tasks": h.num_tasks, "buffer_capacity": h.buffer_capacity,
-        "params_sha256": h.params_sha256, "tasks_sha256": h.tasks_sha256,
+        "num_tasks": h.num_tasks, "buffer_capacity": h.buffer_capacity, "inputs": inputs,
     }
     payload = h.matrix if h.variant == "dense" else h.factor.columns
     artifact.save(path, "hessian", header, payload)
@@ -285,8 +263,6 @@ def load_hessian(path) -> HessianRep:
             num_tasks=head["num_tasks"],
             method=head["method"],
             buffer_capacity=head["buffer_capacity"],
-            params_sha256=head.get("params_sha256"),
-            tasks_sha256=head.get("tasks_sha256"),
         )
 
     return artifact.load(path, "hessian", build)

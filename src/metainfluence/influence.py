@@ -171,23 +171,21 @@ def load_influence_records(path) -> list[InfluenceRecord]:
     return artifact.load(path, "influence", build)
 
 
-def save_score_table(path, table: ScoreTable, provenance: dict) -> None:
-    """Ids, test losses, the keep rule and ``provenance`` in the header; the (tests, train) scores as payload."""
+def save_score_table(path, table: ScoreTable, inputs: dict) -> None:
+    """Ids, test losses, the keep rule and ``inputs`` in the header; the (tests, train) scores as payload."""
     header = {
         "test_ids": table.test_ids, "train_ids": table.train_ids,
-        "losses": table.losses.tolist(), "keep": table.keep, **provenance,
+        "losses": table.losses.tolist(), "keep": table.keep, "inputs": inputs,
     }
     artifact.save(path, "scores", header, table.scores)
 
 
-def load_score_table(path) -> tuple[ScoreTable, dict]:
-    """The stored table and the provenance it was saved with."""
-
-    def build(head: dict, scores: np.ndarray) -> tuple[ScoreTable, dict]:
-        ids = head.pop("test_ids"), head.pop("train_ids")
-        losses = np.array(head.pop("losses"), dtype=float)
+def load_score_table(path) -> ScoreTable:
+    def build(head: dict, scores: np.ndarray) -> ScoreTable:
+        ids = head["test_ids"], head["train_ids"]
+        losses = np.array(head["losses"], dtype=float)
         if scores.shape != tuple(map(len, ids)) or losses.shape != scores.shape[:1]:
             raise ValueError(f"scores of shape {scores.shape} and {losses.size} losses do not fit the ids")
-        return ScoreTable(*ids, scores, losses, head.pop("keep")), head
+        return ScoreTable(*ids, scores, losses, head["keep"])
 
     return artifact.load(path, "scores", build)

@@ -357,12 +357,12 @@ def total_meta_gradient_norm(mp: MetaParams, taskset: list[Task]) -> float:
     return float(np.linalg.norm(meta_grads(mp, taskset).mean(axis=0)))
 
 
-def save_params(path, mp: MetaParams) -> None:
-    """The learner and its architecture in the header; omega as the payload."""
+def save_params(path, mp: MetaParams, inputs: dict) -> None:
+    """The learner, its architecture and ``inputs`` in the header; omega as the payload."""
     learner = mp.learner
     header = {
         "kind": learner.kind, "inner_lr": learner.inner_lr,
-        "layer_widths": learner.spec.layer_widths, "activation": learner.spec.activation,
+        "layer_widths": learner.spec.layer_widths, "activation": learner.spec.activation, "inputs": inputs,
     }
     artifact.save(path, "params", header, mp.omega)
 

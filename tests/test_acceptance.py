@@ -466,7 +466,7 @@ DETERMINISM_CONFIG = {
         "mix_seed": 19,
     },
     "train": {"steps": 60, "meta_batch": 6, "lr": 0.01, "seed": 23, "init_seed": 29},
-    "hessian": {"method": "exact", "keep": "positive", "dense_cap": 300},
+    "hessian": {"method": "exact", "keep": "positive"},
     "experiments": {
         "run": ["self_rank", "degradation", "distribution_distinction"],
         "degradation": {"alphas": [0.0, 0.5, 1.0], "ratios": [0.0, 1.0], "seed": 31},

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_asymmetric_problem
-from metainfluence import cli, experiments, hessian, influence, metalearn, model, taskgen
+from metainfluence import artifact, cli, experiments, hessian, influence, metalearn, model, taskgen
 
 
 BASE_CONFIG = {
@@ -31,7 +31,7 @@ BASE_CONFIG = {
         "mix_seed": 19,
     },
     "train": {"steps": 30, "meta_batch": 4, "lr": 0.01, "seed": 23, "init_seed": 29},
-    "hessian": {"method": "exact", "keep": "positive", "dense_cap": 200},
+    "hessian": {"method": "exact", "keep": "positive"},
     "experiments": {
         "run": ["self_rank", "distribution_distinction"],
     },
@@ -245,12 +245,14 @@ def test_missing_artifact_is_io_error(tmp_path):
     assert run(["--config", cfg, "--out", out, "train"]) == cli.EXIT_IO
 
 
-def test_dense_cap_violation_is_usage_error(tmp_path):
-    cfg = write_config(tmp_path, {"hessian": {"dense_cap": 10}})
+def test_dense_cap_violation_is_usage_error(tmp_path, capsys):
+    # q = 3003 > hessian.DENSE_CAP; the exact Hessian refuses it before any meta-gradient
+    cfg = write_config(tmp_path, {"model": {"layer_widths": [6, 300, 3]}, "train": {"steps": 0}})
     out = tmp_path / "out"
     assert run(["--config", cfg, "--out", out, "gen"]) == cli.EXIT_OK
     assert run(["--config", cfg, "--out", out, "train"]) == cli.EXIT_OK
-    assert run(["--config", cfg, "--out", out, "hessian"]) == cli.EXIT_USAGE
+    args = ["--config", cfg, "--out", out, "hessian"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, f"q=3003 exceeds dense cap {hessian.DENSE_CAP}")
 
 
 def test_mismatched_hessian_params_is_usage_error(tmp_path, capsys):
@@ -311,7 +313,7 @@ def test_stored_records_are_the_ones_the_experiment_stage_recomputes(tmp_path, o
     out = pipeline(tmp_path, "out", overrides)
     mp = metalearn.load_params(out / "params.bin")
     tasks, _ = taskgen.load_taskset(out / "train_tasks.json")
-    inv = cli._matching_inverse(cli.load_config(tmp_path / "config.json"), out / "hessian.bin", mp, tasks)
+    inv = cli._matching_inverse(cli.load_config(tmp_path / "config.json"), out, mp, tasks)
     want = influence.influence_records(inv, mp, tasks)
     got = influence.load_influence_records(out / "influence.bin")
     assert [(r.task_id, r.group_id) for r in got] == [(r.task_id, r.group_id) for r in want]
@@ -414,37 +416,6 @@ def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
             assert_clean_exit(["--config", cfg, "--out", crossed, stage], capsys, cli.EXIT_USAGE, needle)
 
 
-def test_hessian_from_another_run_of_the_same_shape_is_usage_error(tmp_path, capsys):
-    doc = json.loads(json.dumps(BASE_CONFIG))
-    del doc["tasksets"]["noise"]
-    cfgs, runs = {}, {}
-    for seed, stages in ((1, ("gen", "train", "hessian")), (99, ("gen", "train"))):
-        doc["train"]["seed"] = seed
-        cfgs[seed], runs[seed] = tmp_path / f"seed{seed}.json", tmp_path / f"seed{seed}"
-        cfgs[seed].write_text(json.dumps(doc))
-        for stage in stages:
-            assert run(["--config", cfgs[seed], "--out", runs[seed], stage]) == cli.EXIT_OK
-    crossed = runs[99] / "hessian.bin"
-    shutil.copy(runs[1] / "hessian.bin", crossed)
-    args = ["--config", cfgs[99], "--out", runs[99], "influence"]
-    assert_clean_exit(args, capsys, cli.EXIT_USAGE, crossed, "built from other parameters")
-    # the seed-1 params and Hessian with a training taskset of the same shape from another taskset seed
-    doc["tasksets"]["train"]["seed"] = 12
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps(doc))
-    assert run(["--config", other, "--out", tmp_path / "other", "gen"]) == cli.EXIT_OK
-    planted = tmp_path / "planted"
-    shutil.copytree(runs[1], planted)
-    shutil.copy(tmp_path / "other" / "train_tasks.json", planted / "train_tasks.json")
-    args = ["--config", cfgs[1], "--out", planted, "influence"]
-    assert_clean_exit(args, capsys, cli.EXIT_USAGE, planted / "hessian.bin", "built from other training taskset")
-    # a header without the params digest cannot be checked
-    rewrite_header(crossed, lambda header: {k: v for k, v in header.items() if k != "params_sha256"})
-    args = ["--config", cfgs[99], "--out", runs[99], "influence"]
-    assert_clean_exit(args, capsys, cli.EXIT_USAGE, crossed, "records no params_sha256")
-    assert not (runs[99] / "influence.bin").exists()
-
-
 def assert_clean_exit(args, capsys, code, *needles):
     """cli.main returns ``code`` with one ``error:`` line, ``numerical failure:`` at exit 2,
     that contains every needle."""
@@ -502,6 +473,8 @@ def test_config_type_error_is_usage_error(trained, tmp_path, capsys, overrides, 
         ),
         # the output directory is --out alone
         ({"output_dir": "elsewhere"}, "gen", "output_dir"),
+        # the exact Hessian's cap is the constant hessian.DENSE_CAP
+        ({"hessian": {"dense_cap": 2000}}, "hessian", "hessian.dense_cap"),
     ],
 )
 def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, overrides, stage, key):
@@ -866,8 +839,8 @@ def test_fd_asymmetry_is_numerical_failure(tmp_path, capsys, monkeypatch):
     mp, tasks = fd_asymmetric_problem()
     out = tmp_path / "out"
     out.mkdir()
-    metalearn.save_params(out / "params.bin", mp)
     taskgen.save_taskset(out / "train_tasks.json", tasks)
+    metalearn.save_params(out / "params.bin", mp, cli._inputs(out, "params.bin"))
     cfg = write_config(tmp_path, {"model": {"layer_widths": [4, 5, 3]}})
     monkeypatch.setattr(hessian, "FD_STEP_SCALE", 1e-1)
     args = ["--config", cfg, "--out", out, "hessian"]
@@ -884,8 +857,8 @@ def test_ill_conditioned_keep_is_usage_error(trained, tmp_path, capsys):
     q, num_tasks = mp.q, len(tasks)
     lam = np.ones(q)
     lam[-1] = 1e-14
-    rep = hessian.HessianRep("dense", matrix=np.diag(lam), num_tasks=num_tasks, **hessian._input_digests(mp, tasks))
-    hessian.save_hessian(out / "hessian.bin", rep)
+    rep = hessian.HessianRep("dense", matrix=np.diag(lam), num_tasks=num_tasks)
+    hessian.save_hessian(out / "hessian.bin", rep, cli._inputs(out, "hessian.bin"))
     cfg = write_config(tmp_path, {"hessian": {"keep": q}})
     args = ["--config", cfg, "--out", out, "influence"]
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, "ill-conditioned inversion requested")
@@ -899,7 +872,7 @@ def test_influence_without_test_tasks_scores_the_training_tasks(trained, tmp_pat
     assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
     lines = (out / "scores.csv").read_text().strip().split("\n")
     assert len(lines) == 2 + 8 * 8
-    assert influence.load_score_table(out / "scores.bin")[1]["test_tasks_sha256"] is None
+    assert set(artifact.inputs(out / "scores.bin", "scores")) == {"params.bin", "train_tasks.json", "hessian.bin"}
 
 
 DISTINCTION_ONLY = {"experiments": {"run": ["distribution_distinction"]}}
@@ -926,6 +899,31 @@ def _retrain(cfg, out):
     assert run(["--config", other, "--out", out, "train"]) == cli.EXIT_OK
 
 
+def _foreign_train_tasks(cfg, out):
+    """Copy in the training taskset of the same config with ``tasksets.train.seed`` 12."""
+    train = dict(BASE_CONFIG["tasksets"]["train"], seed=12)
+    other = write_config(out.parent, {"tasksets": {"train": train}}, name="foreign.json")
+    assert run(["--config", other, "--out", out.parent / "foreign", "gen"]) == cli.EXIT_OK
+    shutil.copy(out.parent / "foreign" / "train_tasks.json", out / "train_tasks.json")
+
+
+def _retrained_after(corrupt):
+    """``corrupt``, then the train stage again, so params.bin is trained on the changed taskset."""
+
+    def corrupt_and_retrain(cfg, out):
+        corrupt(cfg, out)
+        assert run(["--config", cfg, "--out", out, "train"]) == cli.EXIT_OK
+
+    return corrupt_and_retrain
+
+
+def _drop_input(artifact_name, source):
+    def corrupt(cfg, out):
+        rewrite_header(out / artifact_name, lambda h: dict(h, inputs={k: v for k, v in h["inputs"].items() if k != source}))
+
+    return corrupt
+
+
 def _rescore_training_tasks(cfg, out):
     shutil.move(out / "test_tasks.json", out / "held.json")
     assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
@@ -945,22 +943,22 @@ def _score_other_tests(cfg, out):
 @pytest.mark.parametrize(
     "corrupt, overrides, needles",
     [
-        (lambda cfg, out: _retrain(cfg, out), {}, ["built from other parameters"]),
-        (lambda cfg, out: _perturb_first_feature(out / "train_tasks.json"), {}, ["built from other training taskset"]),
+        (_retrain, {}, ["built from another params.bin than"]),
+        (
+            _retrained_after(lambda cfg, out: _perturb_first_feature(out / "train_tasks.json")),
+            {},
+            ["built from another params.bin and train_tasks.json than"],
+        ),
         (
             lambda cfg, out: rewrite_header(out / "hessian.bin", lambda header: dict(header, note="edited")),
             {},
-            ["built from other hessian.bin", "hessian_sha256"],
+            ["built from another hessian.bin than"],
         ),
         (lambda cfg, out: None, {"hessian": {"keep": "all"}}, ["scored under keep 'positive'", "hessian.keep is 'all'"]),
-        (lambda cfg, out: _perturb_first_feature(out / "test_tasks.json"), {}, ["built from other test taskset"]),
-        (_score_other_tests, {}, ["built from other test taskset"]),
-        (_rescore_training_tasks, {}, ["scored the training tasks", "test_tasks.json"]),
-        (
-            lambda cfg, out: rewrite_header(out / "scores.bin", lambda h: {k: v for k, v in h.items() if k != "tasks_sha256"}),
-            {},
-            ["records no tasks_sha256"],
-        ),
+        (lambda cfg, out: _perturb_first_feature(out / "test_tasks.json"), {}, ["built from another test_tasks.json than"]),
+        (_score_other_tests, {}, ["built from another test_tasks.json than"]),
+        (_rescore_training_tasks, {}, ["records no sha256 of test_tasks.json"]),
+        (_drop_input("scores.bin", "train_tasks.json"), {}, ["records no sha256 of train_tasks.json"]),
     ],
     ids=["params", "training-taskset", "hessian", "keep", "test-taskset", "other-test-taskset", "no-test-taskset",
          "no-digest"],
@@ -973,6 +971,35 @@ def test_scores_from_other_inputs_are_refused(scored, tmp_path, capsys, corrupt,
     cfg = write_config(tmp_path, {**DISTINCTION_ONLY, **overrides}, name="distinction.json")
     assert_clean_exit(["--config", cfg, "--out", out, "experiment"], capsys, cli.EXIT_USAGE, out / "scores.bin", *needles)
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt, stage, artifact_name, needle",
+    [
+        (_foreign_train_tasks, "hessian", "params.bin", "another train_tasks.json"),
+        (_foreign_train_tasks, "influence", "params.bin", "another train_tasks.json"),
+        (_foreign_train_tasks, "experiment", "params.bin", "another train_tasks.json"),
+        (_drop_input("params.bin", "train_tasks.json"), "hessian", "params.bin", "no sha256 of train_tasks.json"),
+        (_retrain, "influence", "hessian.bin", "another params.bin than"),
+        (_retrain, "experiment", "hessian.bin", "another params.bin than"),
+        (_retrained_after(_foreign_train_tasks), "influence", "hessian.bin", "another params.bin and train_tasks.json"),
+        (_drop_input("hessian.bin", "params.bin"), "influence", "hessian.bin", "no sha256 of params.bin"),
+    ],
+    ids=[
+        "params-foreign-taskset-hessian", "params-foreign-taskset-influence", "params-foreign-taskset-experiment",
+        "params-unrecorded-taskset", "hessian-other-params-influence", "hessian-other-params-experiment",
+        "hessian-foreign-taskset", "hessian-unrecorded-params",
+    ],
+)
+def test_artifact_from_other_inputs_is_refused(trained, tmp_path, capsys, corrupt, stage, artifact_name, needle):
+    # each artifact records the sha256 of the files it was built from; a stage that loads it refuses other files
+    cfg, done = trained
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    corrupt(cfg, out)
+    before = digest_tree(out)
+    assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, out / artifact_name, needle)
+    assert digest_tree(out) == before
 
 
 @pytest.mark.parametrize("missing", ["scores.bin", "test_tasks.json"])
@@ -994,6 +1021,6 @@ def test_distinction_reads_the_stored_table(scored, tmp_path):
     assert run(["--config", distinction_cfg, "--out", out, "experiment"]) == cli.EXIT_OK
     got = json.loads((out / "report.json").read_text())["results"]["distribution_distinction"]
     tasks, _ = taskgen.load_taskset(out / "train_tasks.json")
-    table, _ = influence.load_score_table(out / "scores.bin")
+    table = influence.load_score_table(out / "scores.bin")
     assert got == json.loads(json.dumps(experiments.run_distribution_distinction(table, tasks)))
     assert table.test_ids == [t.task_id for t in taskgen.load_taskset(out / "test_tasks.json")[0]]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_asymmetric_problem, gn_dense, gram, make_params, project, rel_err
-from metainfluence import hessian, linalg, metalearn, model, taskgen
+from metainfluence import artifact, hessian, linalg, metalearn, model, taskgen
 from metainfluence.hessian import (
     HessianRep,
     accumulate_gn,
@@ -46,9 +46,10 @@ def test_exact_hessian_duplicated_taskset_unchanged(rng):
 
 
 def test_exact_hessian_dense_cap(rng):
-    mp = make_params(rng, widths=(6, 5, 3))
-    with pytest.raises(ValueError):
-        exact_meta_hessian(mp, sample_tasks(), dense_cap=10)
+    # q = 3003 > DENSE_CAP; the check runs before any meta-gradient
+    mp = make_params(rng, widths=(6, 300, 3))
+    with pytest.raises(ValueError, match=f"q={mp.q} exceeds dense cap {hessian.DENSE_CAP}"):
+        exact_meta_hessian(mp, sample_tasks())
 
 
 def test_exact_hessian_matches_fd_of_meta_grad(rng):
@@ -278,8 +279,10 @@ def test_hessian_roundtrip(tmp_path, rng, variant):
             buffer_capacity=8,
         )
     path = tmp_path / "h.bin"
-    save_hessian(path, h)
+    inputs = {"params.bin": "ab" * 32, "train_tasks.json": "cd" * 32}
+    save_hessian(path, h, inputs)
     loaded = load_hessian(path)
+    assert artifact.inputs(path, "hessian") == inputs
     assert loaded.variant == h.variant
     assert loaded.method == h.method
     assert loaded.num_tasks == h.num_tasks
@@ -288,14 +291,14 @@ def test_hessian_roundtrip(tmp_path, rng, variant):
         np.testing.assert_array_equal(loaded.matrix, h.matrix)
     else:
         np.testing.assert_array_equal(loaded.factor.columns, h.factor.columns)
-    save_hessian(tmp_path / "h2.bin", loaded)
+    save_hessian(tmp_path / "h2.bin", loaded, inputs)
     assert (tmp_path / "h.bin").read_bytes() == (tmp_path / "h2.bin").read_bytes()
 
 
 def test_dense_hessian_load_holds_its_payload_once(tmp_path, rng):
     h = HessianRep(variant="dense", matrix=linalg.symmetrize(rng.normal(size=(400, 400))), num_tasks=3)
     path = tmp_path / "h.bin"
-    save_hessian(path, h)
+    save_hessian(path, h, {})
     payload = h.matrix.nbytes
     tracemalloc.start()
     try:

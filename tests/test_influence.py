@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import adaptation_jacobian, make_params, meta_loss, project
-from metainfluence import hessian, metalearn, model, taskgen
+from metainfluence import artifact, hessian, metalearn, model, taskgen
 from metainfluence.hessian import SpectralInverse, exact_meta_hessian, invert
 from metainfluence.influence import (
     InfluenceRecord,
@@ -261,14 +261,14 @@ def test_score_table_keeps_each_test_loss_and_the_keep_rule(kind, rng):
 def test_score_table_store_round_trips_bitwise(tmp_path, rng):
     mp = make_params(rng)
     table = score_table(mp, identity_inverse(mp.q), sample_tasks(count=3), sample_tasks(seed=5, count=4))
-    provenance = {"params_sha256": "ab" * 32, "test_tasks_sha256": None}
-    save_score_table(tmp_path / "scores.bin", table, provenance)
-    loaded, got = load_score_table(tmp_path / "scores.bin")
-    assert got == provenance
+    inputs = {name: digit * 64 for name, digit in (("params.bin", "a"), ("train_tasks.json", "b"), ("hessian.bin", "c"))}
+    save_score_table(tmp_path / "scores.bin", table, inputs)
+    loaded = load_score_table(tmp_path / "scores.bin")
+    assert artifact.inputs(tmp_path / "scores.bin", "scores") == inputs
     assert (loaded.test_ids, loaded.train_ids, loaded.keep) == (table.test_ids, table.train_ids, table.keep)
     assert loaded.scores.tobytes() == table.scores.tobytes()
     assert loaded.losses.tobytes() == table.losses.tobytes()
-    save_score_table(tmp_path / "again.bin", loaded, got)
+    save_score_table(tmp_path / "again.bin", loaded, inputs)
     assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "scores.bin").read_bytes()
 
 

@@ -1,10 +1,12 @@
-"""Corrupt artifacts against the five loaders.
+"""Corrupt artifacts against the five loaders and the reader of the ``inputs`` header.
 
 A truncated or byte-flipped ``params.bin``, ``hessian.bin``, ``influence.bin``,
 ``scores.bin`` or taskset JSON, in the compact layout ``save_taskset``
 writes or in an indented one, must either load or raise ValueError or
-OSError, the two failures the CLI maps to exit 1 and exit 3. Examples are
-derandomized and bounded, so every run draws the same corruptions.
+OSError, the two failures the CLI maps to exit 1 and exit 3. So must
+``artifact.inputs`` on a corrupt ``params.bin``, ``hessian.bin`` or
+``scores.bin``. Examples are derandomized and bounded, so every run draws
+the same corruptions.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metainfluence import hessian, influence, linalg, metalearn, taskgen
+from metainfluence import artifact, hessian, influence, linalg, metalearn, taskgen
 from metainfluence.model import MlpSpec
 
 FUZZ = settings(
@@ -32,6 +34,15 @@ LOADERS = {
     "scores": influence.load_score_table,
     "taskset": taskgen.load_taskset,
     "taskset-indented": taskgen.load_taskset,
+    "params-inputs": lambda path: artifact.inputs(path, "params"),
+    "hessian-inputs": lambda path: artifact.inputs(path, "hessian"),
+    "scores-inputs": lambda path: artifact.inputs(path, "scores"),
+}
+# the built-from digests each artifact records, as the CLI writes them
+INPUTS = {
+    "params": {"train_tasks.json": "0" * 64},
+    "hessian": {"params.bin": "1" * 64, "train_tasks.json": "0" * 64},
+    "scores": {"params.bin": "1" * 64, "train_tasks.json": "0" * 64, "hessian.bin": "2" * 64},
 }
 
 
@@ -46,17 +57,22 @@ def artifacts(tmp_path_factory):
     tasks = taskgen.sample_taskset(dist, 2)
     dense = linalg.symmetrize(rng.normal(size=(mp.q, mp.q)))
     factor = linalg.FactorMatrix(rng.normal(size=(mp.q, 3)))
-    metalearn.save_params(root / "params", mp)
-    hessian.save_hessian(root / "hessian-dense", hessian.HessianRep("dense", matrix=dense, num_tasks=2))
+    metalearn.save_params(root / "params", mp, INPUTS["params"])
+    dense_rep = hessian.HessianRep("dense", matrix=dense, num_tasks=2)
+    hessian.save_hessian(root / "hessian-dense", dense_rep, INPUTS["hessian"])
     factored = hessian.HessianRep("factored", factor=factor, num_tasks=2, method="gauss_newton")
-    hessian.save_hessian(root / "hessian-factored", factored)
+    hessian.save_hessian(root / "hessian-factored", factored, INPUTS["hessian"])
     records = [influence.InfluenceRecord(t.task_id, rng.normal(size=mp.q), "g") for t in tasks]
     influence.save_influence_records(root / "influence", records)
     table = influence.ScoreTable(["u", "v"], [t.task_id for t in tasks], rng.normal(size=(2, 2)), rng.normal(size=2), 3)
-    influence.save_score_table(root / "scores", table, {"params_sha256": "0" * 64, "test_tasks_sha256": None})
+    influence.save_score_table(root / "scores", table, INPUTS["scores"])
     taskgen.save_taskset(root / "taskset", tasks, dist)
     doc = json.loads((root / "taskset").read_text())
     (root / "taskset-indented").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    for kind in ("params", "hessian", "scores"):
+        source = "hessian-dense" if kind == "hessian" else kind
+        (root / f"{kind}-inputs").write_bytes((root / source).read_bytes())
+        assert artifact.inputs(root / f"{kind}-inputs", kind) == INPUTS[kind]
     for kind, load in LOADERS.items():
         load(root / kind)  # the uncorrupted file loads
     return {kind: (root / kind).read_bytes() for kind in LOADERS}

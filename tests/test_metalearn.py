@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import accuracy, adaptation_jacobian, fd_gradient, make_params, meta_loss, rel_err
-from metainfluence import hessian, metalearn, model, taskgen
+from metainfluence import artifact, hessian, metalearn, model, taskgen
 from metainfluence.metalearn import (
     Learner,
     MetaParams,
@@ -396,21 +396,23 @@ def test_meta_train_refuses_bad_weights(weights, rng):
 def test_params_roundtrip(tmp_path, rng):
     mp = make_params(rng, widths=(5, 4, 3), kind="protonet")
     path = tmp_path / "params.bin"
-    save_params(path, mp)
+    inputs = {"train_tasks.json": "ab" * 32}
+    save_params(path, mp, inputs)
     loaded = load_params(path)
+    assert artifact.inputs(path, "params") == inputs
     np.testing.assert_array_equal(loaded.omega, mp.omega)
     assert loaded.learner.kind == mp.learner.kind
     assert loaded.learner.spec == mp.learner.spec
     assert loaded.learner.inner_lr == mp.learner.inner_lr
     # byte-identical re-save
-    save_params(tmp_path / "params2.bin", loaded)
+    save_params(tmp_path / "params2.bin", loaded, inputs)
     assert (tmp_path / "params.bin").read_bytes() == (tmp_path / "params2.bin").read_bytes()
 
 
 def test_params_roundtrip_linear_model(tmp_path, rng):
     spec = MlpSpec((4, 3))
     mp = MetaParams(spec.init_weights(rng), Learner("maml", spec, 0.0))
-    save_params(tmp_path / "p.bin", mp)
+    save_params(tmp_path / "p.bin", mp, {})
     loaded = load_params(tmp_path / "p.bin")
     assert loaded.learner.spec.layer_widths == (4, 3)
     np.testing.assert_array_equal(loaded.omega, mp.omega)
