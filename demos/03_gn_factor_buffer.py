@@ -40,7 +40,7 @@ print(f"trained to mean loss {log.final_loss:.4f}  (q = {spec.num_params} parame
 
 # the uncompressed factor: every task's columns side by side, V V^T dense
 v = np.concatenate([gn_columns_for_task(mp, t, num_tasks=len(tasks)).columns for t in tasks], axis=1)
-dense = HessianRep("dense", matrix=v @ v.T, num_tasks=len(tasks), method="gauss_newton")
+dense = HessianRep("dense", matrix=v @ v.T, method="gauss_newton")
 dense_norm = np.linalg.norm(dense.matrix)
 print(f"uncompressed factor: {v.shape[1]} columns")
 print(f"\n{'buffer':>8} {'columns':>8} {'rel. reconstruction error':>27}")

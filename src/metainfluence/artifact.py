@@ -89,7 +89,7 @@ def load(path, kind: str, build):
 
 
 def inputs(path, kind: str) -> dict:
-    """The ``inputs`` a ``kind`` file's header records: file name -> sha256 of the file it was built from.
+    """The ``inputs`` a ``kind`` file's header records: the sha256 of each file and config section it was built from.
 
     The header is checked as ``load`` checks it and the payload is not read.
     A header whose ``inputs`` is missing or is not an object of strings

@@ -4,8 +4,10 @@ Every stage reads its inputs from the output directory (``--out``, default
 ``out``) and writes its artifact there, so expensive stages are computed
 once and reused. ``params.bin``, ``hessian.bin`` and ``scores.bin`` record
 in their header the sha256 of the bytes of each file they were built from
-(``INPUTS``); a stage that loads one refuses it when a file it names
-differs from the one the directory holds. The config is checked in full
+and of each config section they were built under (``INPUTS``); a stage
+that loads one refuses it when a file or section it names differs from the
+one the directory or the config holds. A taskset file is refused when the
+spec it records is not its config section's. The config is checked in full
 when it is read: a fault exits 1 before any stage runs or any file is made.
 All randomness comes from explicit seeds in the JSON config. Two runs of
 the same config produce byte-identical artifacts on one machine at one BLAS
@@ -231,7 +233,7 @@ class RunConfig:
     The learner, the training config and the taskset specs are built when
     the config is read, so a value one of them refuses is a config fault
     before any stage runs. ``hessian`` holds the keys it sets over the CLI's
-    defaults; ``experiments`` holds the keys it sets.
+    defaults; ``values`` holds every key it sets, as artifacts digest them.
     """
 
     learner: Learner
@@ -239,9 +241,9 @@ class RunConfig:
     init_seed: int
     tasksets: dict  # as read, with "train", "noise" and "test" as (TaskDistributionSpec, count)
     hessian: dict
-    experiments: dict
     # The experiments section as written, which reports echo byte for byte.
     echo: dict
+    values: dict  # every key the config sets, through its converter
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
@@ -259,8 +261,8 @@ class RunConfig:
             init_seed=train_cfg.seed + 1 if init_seed is None else init_seed,
             tasksets=_tasksets(values["tasksets"]),
             hessian={"method": "exact", "capacity": 1024, "keep": "positive", **values["hessian"]},
-            experiments=values.get("experiments", {}),
             echo=doc.get("experiments", {}),
+            values=values,
         )
 
 
@@ -300,11 +302,15 @@ def cmd_gen(cfg: RunConfig, out: Path) -> None:
         print(f"wrote {tcount} test tasks to {out / 'test_tasks.json'}")
 
 
-# artifact -> the files of --out it is built from; its header records the sha256 of each under "inputs"
+# artifact -> (the files of --out it is built from, the config sections it is built under); its header
+# records the sha256 of each under "inputs". Sections accumulate: distinction checks scores.bin alone.
+_TRAINED = ("model", "learner", "train", "tasksets.train", "tasksets.noise", "tasksets.augment", "tasksets.mix_seed")
+_CURVED = (*_TRAINED, "hessian.method", "hessian.capacity")
+_SCORED = (*_CURVED, "hessian.keep", "tasksets.test")
 INPUTS = {
-    "params.bin": ("train_tasks.json",),
-    "hessian.bin": ("params.bin", "train_tasks.json"),
-    "scores.bin": ("params.bin", "train_tasks.json", "hessian.bin", "test_tasks.json"),
+    "params.bin": (("train_tasks.json",), _TRAINED),
+    "hessian.bin": (("params.bin", "train_tasks.json"), _CURVED),
+    "scores.bin": (("params.bin", "train_tasks.json", "hessian.bin", "test_tasks.json"), _SCORED),
 }
 
 
@@ -316,39 +322,61 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _inputs(out: Path, name: str) -> dict:
-    """The ``inputs`` of ``out/name``: the sha256 of each file it is built from that ``out`` holds.
+def _inputs(cfg: RunConfig, out: Path, name: str) -> dict:
+    """The ``inputs`` of ``out/name``: the sha256 of each file it is built from that ``out`` holds, and of each section.
 
-    Only the test taskset can be absent: then the influence stage scores the
-    training tasks, and ``scores.bin`` records no test taskset.
+    A section digests its canonical JSON as CONFIG_KEYS read it; one the
+    config leaves out digests as null. Only the test taskset can be absent:
+    then the influence stage scores the training tasks, and ``scores.bin``
+    records no test taskset.
     """
-    return {source: _file_sha256(out / source) for source in INPUTS[name] if (out / source).exists()}
+    files, sections = INPUTS[name]
+    digests = {source: _file_sha256(out / source) for source in files if (out / source).exists()}
+    for section in sections:
+        head, _, key = section.partition(".")
+        value = cfg.values.get(head, {}).get(key) if key else cfg.values.get(head)
+        digests[section] = hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+    return digests
 
 
-def _check_inputs(out: Path, name: str) -> None:
-    """``out/name`` must record the sha256 of each file INPUTS names, as ``out`` holds it now."""
+def _check_inputs(cfg: RunConfig, out: Path, name: str, load):
+    """``load(out/name)``, once it records the sha256 of each file and section INPUTS names, as they are now."""
     path = out / name
-    recorded = artifact.inputs(path, Path(name).stem)
-    current = {source: _file_sha256(_require(out / source)) for source in INPUTS[name]}
+    recorded = artifact.inputs(_require(path), Path(name).stem)
+    files, sections = INPUTS[name]
+    for source in files:
+        _require(out / source)
+    current = _inputs(cfg, out, name)
     unrecorded = [source for source in current if source not in recorded]
     if unrecorded:
         raise ConfigError(f"{path} records no sha256 of {' or '.join(unrecorded)} in its header")
-    stale = [source for source in current if recorded[source] != current[source]]
+    stale = [f"config section {s!r}" if s in sections else s for s in current if recorded[s] != current[s]]
     if stale:
-        raise ConfigError(f"{path} was built from another {' and '.join(stale)} than {out} holds")
+        raise ConfigError(f"{path} was built from another {' and '.join(stale)} than {out} and the config hold")
+    return load(path)
 
 
-def _trained(out: Path):
-    """The params and training tasks ``out`` holds, once params.bin is checked to be trained on those tasks."""
-    mp = metalearn.load_params(_require(out / "params.bin"))
-    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
-    _check_inputs(out, "params.bin")
-    return mp, tasks
+def _taskset(cfg: RunConfig, out: Path, name: str) -> list:
+    """The tasks of ``out/<name>_tasks.json``, once the spec it records is checked to be ``tasksets.<name>``'s.
+
+    A file that records no spec, such as an ingested one, loads as it is.
+    """
+    path = _require(out / f"{name}_tasks.json")
+    tasks, spec = taskgen.load_taskset(path)
+    if spec is not None and spec != cfg.tasksets.get(name, (None,))[0]:
+        raise ConfigError(f"{path} was sampled under another config section 'tasksets.{name}' than the config sets")
+    return tasks
+
+
+def _trained(cfg: RunConfig, out: Path):
+    """The params and training tasks ``out`` holds, once params.bin is checked to be trained on them under ``cfg``."""
+    tasks = _taskset(cfg, out, "train")
+    return _check_inputs(cfg, out, "params.bin", metalearn.load_params), tasks
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
-    tasks, _ = taskgen.load_taskset(_require(out / "train_tasks.json"))
-    inputs = _inputs(out, "params.bin")
+    tasks = _taskset(cfg, out, "train")
+    inputs = _inputs(cfg, out, "params.bin")
     rng = np.random.default_rng(cfg.init_seed)
     mp0 = MetaParams(cfg.learner.spec.init_weights(rng), cfg.learner)
     mp, log = metalearn.meta_train(mp0, tasks, cfg.train)
@@ -362,8 +390,8 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_hessian(cfg: RunConfig, out: Path) -> None:
-    mp, tasks = _trained(out)
-    inputs = _inputs(out, "hessian.bin")
+    mp, tasks = _trained(cfg, out)
+    inputs = _inputs(cfg, out, "hessian.bin")
     if cfg.hessian["method"] == "exact":
         rep = hessian_mod.exact_meta_hessian(mp, tasks)
     else:
@@ -376,30 +404,16 @@ def cmd_hessian(cfg: RunConfig, out: Path) -> None:
     print(f"wrote {out / 'hessian.bin'}")
 
 
-def _matching_inverse(cfg: RunConfig, out: Path, mp, tasks):
-    """Load ``out/hessian.bin``, check it was built from these params and this taskset, and invert it.
-
-    The shape checks come first, then the check of its ``inputs``.
-    """
-    path = _require(out / "hessian.bin")
-    rep = hessian_mod.load_hessian(path)
-    if rep.dim != mp.q:
-        raise ConfigError(f"hessian dim {rep.dim} does not match params q {mp.q}")
-    if rep.num_tasks != len(tasks):
-        raise ConfigError(
-            f"hessian {path} was built on {rep.num_tasks} tasks, "
-            f"but the training taskset has {len(tasks)}"
-        )
-    _check_inputs(out, "hessian.bin")
-    return hessian_mod.invert(rep, cfg.hessian["keep"])
+def _matching_inverse(cfg: RunConfig, out: Path):
+    """The inverse of ``out/hessian.bin`` under ``hessian.keep``, once its ``inputs`` are checked."""
+    return hessian_mod.invert(_check_inputs(cfg, out, "hessian.bin", hessian_mod.load_hessian), cfg.hessian["keep"])
 
 
 def cmd_influence(cfg: RunConfig, out: Path) -> None:
-    mp, tasks = _trained(out)
-    inv = _matching_inverse(cfg, out, mp, tasks)
-    test_file = out / "test_tasks.json"
-    test_tasks = taskgen.load_taskset(test_file)[0] if test_file.exists() else tasks
-    inputs = _inputs(out, "scores.bin")
+    mp, tasks = _trained(cfg, out)
+    test_tasks = _taskset(cfg, out, "test") if (out / "test_tasks.json").exists() else tasks
+    inv = _matching_inverse(cfg, out)
+    inputs = _inputs(cfg, out, "scores.bin")
     records = influence_mod.influence_records(inv, mp, tasks)
     influence_mod.save_influence_records(out / "influence.bin", records)
     table = influence_mod.score_table(mp, inv, tasks, test_tasks, records=records)
@@ -411,20 +425,6 @@ def cmd_influence(cfg: RunConfig, out: Path) -> None:
     )
 
 
-def _matching_scores(cfg: RunConfig, out: Path):
-    """Load ``scores.bin`` and check it scored ``out/test_tasks.json`` from the inputs ``out`` holds.
-
-    The keep rule must be the configured one, and its ``inputs`` those of ``out``.
-    """
-    path = _require(out / "scores.bin")
-    table = influence_mod.load_score_table(path)
-    keep = cfg.hessian["keep"]
-    if repr(table.keep) != repr(keep):
-        raise ConfigError(f"scores {path} were scored under keep {table.keep!r}, but hessian.keep is {keep!r}")
-    _check_inputs(out, "scores.bin")
-    return table
-
-
 def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
     """The report of each requested experiment, by name.
 
@@ -434,14 +434,16 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
     """
     if not requested:
         return {}
+    settings = cfg.values.get("experiments", {})
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    degradation = {"alphas": grid, "ratios": grid, "seed": 0, **cfg.experiments.get("degradation", {})}
+    degradation = {"alphas": grid, "ratios": grid, "seed": 0, **settings.get("degradation", {})}
     sizes = [8, 16, 32]
-    exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **cfg.experiments.get("exact_vs_gn", {})}
-    mp, tasks = _trained(out)
+    exact_vs_gn = {"keep_grid": sizes, "capacity_grid": sizes, **settings.get("exact_vs_gn", {})}
+    mp, tasks = _trained(cfg, out)
     recompute = {"self_rank", "degradation"} & set(requested)
-    inv = _matching_inverse(cfg, out, mp, tasks) if recompute else None
-    table = _matching_scores(cfg, out) if "distribution_distinction" in requested else None
+    inv = _matching_inverse(cfg, out) if recompute else None
+    distinction = "distribution_distinction" in requested
+    table = _check_inputs(cfg, out, "scores.bin", influence_mod.load_score_table) if distinction else None
     reports = {}
     for name in requested:
         if name == "self_rank":
@@ -456,7 +458,7 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
 
 
 def cmd_experiment(cfg: RunConfig, out: Path) -> None:
-    requested = cfg.experiments.get("run", [])
+    requested = cfg.values.get("experiments", {}).get("run", [])
     reports = _experiment_results(cfg, out, requested)
     doc = exp._report("experiment_suite" if requested else "empty", cfg.echo, reports)
     exp.write_report(out / "report.json", doc)

@@ -40,7 +40,6 @@ class HessianRep:
     variant: str  # "dense" | "factored"
     matrix: np.ndarray | None = None
     factor: FactorMatrix | None = None
-    num_tasks: int = 0
     method: str = "exact"  # "exact" | "gauss_newton"
     buffer_capacity: int | None = None
 
@@ -115,7 +114,6 @@ def exact_meta_hessian(mp: MetaParams, taskset: list[Task]) -> HessianRep:
     omega = mp.omega
     work = omega.copy()
     h_mat = np.empty((q, q))
-    m = len(taskset)
     for j in range(q):
         h = FD_STEP_SCALE * (1.0 + abs(float(omega[j])))
         work[j] = omega[j] + h
@@ -130,7 +128,7 @@ def exact_meta_hessian(mp: MetaParams, taskset: list[Task]) -> HessianRep:
         raise FdAsymmetryError(
             f"pre-symmetrization asymmetry {asym:g} exceeds {FD_ASYM_TOL:g} * {scale:g}"
         )
-    return HessianRep(variant="dense", matrix=linalg.symmetrize(h_mat), num_tasks=m, method="exact")
+    return HessianRep(variant="dense", matrix=linalg.symmetrize(h_mat), method="exact")
 
 
 def _mean_meta_grad_checked(learner, omega, taskset, coord: int) -> np.ndarray:
@@ -187,7 +185,6 @@ def accumulate_gn(mp: MetaParams, taskset: list[Task], capacity: int) -> Hessian
     return HessianRep(
         variant="factored",
         factor=buffer,
-        num_tasks=m,
         method="gauss_newton",
         buffer_capacity=capacity,
     )
@@ -244,10 +241,9 @@ def spectrum_summary(h: HessianRep) -> dict:
 
 
 def save_hessian(path, h: HessianRep, inputs: dict) -> None:
-    """Variant, method, task count, capacity and ``inputs`` in the header; the matrix or factor as payload."""
+    """Variant, method, capacity and ``inputs`` in the header; the matrix or factor as payload."""
     header = {
-        "variant": h.variant, "method": h.method,
-        "num_tasks": h.num_tasks, "buffer_capacity": h.buffer_capacity, "inputs": inputs,
+        "variant": h.variant, "method": h.method, "buffer_capacity": h.buffer_capacity, "inputs": inputs,
     }
     payload = h.matrix if h.variant == "dense" else h.factor.columns
     artifact.save(path, "hessian", header, payload)
@@ -260,7 +256,6 @@ def load_hessian(path) -> HessianRep:
             variant=head["variant"],
             matrix=data if dense else None,
             factor=None if dense else FactorMatrix(data),
-            num_tasks=head["num_tasks"],
             method=head["method"],
             buffer_capacity=head["buffer_capacity"],
         )

@@ -1,9 +1,11 @@
-"""Influence of training tasks on meta-parameters, adapted weights, and test loss.
+"""Influence of training tasks on meta-parameters and test loss.
 
 The per-task record is the vector -H^+ g_j, where g_j is the task's
-meta-gradient at the trained optimum. Everything downstream (adapted-weight
-influence, test-loss influence, rankings) is computed from stored records
-alone, so the raw training tasks are not needed once records exist.
+meta-gradient at the trained optimum. Test-loss influence and rankings are
+computed from stored records alone, so the raw training tasks are not
+needed once records exist. No library code computes influence on the
+adapted weights; only the tests' ``adaptation_jacobian`` does, and whether
+it joins the pipeline is an open item in ROADMAP.md.
 
 Sign convention for scores: helpful-positive. A positive score means
 upweighting the training task is predicted to lower the test loss; this is

@@ -65,7 +65,7 @@ def gn_dense(mp, taskset):
         tmp = np.einsum("nkl,nlq->nkq", a, jac)
         h += np.einsum("nkq,nkr->qr", jac, tmp) / (task.query.n * m)
     return hessian.HessianRep(
-        "dense", matrix=linalg.symmetrize(h), num_tasks=m, method="gauss_newton"
+        "dense", matrix=linalg.symmetrize(h), method="gauss_newton"
     )
 
 

@@ -228,7 +228,7 @@ def test_readme_example_config_loads(tmp_path):
     path = tmp_path / "readme.json"
     path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
     cfg = cli.load_config(path)
-    assert cfg.experiments["run"] == ["self_rank", "degradation", "distribution_distinction"]
+    assert cfg.values["experiments"]["run"] == ["self_rank", "degradation", "distribution_distinction"]
     top_row = next(line for line in readme.splitlines() if line.startswith("| top level |"))
     assert top_row.split("|")[2].replace("`", "").strip().split(", ") == list(cli.CONFIG_KEYS)
 
@@ -255,7 +255,8 @@ def test_dense_cap_violation_is_usage_error(tmp_path, capsys):
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, f"q=3003 exceeds dense cap {hessian.DENSE_CAP}")
 
 
-def test_mismatched_hessian_params_is_usage_error(tmp_path, capsys):
+def _hessian_of_other_dim(tmp_path):
+    """A config and the out directory trained under it, holding the Hessian of a model of other widths."""
     out = pipeline(tmp_path, "out")
     other_cfg = write_config(
         tmp_path, {"model": {"layer_widths": [6, 4, 3]}}, name="other.json"
@@ -265,8 +266,22 @@ def test_mismatched_hessian_params_is_usage_error(tmp_path, capsys):
     assert run(["--config", other_cfg, "--out", out2, "train"]) == cli.EXIT_OK
     # plant the hessian of out next to the params of out2
     shutil.copy(out / "hessian.bin", out2 / "hessian.bin")
-    args = ["--config", other_cfg, "--out", out2, "influence"]
-    assert_clean_exit(args, capsys, cli.EXIT_USAGE, "does not match params q")
+    return other_cfg, out2
+
+
+def test_mismatched_hessian_params_is_usage_error(tmp_path, capsys):
+    cfg, out = _hessian_of_other_dim(tmp_path)
+    args = ["--config", cfg, "--out", out, "influence"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, out / "hessian.bin", "config section 'model'")
+
+
+def test_hessian_of_other_dim_with_forged_inputs_is_usage_error(tmp_path, capsys):
+    # inputs rewritten to match over a payload of another dimension: the influence stage's own dim check refuses it
+    cfg, out = _hessian_of_other_dim(tmp_path)
+    inputs = cli._inputs(cli.load_config(cfg), out, "hessian.bin")
+    rewrite_header(out / "hessian.bin", lambda header: dict(header, inputs=inputs))
+    args = ["--config", cfg, "--out", out, "influence"]
+    assert_clean_exit(args, capsys, cli.EXIT_USAGE, "!= inverse dim")
 
 
 def test_empty_experiment_list_writes_empty_report(tmp_path):
@@ -313,7 +328,7 @@ def test_stored_records_are_the_ones_the_experiment_stage_recomputes(tmp_path, o
     out = pipeline(tmp_path, "out", overrides)
     mp = metalearn.load_params(out / "params.bin")
     tasks, _ = taskgen.load_taskset(out / "train_tasks.json")
-    inv = cli._matching_inverse(cli.load_config(tmp_path / "config.json"), out, mp, tasks)
+    inv = cli._matching_inverse(cli.load_config(tmp_path / "config.json"), out)
     want = influence.influence_records(inv, mp, tasks)
     got = influence.load_influence_records(out / "influence.bin")
     assert [(r.task_id, r.group_id) for r in got] == [(r.task_id, r.group_id) for r in want]
@@ -407,13 +422,13 @@ def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
     for command in ("gen", "train", "hessian"):
         assert run(["--config", cfg5, "--out", out5, command]) == cli.EXIT_OK
     # plant each run's hessian.bin in a copy of the other's output directory
-    for cfg, out, foreign, built, has in ((cfg5, out5, out8, 8, 5), (cfg8, out8, out5, 5, 8)):
+    for cfg, out, foreign, has in ((cfg5, out5, out8, 5), (cfg8, out8, out5, 8)):
         crossed = tmp_path / f"crossed{has}"
         shutil.copytree(out, crossed)
         shutil.copy(foreign / "hessian.bin", crossed / "hessian.bin")
         for stage in ("influence", "experiment"):
-            needle = f"built on {built} tasks, but the training taskset has {has}"
-            assert_clean_exit(["--config", cfg, "--out", crossed, stage], capsys, cli.EXIT_USAGE, needle)
+            needles = [crossed / "hessian.bin", "train_tasks.json", "config section 'tasksets.train'"]
+            assert_clean_exit(["--config", cfg, "--out", crossed, stage], capsys, cli.EXIT_USAGE, *needles)
 
 
 def assert_clean_exit(args, capsys, code, *needles):
@@ -840,8 +855,8 @@ def test_fd_asymmetry_is_numerical_failure(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     out.mkdir()
     taskgen.save_taskset(out / "train_tasks.json", tasks)
-    metalearn.save_params(out / "params.bin", mp, cli._inputs(out, "params.bin"))
     cfg = write_config(tmp_path, {"model": {"layer_widths": [4, 5, 3]}})
+    metalearn.save_params(out / "params.bin", mp, cli._inputs(cli.load_config(cfg), out, "params.bin"))
     monkeypatch.setattr(hessian, "FD_STEP_SCALE", 1e-1)
     args = ["--config", cfg, "--out", out, "hessian"]
     assert_clean_exit(args, capsys, cli.EXIT_NUMERICAL, "pre-symmetrization asymmetry")
@@ -852,14 +867,12 @@ def test_ill_conditioned_keep_is_usage_error(trained, tmp_path, capsys):
     _, done = trained
     out = tmp_path / "out"
     shutil.copytree(done, out)
-    mp = metalearn.load_params(out / "params.bin")
-    tasks = taskgen.load_taskset(out / "train_tasks.json")[0]
-    q, num_tasks = mp.q, len(tasks)
+    q = metalearn.load_params(out / "params.bin").q
     lam = np.ones(q)
     lam[-1] = 1e-14
-    rep = hessian.HessianRep("dense", matrix=np.diag(lam), num_tasks=num_tasks)
-    hessian.save_hessian(out / "hessian.bin", rep, cli._inputs(out, "hessian.bin"))
+    rep = hessian.HessianRep("dense", matrix=np.diag(lam))
     cfg = write_config(tmp_path, {"hessian": {"keep": q}})
+    hessian.save_hessian(out / "hessian.bin", rep, cli._inputs(cli.load_config(cfg), out, "hessian.bin"))
     args = ["--config", cfg, "--out", out, "influence"]
     assert_clean_exit(args, capsys, cli.EXIT_USAGE, "ill-conditioned inversion requested")
 
@@ -872,7 +885,8 @@ def test_influence_without_test_tasks_scores_the_training_tasks(trained, tmp_pat
     assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
     lines = (out / "scores.csv").read_text().strip().split("\n")
     assert len(lines) == 2 + 8 * 8
-    assert set(artifact.inputs(out / "scores.bin", "scores")) == {"params.bin", "train_tasks.json", "hessian.bin"}
+    files, sections = cli.INPUTS["scores.bin"]
+    assert set(artifact.inputs(out / "scores.bin", "scores")) == {*files, *sections} - {"test_tasks.json"}
 
 
 DISTINCTION_ONLY = {"experiments": {"run": ["distribution_distinction"]}}
@@ -894,17 +908,21 @@ def _perturb_first_feature(path):
     path.write_text(json.dumps(doc))
 
 
-def _retrain(cfg, out):
-    other = write_config(out.parent, {"train": {"seed": 5}}, name="retrain.json")
-    assert run(["--config", other, "--out", out, "train"]) == cli.EXIT_OK
+def _edit_header(name):
+    """Rewrite ``name``'s header with one more field: another file that still records its own inputs."""
+
+    def corrupt(cfg, out):
+        rewrite_header(out / name, lambda header: dict(header, note="edited"))
+
+    return corrupt
 
 
 def _foreign_train_tasks(cfg, out):
-    """Copy in the training taskset of the same config with ``tasksets.train.seed`` 12."""
+    """Copy in the tasks of the same config with ``tasksets.train.seed`` 12, with no spec, as an ingested file holds."""
     train = dict(BASE_CONFIG["tasksets"]["train"], seed=12)
     other = write_config(out.parent, {"tasksets": {"train": train}}, name="foreign.json")
     assert run(["--config", other, "--out", out.parent / "foreign", "gen"]) == cli.EXIT_OK
-    shutil.copy(out.parent / "foreign" / "train_tasks.json", out / "train_tasks.json")
+    taskgen.save_taskset(out / "train_tasks.json", taskgen.load_taskset(out.parent / "foreign" / "train_tasks.json")[0])
 
 
 def _retrained_after(corrupt):
@@ -931,32 +949,28 @@ def _rescore_training_tasks(cfg, out):
 
 
 def _score_other_tests(cfg, out):
-    # score a foreign test taskset planted in out, then put the run's own one back
+    # score a foreign test taskset planted in out under its own config, then put the run's own one back
     other_cfg = write_config(out.parent, {"tasksets": {"test": {"count": 3, "seed": 18}}}, name="other.json")
     assert run(["--config", other_cfg, "--out", out.parent / "other", "gen"]) == cli.EXIT_OK
     shutil.move(out / "test_tasks.json", out / "held.json")
     shutil.copy(out.parent / "other" / "test_tasks.json", out / "test_tasks.json")
-    assert run(["--config", cfg, "--out", out, "influence"]) == cli.EXIT_OK
+    assert run(["--config", other_cfg, "--out", out, "influence"]) == cli.EXIT_OK
     shutil.move(out / "held.json", out / "test_tasks.json")
 
 
 @pytest.mark.parametrize(
     "corrupt, overrides, needles",
     [
-        (_retrain, {}, ["built from another params.bin than"]),
+        (_edit_header("params.bin"), {}, ["built from another params.bin than"]),
         (
             _retrained_after(lambda cfg, out: _perturb_first_feature(out / "train_tasks.json")),
             {},
             ["built from another params.bin and train_tasks.json than"],
         ),
-        (
-            lambda cfg, out: rewrite_header(out / "hessian.bin", lambda header: dict(header, note="edited")),
-            {},
-            ["built from another hessian.bin than"],
-        ),
-        (lambda cfg, out: None, {"hessian": {"keep": "all"}}, ["scored under keep 'positive'", "hessian.keep is 'all'"]),
+        (_edit_header("hessian.bin"), {}, ["built from another hessian.bin than"]),
+        (lambda cfg, out: None, {"hessian": {"keep": "all"}}, ["built from another config section 'hessian.keep' than"]),
         (lambda cfg, out: _perturb_first_feature(out / "test_tasks.json"), {}, ["built from another test_tasks.json than"]),
-        (_score_other_tests, {}, ["built from another test_tasks.json than"]),
+        (_score_other_tests, {}, ["built from another test_tasks.json and config section 'tasksets.test' than"]),
         (_rescore_training_tasks, {}, ["records no sha256 of test_tasks.json"]),
         (_drop_input("scores.bin", "train_tasks.json"), {}, ["records no sha256 of train_tasks.json"]),
     ],
@@ -980,8 +994,8 @@ def test_scores_from_other_inputs_are_refused(scored, tmp_path, capsys, corrupt,
         (_foreign_train_tasks, "influence", "params.bin", "another train_tasks.json"),
         (_foreign_train_tasks, "experiment", "params.bin", "another train_tasks.json"),
         (_drop_input("params.bin", "train_tasks.json"), "hessian", "params.bin", "no sha256 of train_tasks.json"),
-        (_retrain, "influence", "hessian.bin", "another params.bin than"),
-        (_retrain, "experiment", "hessian.bin", "another params.bin than"),
+        (_edit_header("params.bin"), "influence", "hessian.bin", "another params.bin than"),
+        (_edit_header("params.bin"), "experiment", "hessian.bin", "another params.bin than"),
         (_retrained_after(_foreign_train_tasks), "influence", "hessian.bin", "another params.bin and train_tasks.json"),
         (_drop_input("hessian.bin", "params.bin"), "influence", "hessian.bin", "no sha256 of params.bin"),
     ],
@@ -1024,3 +1038,43 @@ def test_distinction_reads_the_stored_table(scored, tmp_path):
     table = influence.load_score_table(out / "scores.bin")
     assert got == json.loads(json.dumps(experiments.run_distribution_distinction(table, tasks)))
     assert table.test_ids == [t.task_id for t in taskgen.load_taskset(out / "test_tasks.json")[0]]
+
+
+@pytest.mark.parametrize(
+    "overrides, stage, refused, section",
+    [
+        ({"train": {"steps": 300}}, "hessian", "params.bin", "train"),
+        ({"train": {"lr": 0.05}}, "influence", "params.bin", "train"),
+        ({"hessian": {"method": "gn"}}, "influence", "hessian.bin", "hessian.method"),
+        ({"learner": {"inner_lr": 0.2}}, "hessian", "params.bin", "learner"),
+        ({"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], seed=12)}}, "train", "train_tasks.json", "tasksets.train"),
+        ({"tasksets": {"test": {"count": 3, "seed": 18}}}, "influence", "test_tasks.json", "tasksets.test"),
+    ],
+    ids=["train-steps", "train-lr", "hessian-method", "learner-inner_lr", "train-taskset-seed", "test-taskset-seed"],
+)
+def test_artifact_built_under_another_config_is_refused(scored, tmp_path, capsys, overrides, stage, refused, section):
+    # one run directory, one config: a stage refuses what was built under another value of a section it depends on
+    _, done = scored
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    cfg = write_config(tmp_path, overrides, name="changed.json")
+    before = digest_tree(out)
+    needles = [out / refused, f"config section '{section}'"]
+    assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, *needles)
+    assert digest_tree(out) == before
+
+
+def test_a_section_no_artifact_was_built_under_is_not_refused(scored, tmp_path):
+    # experiments is recorded nowhere, and tasksets.test only in scores.bin, which gen and influence remake
+    _, done = scored
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    before = digest_tree(out)
+    cfg = write_config(tmp_path, {"experiments": {"run": ["self_rank"]}}, name="experiments.json")
+    assert run(["--config", cfg, "--out", out, "experiment"]) == cli.EXIT_OK
+    cfg = write_config(tmp_path, {"tasksets": {"test": {"count": 3, "seed": 18}}}, name="tests.json")
+    for stage in ("gen", "influence", "experiment"):
+        assert run(["--config", cfg, "--out", out, stage]) == cli.EXIT_OK, stage
+    after = digest_tree(out)
+    assert all(after[name] == before[name] for name in ("params.bin", "hessian.bin", "train_tasks.json"))
+    assert after["test_tasks.json"] != before["test_tasks.json"]

@@ -42,7 +42,6 @@ def test_exact_hessian_duplicated_taskset_unchanged(rng):
     h1 = exact_meta_hessian(mp, tasks)
     h2 = exact_meta_hessian(mp, tasks + tasks)
     np.testing.assert_allclose(h1.matrix, h2.matrix, atol=1e-12)
-    assert h2.num_tasks == 4
 
 
 def test_exact_hessian_dense_cap(rng):
@@ -82,7 +81,7 @@ def test_gn_columns_saturated_prediction_contributes_nothing():
     w[-2:] = [30.0, -30.0]  # hugely confident logits for every input
     mp = MetaParams(w, learner)
     task = Task("t", Batch(np.zeros((2, 2)), np.array([0, 0])), Batch(np.zeros((2, 2)), np.array([0, 0])))
-    cols = gn_columns_for_task(mp, task)
+    cols = gn_columns_for_task(mp, task, num_tasks=1)
     assert cols.ncols == 0
 
 
@@ -93,7 +92,7 @@ def test_gn_columns_rank_bound_per_sample(rng):
         Batch(rng.normal(size=(3, 4)), np.array([0, 1, 2])),
         Batch(rng.normal(size=(1, 4)), np.array([0])),
     )
-    cols = gn_columns_for_task(mp, task)
+    cols = gn_columns_for_task(mp, task, num_tasks=1)
     # softmax curvature of one sample has rank <= c - 1
     assert cols.ncols <= mp.learner.spec.num_classes - 1
 
@@ -167,7 +166,7 @@ def test_accumulate_gn_rank_bound(rng):
 
 
 def test_invert_dense_counts_and_values():
-    h = HessianRep(variant="dense", matrix=np.diag([4.0, 1.0, -3.0]), num_tasks=1)
+    h = HessianRep(variant="dense", matrix=np.diag([4.0, 1.0, -3.0]))
     inv = invert(h, 2)
     np.testing.assert_allclose(inv.apply(np.eye(3)), np.diag([0.25, 1.0, 0.0]))
     assert inv.retained == 2
@@ -178,7 +177,7 @@ def test_invert_dense_counts_and_values():
 def test_invert_full_keep_is_plain_inverse(rng):
     a = rng.normal(size=(6, 6))
     spd = linalg.symmetrize(a @ a.T + 6 * np.eye(6))
-    h = HessianRep(variant="dense", matrix=spd, num_tasks=1)
+    h = HessianRep(variant="dense", matrix=spd)
     inv = invert(h, 6)
     np.testing.assert_allclose(
         inv.apply(np.eye(6)), np.linalg.inv(spd), atol=1e-8 * np.linalg.norm(np.linalg.inv(spd))
@@ -188,14 +187,14 @@ def test_invert_full_keep_is_plain_inverse(rng):
 
 
 def test_invert_clamps_excess_keep():
-    h = HessianRep(variant="dense", matrix=np.diag([2.0, 1.0]), num_tasks=1)
+    h = HessianRep(variant="dense", matrix=np.diag([2.0, 1.0]))
     inv = invert(h, 10)
     assert inv.clamped and inv.retained == 2
 
 
 def test_invert_annihilates_discarded_directions(rng):
     a = linalg.symmetrize(rng.normal(size=(8, 8)))
-    h = HessianRep(variant="dense", matrix=a, num_tasks=1)
+    h = HessianRep(variant="dense", matrix=a)
     inv = invert(h, 4)
     e = linalg.eigh_symmetric(a)
     for j in range(4, 8):
@@ -204,8 +203,8 @@ def test_invert_annihilates_discarded_directions(rng):
 
 def test_invert_factored_matches_dense_path(rng):
     cols = linalg.FactorMatrix(rng.normal(size=(9, 5)))
-    h_f = HessianRep(variant="factored", factor=cols, num_tasks=1, method="gauss_newton")
-    h_d = HessianRep(variant="dense", matrix=gram(cols), num_tasks=1, method="gauss_newton")
+    h_f = HessianRep(variant="factored", factor=cols, method="gauss_newton")
+    h_d = HessianRep(variant="dense", matrix=gram(cols), method="gauss_newton")
     inv_f = invert(h_f, 5)
     inv_d = invert(h_d, 5)
     eye = np.eye(9)
@@ -216,7 +215,7 @@ def test_invert_factored_matches_dense_path(rng):
 
 def test_invert_factored_keep_subset(rng):
     cols = linalg.FactorMatrix(rng.normal(size=(9, 5)))
-    h_f = HessianRep(variant="factored", factor=cols, num_tasks=1, method="gauss_newton")
+    h_f = HessianRep(variant="factored", factor=cols, method="gauss_newton")
     inv = invert(h_f, 2)
     assert inv.retained == 2
     # projector has rank 2
@@ -226,7 +225,7 @@ def test_invert_factored_keep_subset(rng):
 def test_invert_factored_refuses_ill_conditioned_count():
     # orthogonal columns: eigenvalues 1 and 1e-14, both above the factor's zero floor
     f = linalg.FactorMatrix(np.diag([1.0, 1e-7]))
-    h = HessianRep(variant="factored", factor=f, num_tasks=1)
+    h = HessianRep(variant="factored", factor=f)
     with pytest.raises(linalg.IllConditionedError):
         invert(h, 2)
     assert invert(h, 1).retained == 1
@@ -241,7 +240,7 @@ def test_invert_refuses_a_rule_that_retains_no_eigenvalue():
 def test_invert_factored_clamps_to_live_directions(rng):
     a, b = rng.normal(size=(2, 7))
     f = linalg.FactorMatrix(np.stack([a, b, a], axis=1))
-    h = HessianRep(variant="factored", factor=f, num_tasks=1)
+    h = HessianRep(variant="factored", factor=f)
     inv = invert(h, 3)
     assert inv.clamped and inv.retained == 2
     assert not invert(h, 2).clamped
@@ -249,7 +248,7 @@ def test_invert_factored_clamps_to_live_directions(rng):
 
 def test_spectrum_summary_factored_matches_dense(rng):
     cols = linalg.FactorMatrix(rng.normal(size=(9, 4)))
-    s = spectrum_summary(HessianRep(variant="factored", factor=cols, num_tasks=1))
+    s = spectrum_summary(HessianRep(variant="factored", factor=cols))
     lam = linalg.eigh_symmetric(gram(cols)).eigenvalues[: cols.ncols]
     assert s["num_eigenvalues"] == cols.ncols
     assert s["num_negative"] == 0 and s["num_nonpositive"] == 0
@@ -258,7 +257,7 @@ def test_spectrum_summary_factored_matches_dense(rng):
 
 
 def test_spectrum_summary_dense():
-    h = HessianRep(variant="dense", matrix=np.diag([4.0, 0.0, -1.0]), num_tasks=1)
+    h = HessianRep(variant="dense", matrix=np.diag([4.0, 0.0, -1.0]))
     s = spectrum_summary(h)
     assert s["num_negative"] == 1
     assert s["num_nonpositive"] == 2
@@ -269,12 +268,11 @@ def test_spectrum_summary_dense():
 @pytest.mark.parametrize("variant", ["dense", "factored"])
 def test_hessian_roundtrip(tmp_path, rng, variant):
     if variant == "dense":
-        h = HessianRep(variant="dense", matrix=linalg.symmetrize(rng.normal(size=(5, 5))), num_tasks=3)
+        h = HessianRep(variant="dense", matrix=linalg.symmetrize(rng.normal(size=(5, 5))))
     else:
         h = HessianRep(
             variant="factored",
             factor=linalg.FactorMatrix(rng.normal(size=(5, 2))),
-            num_tasks=3,
             method="gauss_newton",
             buffer_capacity=8,
         )
@@ -285,7 +283,6 @@ def test_hessian_roundtrip(tmp_path, rng, variant):
     assert artifact.inputs(path, "hessian") == inputs
     assert loaded.variant == h.variant
     assert loaded.method == h.method
-    assert loaded.num_tasks == h.num_tasks
     assert loaded.buffer_capacity == h.buffer_capacity
     if variant == "dense":
         np.testing.assert_array_equal(loaded.matrix, h.matrix)
@@ -296,7 +293,7 @@ def test_hessian_roundtrip(tmp_path, rng, variant):
 
 
 def test_dense_hessian_load_holds_its_payload_once(tmp_path, rng):
-    h = HessianRep(variant="dense", matrix=linalg.symmetrize(rng.normal(size=(400, 400))), num_tasks=3)
+    h = HessianRep(variant="dense", matrix=linalg.symmetrize(rng.normal(size=(400, 400))))
     path = tmp_path / "h.bin"
     save_hessian(path, h, {})
     payload = h.matrix.nbytes

@@ -22,13 +22,13 @@ def random_symmetric(rng, n, scale=1.0):
 
 def dense_pinv(a, keep):
     """H^+ of a dense matrix, materialized from its pruned inverse."""
-    inv = invert(HessianRep(variant="dense", matrix=a, num_tasks=1), keep)
+    inv = invert(HessianRep(variant="dense", matrix=a), keep)
     return inv.apply(np.eye(inv.dim))
 
 
 def factor_pinv(f):
     """(V V^T)^+ over every non-negligible direction, materialized from the factored inverse."""
-    inv = invert(HessianRep(variant="factored", factor=f, num_tasks=1), "all")
+    inv = invert(HessianRep(variant="factored", factor=f), "all")
     return inv.apply(np.eye(inv.dim))
 
 

@@ -38,11 +38,11 @@ LOADERS = {
     "hessian-inputs": lambda path: artifact.inputs(path, "hessian"),
     "scores-inputs": lambda path: artifact.inputs(path, "scores"),
 }
-# the built-from digests each artifact records, as the CLI writes them
+# the built-from and built-under digests each artifact records, as the CLI writes them
 INPUTS = {
-    "params": {"train_tasks.json": "0" * 64},
-    "hessian": {"params.bin": "1" * 64, "train_tasks.json": "0" * 64},
-    "scores": {"params.bin": "1" * 64, "train_tasks.json": "0" * 64, "hessian.bin": "2" * 64},
+    "params": {"train_tasks.json": "0" * 64, "model": "3" * 64},
+    "hessian": {"params.bin": "1" * 64, "train_tasks.json": "0" * 64, "hessian.method": "4" * 64},
+    "scores": {"params.bin": "1" * 64, "train_tasks.json": "0" * 64, "hessian.bin": "2" * 64, "hessian.keep": "5" * 64},
 }
 
 
@@ -58,9 +58,9 @@ def artifacts(tmp_path_factory):
     dense = linalg.symmetrize(rng.normal(size=(mp.q, mp.q)))
     factor = linalg.FactorMatrix(rng.normal(size=(mp.q, 3)))
     metalearn.save_params(root / "params", mp, INPUTS["params"])
-    dense_rep = hessian.HessianRep("dense", matrix=dense, num_tasks=2)
+    dense_rep = hessian.HessianRep("dense", matrix=dense)
     hessian.save_hessian(root / "hessian-dense", dense_rep, INPUTS["hessian"])
-    factored = hessian.HessianRep("factored", factor=factor, num_tasks=2, method="gauss_newton")
+    factored = hessian.HessianRep("factored", factor=factor, method="gauss_newton")
     hessian.save_hessian(root / "hessian-factored", factored, INPUTS["hessian"])
     records = [influence.InfluenceRecord(t.task_id, rng.normal(size=mp.q), "g") for t in tasks]
     influence.save_influence_records(root / "influence", records)
