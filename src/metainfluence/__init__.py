@@ -1,9 +1,10 @@
 """Task-level influence functions for meta-learned few-shot classifiers.
 
 The library quantifies how much each meta-training task (or task group)
-shaped a trained meta-learner: its meta-parameters, the weights produced by
-adapting to a test task, and that test task's loss. Curvature can be exact
-(finite differences of the exact meta-gradient) or approximated by the
+shaped a trained meta-learner: its meta-parameters and a test task's loss.
+No library code computes influence on the weights adapted to a test task;
+only the tests' ``adaptation_jacobian`` does (an open item in ROADMAP.md).
+Curvature is exact (finite differences of the exact meta-gradient) or the
 positive-semidefinite outer-product term of the cross-entropy decomposition,
 compressed into a bounded orthogonal column buffer. Pseudo-inverse pruning
 projects out flat curvature directions.

@@ -88,15 +88,11 @@ def load(path, kind: str, build):
         raise ValueError(f"{path}: bad header of {_KINDS[kind][1]}: {missing}{exc}") from None
 
 
-def inputs(path, kind: str) -> dict:
-    """The ``inputs`` a ``kind`` file's header records: the sha256 of each file and config section it was built from.
+def inputs(path, kind: str):
+    """The ``inputs`` a ``kind`` file's header records, None if it records none.
 
-    The header is checked as ``load`` checks it and the payload is not read.
-    A header whose ``inputs`` is missing or is not an object of strings
-    raises ValueError naming the file.
+    The header is checked as ``load`` checks it and the payload is not read;
+    the value is returned unchecked, for the CLI that wrote it to check.
     """
     with open(path, "rb") as fh:
-        recorded = _read_header(fh, kind)[0].get("inputs")
-    if not isinstance(recorded, dict) or not all(isinstance(v, str) for v in recorded.values()):
-        raise ValueError(f"{path}: the header of {_KINDS[kind][1]} records no object of input digests")
-    return recorded
+        return _read_header(fh, kind)[0].get("inputs")

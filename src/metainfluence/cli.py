@@ -2,13 +2,13 @@
 
 Every stage reads its inputs from the output directory (``--out``, default
 ``out``) and writes its artifact there, so expensive stages are computed
-once and reused. ``params.bin``, ``hessian.bin`` and ``scores.bin`` record
-in their header the sha256 of the bytes of each file they were built from
-and of each config section they were built under (``INPUTS``); a stage
-that loads one refuses it when a file or section it names differs from the
-one the directory or the config holds. A taskset file is refused when the
-spec it records is not its config section's. The config is checked in full
-when it is read: a fault exits 1 before any stage runs or any file is made.
+once and reused. Each taskset file and ``params.bin``, ``hessian.bin`` and
+``scores.bin`` record the sha256 of the bytes of each file they were built
+from and of each config section they were built under (``INPUTS``); a
+stage that loads one refuses it when a file or section it names differs
+from the one the directory or the config holds. A taskset that records
+none, such as an ingested one, loads unchecked. The config is checked in
+full when it is read: a fault exits 1 before any stage runs or any file is made.
 All randomness comes from explicit seeds in the JSON config. Two runs of
 the same config produce byte-identical artifacts on one machine at one BLAS
 thread count; across thread counts the Gauss-Newton artifacts differ at
@@ -285,29 +285,29 @@ def _require(path: Path) -> Path:
 
 def cmd_gen(cfg: RunConfig, out: Path) -> None:
     sections = cfg.tasksets
-    spec, count = sections["train"]
-    tasks = taskgen.sample_taskset(spec, count, id_prefix="train")
+    tasks = taskgen.sample_taskset(*sections["train"], id_prefix="train")
     if "noise" in sections:
         noise = taskgen.sample_taskset(*sections["noise"], id_prefix="noise")
         tasks = taskgen.mix_tasksets(tasks, noise, sections.get("mix_seed", 0))
     if "augment" in sections:
         aug = {"count": 1, "transform_scale": 1.0, "seed": 0, **sections["augment"]}
         tasks = [v for t in tasks for v in taskgen.augment_group(t, **aug)]
-    taskgen.save_taskset(out / "train_tasks.json", tasks, spec)
+    taskgen.save_taskset(out / "train_tasks.json", tasks, _inputs(cfg, out, "train_tasks.json"))
     print(f"wrote {len(tasks)} training tasks to {out / 'train_tasks.json'}")
     if "test" in sections:
-        tspec, tcount = sections["test"]
-        test_tasks = taskgen.sample_taskset(tspec, tcount, id_prefix="test")
-        taskgen.save_taskset(out / "test_tasks.json", test_tasks, tspec)
-        print(f"wrote {tcount} test tasks to {out / 'test_tasks.json'}")
+        test_tasks = taskgen.sample_taskset(*sections["test"], id_prefix="test")
+        taskgen.save_taskset(out / "test_tasks.json", test_tasks, _inputs(cfg, out, "test_tasks.json"))
+        print(f"wrote {len(test_tasks)} test tasks to {out / 'test_tasks.json'}")
 
 
-# artifact -> (the files of --out it is built from, the config sections it is built under); its header
-# records the sha256 of each under "inputs". Sections accumulate: distinction checks scores.bin alone.
-_TRAINED = ("model", "learner", "train", "tasksets.train", "tasksets.noise", "tasksets.augment", "tasksets.mix_seed")
+# file -> (the files of --out it is built from, the config sections it is built under); it records the sha256
+# of each under "inputs". A binary's sections accumulate, as distinction checks scores.bin but not hessian.bin.
+_TRAINED = ("model", "learner", "train")
 _CURVED = (*_TRAINED, "hessian.method", "hessian.capacity")
 _SCORED = (*_CURVED, "hessian.keep", "tasksets.test")
 INPUTS = {
+    "train_tasks.json": ((), ("tasksets.train", "tasksets.noise", "tasksets.augment", "tasksets.mix_seed")),
+    "test_tasks.json": ((), ("tasksets.train", "tasksets.test")),  # test inherits what it leaves out from train
     "params.bin": (("train_tasks.json",), _TRAINED),
     "hessian.bin": (("params.bin", "train_tasks.json"), _CURVED),
     "scores.bin": (("params.bin", "train_tasks.json", "hessian.bin", "test_tasks.json"), _SCORED),
@@ -339,39 +339,43 @@ def _inputs(cfg: RunConfig, out: Path, name: str) -> dict:
     return digests
 
 
-def _check_inputs(cfg: RunConfig, out: Path, name: str, load):
-    """``load(out/name)``, once it records the sha256 of each file and section INPUTS names, as they are now."""
+def _check_inputs(cfg: RunConfig, out: Path, name: str, recorded) -> None:
+    """Refuse ``out/name`` unless ``recorded`` holds the sha256 of each file and section INPUTS names, as they are now."""
     path = out / name
-    recorded = artifact.inputs(_require(path), Path(name).stem)
+    if not isinstance(recorded, dict) or not all(isinstance(v, str) for v in recorded.values()):
+        raise ConfigError(f"{path} records no object of input digests")
     files, sections = INPUTS[name]
     for source in files:
         _require(out / source)
     current = _inputs(cfg, out, name)
     unrecorded = [source for source in current if source not in recorded]
     if unrecorded:
-        raise ConfigError(f"{path} records no sha256 of {' or '.join(unrecorded)} in its header")
+        raise ConfigError(f"{path} records no sha256 of {' or '.join(unrecorded)}")
     stale = [f"config section {s!r}" if s in sections else s for s in current if recorded[s] != current[s]]
     if stale:
         raise ConfigError(f"{path} was built from another {' and '.join(stale)} than {out} and the config hold")
+
+
+def _checked(cfg: RunConfig, out: Path, name: str, load):
+    """``load(out/name)``, once the ``inputs`` its header records pass ``_check_inputs``."""
+    path = _require(out / name)
+    _check_inputs(cfg, out, name, artifact.inputs(path, path.stem))
     return load(path)
 
 
 def _taskset(cfg: RunConfig, out: Path, name: str) -> list:
-    """The tasks of ``out/<name>_tasks.json``, once the spec it records is checked to be ``tasksets.<name>``'s.
-
-    A file that records no spec, such as an ingested one, loads as it is.
-    """
+    """The tasks of ``out/<name>_tasks.json``, once the ``inputs`` it records, if any, pass ``_check_inputs``."""
     path = _require(out / f"{name}_tasks.json")
-    tasks, spec = taskgen.load_taskset(path)
-    if spec is not None and spec != cfg.tasksets.get(name, (None,))[0]:
-        raise ConfigError(f"{path} was sampled under another config section 'tasksets.{name}' than the config sets")
+    tasks, recorded = taskgen.load_taskset(path)
+    if recorded is not None:
+        _check_inputs(cfg, out, path.name, recorded)
     return tasks
 
 
 def _trained(cfg: RunConfig, out: Path):
     """The params and training tasks ``out`` holds, once params.bin is checked to be trained on them under ``cfg``."""
     tasks = _taskset(cfg, out, "train")
-    return _check_inputs(cfg, out, "params.bin", metalearn.load_params), tasks
+    return _checked(cfg, out, "params.bin", metalearn.load_params), tasks
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> None:
@@ -406,7 +410,7 @@ def cmd_hessian(cfg: RunConfig, out: Path) -> None:
 
 def _matching_inverse(cfg: RunConfig, out: Path):
     """The inverse of ``out/hessian.bin`` under ``hessian.keep``, once its ``inputs`` are checked."""
-    return hessian_mod.invert(_check_inputs(cfg, out, "hessian.bin", hessian_mod.load_hessian), cfg.hessian["keep"])
+    return hessian_mod.invert(_checked(cfg, out, "hessian.bin", hessian_mod.load_hessian), cfg.hessian["keep"])
 
 
 def cmd_influence(cfg: RunConfig, out: Path) -> None:
@@ -443,7 +447,7 @@ def _experiment_results(cfg: RunConfig, out: Path, requested: list) -> dict:
     recompute = {"self_rank", "degradation"} & set(requested)
     inv = _matching_inverse(cfg, out) if recompute else None
     distinction = "distribution_distinction" in requested
-    table = _check_inputs(cfg, out, "scores.bin", influence_mod.load_score_table) if distinction else None
+    table = _checked(cfg, out, "scores.bin", influence_mod.load_score_table) if distinction else None
     reports = {}
     for name in requested:
         if name == "self_rank":

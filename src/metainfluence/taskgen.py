@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,22 +185,22 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def save_taskset(path, tasks: list[Task], spec: TaskDistributionSpec | None = None) -> None:
+def save_taskset(path, tasks: list[Task], inputs: dict | None = None) -> None:
     """Write tasks as one compact JSON line with sorted keys, one task at a time.
 
     The file is the compact sorted-key encoding of the whole document, but
-    only one task's float lists exist at once. Floats keep their shortest
-    round-trip repr, so ``load_taskset`` returns bitwise-equal tasks. A
-    feature that is not finite or a bad task id raises ValueError, as it does
-    on load, before the file is opened.
+    only one task's float lists exist at once. ``inputs`` is written as
+    given. Floats keep their shortest round-trip repr, so ``load_taskset``
+    returns bitwise-equal tasks. A feature that is not finite or a bad task
+    id raises ValueError, as it does on load, before the file is opened.
     """
     seen: set[str] = set()
     for task in tasks:
         _check_task(path, task, seen)
-    head = _dumps(asdict(spec) if spec is not None else None)
+    head = _dumps(inputs)
     with open(path, "w") as fh:
-        # sorted top-level keys: spec, tasks, version
-        fh.write(f'{{"spec":{head},"tasks":[')
+        # sorted top-level keys: inputs, tasks, version
+        fh.write(f'{{"inputs":{head},"tasks":[')
         for i, t in enumerate(tasks):
             if i:
                 fh.write(",")
@@ -361,14 +361,16 @@ def _read_document(path, fh) -> dict:
     return doc
 
 
-def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
-    """Read a taskset file; accepts externally produced files in the same schema.
+def load_taskset(path) -> tuple[list[Task], object]:
+    """The tasks of a taskset file, and the ``inputs`` it records unchecked or None.
 
-    The file is read through a bounded text window, and each task is built
-    and checked as it is read. Text that is not JSON, a document that breaks
-    the schema, a feature that is not finite, or a task id that repeats or
-    holds a comma or a line break raises ValueError naming the file and,
-    where it is known, the offset or the task (a bad task before the rest).
+    Externally produced files in the same schema load; other top-level keys,
+    such as the ``spec`` older files hold, are ignored. The file is read
+    through a bounded text window, and each task is built and checked as it
+    is read. Text that is not JSON, a document that breaks the schema, a
+    feature that is not finite, or a task id that repeats or holds a comma
+    or a line break raises ValueError naming the file and, where it is
+    known, the offset or the task (a bad task before the rest).
     """
     with open(path) as fh:
         doc = _read_document(path, fh)
@@ -378,10 +380,4 @@ def load_taskset(path) -> tuple[list[Task], TaskDistributionSpec | None]:
     tasks = doc.get("tasks")
     if not isinstance(tasks, list):
         raise ValueError(f"{path}: 'tasks' is not a list")
-    spec = None
-    if doc.get("spec"):
-        try:
-            spec = TaskDistributionSpec(**doc["spec"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad taskset spec: {exc}") from exc
-    return tasks, spec
+    return tasks, doc.get("inputs")

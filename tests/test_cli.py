@@ -358,8 +358,11 @@ def test_gen_with_a_center_pool(tmp_path):
     cfg = write_config(tmp_path, {"tasksets": {"train": train}})
     out = tmp_path / "out"
     assert run(["--config", cfg, "--out", out, "gen"]) == cli.EXIT_OK
-    _, spec = taskgen.load_taskset(out / "train_tasks.json")
-    assert (spec.center_pool_size, spec.pool_seed) == (4, 7)
+    tasks, _ = taskgen.load_taskset(out / "train_tasks.json")
+    regular = sorted((t for t in tasks if t.provenance == "regular"), key=lambda t: t.task_id)
+    spec = taskgen.TaskDistributionSpec(**{key: value for key, value in train.items() if key != "count"})
+    pooled = taskgen.sample_taskset(spec, train["count"], id_prefix="train")
+    assert [t.support.x.tobytes() for t in regular] == [t.support.x.tobytes() for t in pooled]
 
 
 def test_scores_csv_row_count(tmp_path):
@@ -427,7 +430,7 @@ def test_hessian_from_other_taskset_is_usage_error(trained, tmp_path, capsys):
         shutil.copytree(out, crossed)
         shutil.copy(foreign / "hessian.bin", crossed / "hessian.bin")
         for stage in ("influence", "experiment"):
-            needles = [crossed / "hessian.bin", "train_tasks.json", "config section 'tasksets.train'"]
+            needles = [crossed / "hessian.bin", "train_tasks.json"]
             assert_clean_exit(["--config", cfg, "--out", crossed, stage], capsys, cli.EXIT_USAGE, *needles)
 
 
@@ -709,16 +712,21 @@ def _repeated_id(doc):
     return doc
 
 
+def _number_for_a_digest(doc):
+    doc["inputs"]["tasksets.train"] = 5
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt, needle",
     [
         (_drop_query, "has no field 'query'"),
         (lambda doc: doc["tasks"], "is not a taskset"),
-        (lambda doc: dict(doc, spec=dict(doc["spec"], colour="red")), "bad taskset spec"),
+        (_number_for_a_digest, "records no object of input digests"),
         (_huge_label, "labels must fit in int64"),
         (_repeated_id, "repeats"),
     ],
-    ids=["task-without-query", "top-level-array", "unknown-spec-field", "label-beyond-int64", "repeated-id"],
+    ids=["task-without-query", "top-level-array", "digest-not-a-string", "label-beyond-int64", "repeated-id"],
 )
 def test_taskset_schema_error_is_usage_error(trained, tmp_path, capsys, corrupt, needle):
     cfg, done = trained
@@ -918,7 +926,7 @@ def _edit_header(name):
 
 
 def _foreign_train_tasks(cfg, out):
-    """Copy in the tasks of the same config with ``tasksets.train.seed`` 12, with no spec, as an ingested file holds."""
+    """Copy in the tasks of the same config with ``tasksets.train.seed`` 12, with no inputs, as an ingested file holds."""
     train = dict(BASE_CONFIG["tasksets"]["train"], seed=12)
     other = write_config(out.parent, {"tasksets": {"train": train}}, name="foreign.json")
     assert run(["--config", other, "--out", out.parent / "foreign", "gen"]) == cli.EXIT_OK
@@ -1049,8 +1057,17 @@ def test_distinction_reads_the_stored_table(scored, tmp_path):
         ({"learner": {"inner_lr": 0.2}}, "hessian", "params.bin", "learner"),
         ({"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], seed=12)}}, "train", "train_tasks.json", "tasksets.train"),
         ({"tasksets": {"test": {"count": 3, "seed": 18}}}, "influence", "test_tasks.json", "tasksets.test"),
+        ({"tasksets": {"noise": {"count": 2, "seed": 14}}}, "train", "train_tasks.json", "tasksets.noise"),
+        ({"tasksets": {"train": dict(BASE_CONFIG["tasksets"]["train"], count=7)}}, "train", "train_tasks.json",
+         "tasksets.train"),
+        ({"tasksets": {"mix_seed": 20}}, "train", "train_tasks.json", "tasksets.mix_seed"),
+        ({"tasksets": {"augment": {"count": 2, "seed": 3}}}, "train", "train_tasks.json", "tasksets.augment"),
+        ({"tasksets": {"test": {"count": 5, "seed": 17}}}, "influence", "test_tasks.json", "tasksets.test"),
+        ({"tasksets": {"test": {"count": 5, "seed": 17}}}, "experiment", "scores.bin", "tasksets.test"),
     ],
-    ids=["train-steps", "train-lr", "hessian-method", "learner-inner_lr", "train-taskset-seed", "test-taskset-seed"],
+    ids=["train-steps", "train-lr", "hessian-method", "learner-inner_lr", "train-taskset-seed", "test-taskset-seed",
+         "noise-seed", "train-taskset-count", "mix-seed", "augment", "test-taskset-count-influence",
+         "test-taskset-count-experiment"],
 )
 def test_artifact_built_under_another_config_is_refused(scored, tmp_path, capsys, overrides, stage, refused, section):
     # one run directory, one config: a stage refuses what was built under another value of a section it depends on
@@ -1062,6 +1079,18 @@ def test_artifact_built_under_another_config_is_refused(scored, tmp_path, capsys
     needles = [out / refused, f"config section '{section}'"]
     assert_clean_exit(["--config", cfg, "--out", out, stage], capsys, cli.EXIT_USAGE, *needles)
     assert digest_tree(out) == before
+
+
+def test_ingested_taskset_is_not_refused_and_params_record_its_bytes(tmp_path):
+    # a taskset that records no inputs, as an ingested one, trains under any tasksets section
+    out = tmp_path / "out"
+    assert run(["--config", write_config(tmp_path), "--out", out, "gen"]) == cli.EXIT_OK
+    path = out / "train_tasks.json"
+    taskgen.save_taskset(path, taskgen.load_taskset(path)[0])
+    cfg = write_config(tmp_path, {"tasksets": {"noise": {"count": 2, "seed": 14}}}, name="noise.json")
+    assert run(["--config", cfg, "--out", out, "train"]) == cli.EXIT_OK
+    sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert artifact.inputs(out / "params.bin", "params")["train_tasks.json"] == sha256
 
 
 def test_a_section_no_artifact_was_built_under_is_not_refused(scored, tmp_path):

@@ -66,7 +66,7 @@ def artifacts(tmp_path_factory):
     influence.save_influence_records(root / "influence", records)
     table = influence.ScoreTable(["u", "v"], [t.task_id for t in tasks], rng.normal(size=(2, 2)), rng.normal(size=2), 3)
     influence.save_score_table(root / "scores", table, INPUTS["scores"])
-    taskgen.save_taskset(root / "taskset", tasks, dist)
+    taskgen.save_taskset(root / "taskset", tasks, {"tasksets.train": "6" * 64, "tasksets.mix_seed": "7" * 64})
     doc = json.loads((root / "taskset").read_text())
     (root / "taskset-indented").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     for kind in ("params", "hessian", "scores"):

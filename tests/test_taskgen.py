@@ -26,6 +26,10 @@ def clustered_spec(seed=0, d=6, ways=3, ks=4, kq=5, noise=0.4):
     return TaskDistributionSpec("clustered", d, ways, ks, kq, within_class_noise=noise, seed=seed)
 
 
+# the section digests a taskset records, as the CLI writes them
+INPUTS = {"tasksets.train": "0" * 64, "tasksets.mix_seed": "1" * 64}
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         TaskDistributionSpec("weird", 4, 3, 2, 2)
@@ -151,38 +155,38 @@ def test_taskset_roundtrip(tmp_path):
     tasks = sample_taskset(spec, 3)
     tasks = augment_group(tasks[0], 2, 0.5, seed=1) + tasks[1:] + [special_float_task()]
     path = tmp_path / "tasks.json"
-    save_taskset(path, tasks, spec)
+    save_taskset(path, tasks, INPUTS)
     text = path.read_text()
     assert text.endswith("\n") and text.count("\n") == 1
-    loaded, loaded_spec = load_taskset(path)
-    assert loaded_spec == spec
+    loaded, loaded_inputs = load_taskset(path)
+    assert loaded_inputs == INPUTS
     assert_bitwise_equal_tasks(loaded, tasks)
     # determinism: identical bytes on re-save
-    save_taskset(tmp_path / "tasks2.json", loaded, loaded_spec)
+    save_taskset(tmp_path / "tasks2.json", loaded, loaded_inputs)
     assert (tmp_path / "tasks.json").read_bytes() == (tmp_path / "tasks2.json").read_bytes()
 
 
 def test_taskset_in_indented_layout_loads(tmp_path):
     spec = clustered_spec(seed=14)
     tasks = sample_taskset(spec, 2) + [special_float_task()]
-    save_taskset(tmp_path / "compact.json", tasks, spec)
+    save_taskset(tmp_path / "compact.json", tasks, INPUTS)
     doc = json.loads((tmp_path / "compact.json").read_text())
     with open(tmp_path / "indented.json", "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    loaded, loaded_spec = load_taskset(tmp_path / "indented.json")
-    assert loaded_spec == spec
+    loaded, loaded_inputs = load_taskset(tmp_path / "indented.json")
+    assert loaded_inputs == INPUTS
     assert_bitwise_equal_tasks(loaded, tasks)
 
 
-def layout_text(tasks, spec, layout):
+def layout_text(tasks, inputs, layout):
     """The taskset document in one of three layouts: as saved, indented, or reordered keys."""
-    text = whole_document(tasks, spec)
+    text = whole_document(tasks, inputs)
     doc = json.loads(text)
     if layout == "indented":
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
     if layout == "version-first":
-        return json.dumps({"version": doc["version"], "spec": doc["spec"], "tasks": doc["tasks"]})
+        return json.dumps({"version": doc["version"], "inputs": doc["inputs"], "tasks": doc["tasks"]})
     return text
 
 
@@ -193,9 +197,9 @@ def test_small_window_round_trips_bitwise(tmp_path, monkeypatch, window, layout)
     spec = clustered_spec(seed=24)
     tasks = augment_group(sample_taskset(spec, 2)[0], 2, 0.5, seed=3) + [special_float_task()]
     path = tmp_path / "tasks.json"
-    path.write_text(layout_text(tasks, spec, layout))
-    loaded, loaded_spec = load_taskset(path)
-    assert loaded_spec == spec
+    path.write_text(layout_text(tasks, INPUTS, layout))
+    loaded, loaded_inputs = load_taskset(path)
+    assert loaded_inputs == INPUTS
     assert_bitwise_equal_tasks(loaded, tasks)
 
 
@@ -226,10 +230,16 @@ def test_number_that_ends_at_the_window_edge_is_read_whole(tmp_path, monkeypatch
 @pytest.mark.parametrize("window", [3, 1 << 16])
 def test_empty_task_list_loads(tmp_path, monkeypatch, window):
     monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
-    spec = clustered_spec(seed=25)
     path = tmp_path / "tasks.json"
-    path.write_text(json.dumps({"version": 1, "tasks": [], "spec": asdict(spec)}, indent=2))
-    assert load_taskset(path) == ([], spec)
+    path.write_text(json.dumps({"version": 1, "tasks": [], "inputs": INPUTS}, indent=2))
+    assert load_taskset(path) == ([], INPUTS)
+
+
+def test_file_that_records_a_spec_and_no_inputs_loads_with_none(tmp_path):
+    # files written before inputs recorded their TaskDistributionSpec; that key is ignored
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [], "spec": asdict(clustered_spec(seed=25))}))
+    assert load_taskset(path) == ([], None)
 
 
 @pytest.mark.parametrize("window", [3, 1 << 16])
@@ -257,7 +267,7 @@ def test_document_that_is_not_an_object_is_not_a_taskset(tmp_path, monkeypatch, 
 def test_truncated_file_names_the_json_error_and_its_file_offset(tmp_path, monkeypatch):
     monkeypatch.setattr(taskgen, "_WINDOW_CHARS", 5)
     spec = clustered_spec(seed=27, d=2, ways=2, ks=1, kq=1)
-    save_taskset(tmp_path / "whole.json", sample_taskset(spec, 2) + [special_float_task()], spec)
+    save_taskset(tmp_path / "whole.json", sample_taskset(spec, 2) + [special_float_task()], INPUTS)
     text = (tmp_path / "whole.json").read_text()
     path = tmp_path / "cut.json"
     for cut in range(1, len(text) - 1):
@@ -320,11 +330,11 @@ def test_bad_task_id_is_refused_on_save_and_load(tmp_path, bad_id, why):
         load_taskset(path)
 
 
-def whole_document(tasks, spec):
+def whole_document(tasks, inputs):
     """The compact sorted-key encoding of the whole taskset document."""
     doc = {
         "version": taskgen.TASKSET_FORMAT_VERSION,
-        "spec": asdict(spec) if spec is not None else None,
+        "inputs": inputs,
         "tasks": [
             {
                 "id": t.task_id,
@@ -339,21 +349,21 @@ def whole_document(tasks, spec):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-@pytest.mark.parametrize("case", ["spec", "no-spec", "groups", "empty"])
+@pytest.mark.parametrize("case", ["inputs", "no-inputs", "groups", "empty"])
 def test_saved_file_is_the_whole_document_encoding(tmp_path, case):
-    spec = clustered_spec(seed=16)
-    tasks = sample_taskset(spec, 3) + [special_float_task()]
-    if case == "no-spec":
-        spec = None
+    inputs = INPUTS
+    tasks = sample_taskset(clustered_spec(seed=16), 3) + [special_float_task()]
+    if case == "no-inputs":
+        inputs = None
     elif case == "groups":
         tasks = augment_group(tasks[0], 3, 0.5, seed=2) + tasks[1:]
     elif case == "empty":
         tasks = []
     path = tmp_path / "tasks.json"
-    save_taskset(path, tasks, spec)
-    assert path.read_text() == whole_document(tasks, spec)
-    loaded, loaded_spec = load_taskset(path)
-    assert loaded_spec == spec
+    save_taskset(path, tasks, inputs)
+    assert path.read_text() == whole_document(tasks, inputs)
+    loaded, loaded_inputs = load_taskset(path)
+    assert loaded_inputs == inputs
     assert_bitwise_equal_tasks(loaded, tasks)
 
 
@@ -411,7 +421,7 @@ def test_refused_save_leaves_the_existing_file(tmp_path):
 )
 def test_refused_batch_names_its_task(tmp_path, corrupt):
     spec = clustered_spec(seed=20)
-    save_taskset(tmp_path / "tasks.json", sample_taskset(spec, 3), spec)
+    save_taskset(tmp_path / "tasks.json", sample_taskset(spec, 3), INPUTS)
     doc = json.loads((tmp_path / "tasks.json").read_text())
     doc["tasks"][1]["support"] = corrupt(doc["tasks"][1]["support"])
     path = tmp_path / "bad.json"
@@ -420,9 +430,9 @@ def test_refused_batch_names_its_task(tmp_path, corrupt):
         load_taskset(path)
 
 
-def cut_in_third_task(tasks, spec, corrupt):
+def cut_in_third_task(tasks, corrupt):
     """The saved text of ``corrupt(doc)``, cut halfway through its third and last task."""
-    doc = json.loads(whole_document(tasks, spec))
+    doc = json.loads(whole_document(tasks, INPUTS))
     text = json.dumps(corrupt(doc), sort_keys=True, separators=(",", ":"))
     third = text.index(f'"id":{json.dumps(tasks[2].task_id)}')
     return text[: third + (len(text) - third) // 2]
@@ -451,7 +461,7 @@ def test_bad_task_is_refused_before_a_later_cut(tmp_path, monkeypatch, window, c
     monkeypatch.setattr(taskgen, "_WINDOW_CHARS", window)
     spec = clustered_spec(seed=29)
     path = tmp_path / "tasks.json"
-    path.write_text(cut_in_third_task(sample_taskset(spec, 3), spec, corrupt))
+    path.write_text(cut_in_third_task(sample_taskset(spec, 3), corrupt))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {needle}")):
         load_taskset(path)
 
