@@ -174,14 +174,23 @@ def accumulate_gn(mp: MetaParams, taskset: list[Task], capacity: int) -> Hessian
     keeps the leading eigen-directions of their V V^T, so each step is the
     optimal truncation of what it was given. Truncation makes insertion order
     matter, so the loop is serial over the task index.
+
+    At most this is held at once: the buffer while a task's columns are
+    built, then one merged q x (capacity + new columns) block, its Gram
+    matrix and the ``eigh`` workspace while it is compressed into the next
+    buffer. The previous buffer and the task's columns are dropped once the
+    merged block holds them, and the merged block before the next task's
+    columns are built, so no stale buffer is alive during a compression.
     """
     if not taskset:
         raise ValueError("taskset must be nonempty")
     buffer = FactorMatrix.empty(mp.q)
     m = len(taskset)
     for task in taskset:
-        cols = gn_columns_for_task(mp, task, num_tasks=m)
-        buffer = linalg.orthogonalize_keep_largest(buffer.concat(cols), capacity)
+        merged = buffer.concat(gn_columns_for_task(mp, task, num_tasks=m))
+        del buffer
+        buffer = linalg.orthogonalize_keep_largest(merged, capacity)
+        del merged
     return HessianRep(
         variant="factored",
         factor=buffer,

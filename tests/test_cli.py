@@ -1094,7 +1094,8 @@ def test_ingested_taskset_is_not_refused_and_params_record_its_bytes(tmp_path):
 
 
 def test_a_section_no_artifact_was_built_under_is_not_refused(scored, tmp_path):
-    # experiments is recorded nowhere, and tasksets.test only in scores.bin, which gen and influence remake
+    # experiments is recorded nowhere, and tasksets.test only in test_tasks.json and scores.bin,
+    # which gen and influence remake
     _, done = scored
     out = tmp_path / "out"
     shutil.copytree(done, out)

@@ -325,3 +325,19 @@ def test_gn_matches_exact_near_fit_small():
     gn = gn_dense(mp, tasks)
     rel = np.linalg.norm(exact.matrix - gn.matrix) / np.linalg.norm(exact.matrix)
     assert rel < 0.2
+
+
+def test_gn_stream_holds_one_merged_block():
+    # the q=1221 shape of the gn-maml benchmark; after six tasks the buffer is full
+    spec = MlpSpec((32, 32, 5))
+    mp = MetaParams(spec.init_weights(np.random.default_rng(0), 1.0), Learner("maml", spec, 0.01))
+    tasks = sample_tasks(seed=3, count=6, d=32, ways=5, ks=5, kq=5)
+    tracemalloc.start()
+    try:
+        factor = accumulate_gn(mp, tasks, capacity=256).factor
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a stale buffer and the task's columns alive beside the merged block would read 4.6x
+    assert factor.ncols == 256
+    assert peak < 4.0 * factor.columns.nbytes, peak / factor.columns.nbytes
